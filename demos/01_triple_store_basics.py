@@ -1,9 +1,9 @@
 """Build a tiny knowledge graph and poke at its indices.
 
 The TripleStore is the substrate everything else stands on: a deduplicated
-triplet set with per-entity adjacency lists and degrees. Neighbor queries
-return the other endpoint plus the direction the focal entity plays, which
-is exactly what the unseen-entity estimator needs later.
+triplet array with per-entity degrees and sorted keys for membership.
+Neighbor queries return the other endpoint plus the direction the focal
+entity plays, which is exactly what the unseen-entity estimator needs later.
 """
 
 from invkge import Triplet, TripleStore, Vocabulary

@@ -12,7 +12,7 @@ import numpy as np
 
 from invkge import (TripleStore, build_correlation, candidate_weights, cap_neighbors,
                     distance, estimate_candidates, generate_planted_splits,
-                    reduce_candidates, substream)
+                    reduce_candidates)
 
 splits, tables = generate_planted_splits(seed=3, num_entities=240, num_relations=8,
                                          num_train=700, ookg_fraction=0.1)
@@ -27,31 +27,40 @@ true_point = tables.entity[entity]
 print(f"unseen entity {vocab.entity_name(entity)} sits at {true_point} "
       f"(hidden from the estimator)")
 
-cset = estimate_candidates(tables, aux_store, entity, splits.ikg_entities)
+cset = estimate_candidates(tables, aux_store, [entity], splits.ikg_entities)
 print(f"\n{len(cset)} candidates, one per auxiliary neighbor:")
-for cand in cset.candidates:
-    print(f"  via ({vocab.entity_name(cand.source_entity)}, "
-          f"{vocab.relation_name(cand.source_relation)}) as {cand.direction}: "
-          f"{cand.vector}  train-degree={train_store.degree(cand.source_entity)}")
+for vec, source, rel, as_head in zip(cset.vectors, cset.source_entity, cset.source_relation,
+                                     cset.as_head):
+    print(f"  via ({vocab.entity_name(source)}, {vocab.relation_name(rel)}) as "
+          f"{'head' if as_head else 'tail'}: {vec}  train-degree={train_store.degree(source)}")
 
 correlation = build_correlation(train_store, vocab.num_relations)
 for scheme, kwargs in [("uniform", {}),
                        ("degree", {"train_store": train_store}),
                        ("correlation", {"correlation": correlation,
-                                        "query_relation": cset.candidates[0].source_relation})]:
+                                        "query_relation": cset.source_relation[0]})]:
     weights = candidate_weights(scheme, cset, **kwargs)
-    reduced = reduce_candidates(cset, weights)
+    reduced = reduce_candidates(cset, weights)[0]
     print(f"\n{scheme:11s} weights {np.round(weights, 3)} -> {reduced} "
           f"(error {np.abs(reduced - true_point).sum():.2e})")
 
-capped = cap_neighbors(cset, 1, substream(0, "capping", entity))
+capped = cap_neighbors(cset, 1, seed=0)
 print(f"\ncapped to 1 neighbor: candidate via "
-      f"{vocab.entity_name(capped.candidates[0].source_entity)} only")
+      f"{vocab.entity_name(capped.source_entity[0])} only")
 
 # the candidate exactly inverts its generating triplet
-cand = cset.candidates[0]
-if cand.direction == "head":
-    resid = distance(tables, cand.vector, cand.source_relation, cand.source_entity)
+vec, source, rel = cset.vectors[0], cset.source_entity[0], cset.source_relation[0]
+if cset.as_head[0]:
+    resid = distance(tables, vec, rel, source)
 else:
-    resid = distance(tables, cand.source_entity, cand.source_relation, cand.vector)
+    resid = distance(tables, source, rel, vec)
 print(f"residual of the generating triplet at the candidate: {resid}")
+
+# every unseen entity at once: one gather of candidates, one reduction per segment
+everyone = estimate_candidates(tables, aux_store, sorted(splits.ookg_entities),
+                               splits.ikg_entities)
+reduced = reduce_candidates(everyone, candidate_weights("degree", everyone,
+                                                        train_store=train_store))
+worst = np.abs(reduced - tables.entity[everyone.entities]).sum(axis=1).max()
+print(f"\nall {len(everyone.entities)} unseen entities from {len(everyone)} candidates "
+      f"in one batch: worst error {worst:.2e}")

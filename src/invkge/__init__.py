@@ -12,17 +12,15 @@ from .core import AS_HEAD, AS_TAIL, Neighbor, Triplet, TripleStore, Vocabulary
 from .datasets import (BenchmarkSplits, DatasetFormatError, DatasetValidationError,
                        build_filter_set, generate_planted_splits, generate_synthetic_splits,
                        generate_trainable_splits, load_split_dir, load_splits, write_splits)
-from .estimation import (Candidate, CandidateSet, EstimationError, cap_neighbors,
-                         estimate_candidates)
-from .evaluation import (EvalReport, FilterIndex, LpQuery, Thresholds, ablate,
+from .estimation import CandidateSet, cap_neighbors, estimate_candidates
+from .evaluation import (EvalReport, FilterIndex, LpQuery, Thresholds, ablate, embed_ookg,
                          filtered_rank, format_report, link_prediction,
                          triplet_classification, tune_thresholds, write_report_csv)
 from .models import (MODELS, ROTATE, TRANSE, EmbeddingTables, distance, init_tables,
                      load_checkpoint, load_vocabulary, save_checkpoint, save_vocabulary,
                      score, translation_distance)
 from .reduction import (CORRELATION, DEGREE, UNIFORM, RelationCorrelation,
-                        build_correlation, candidate_weights, correlation_weights,
-                        degree_weights, reduce_candidates, uniform_weights)
+                        build_correlation, candidate_weights, reduce_candidates)
 from .seeding import substream
 from .training import (REFERENCE_CONFIGS, Adam, TrainConfig, TrainingDivergedError,
                        sample_negatives, self_adversarial_loss, train)

@@ -19,14 +19,13 @@ import numpy as np
 
 from .datasets import (BenchmarkSplits, DatasetFormatError, DatasetValidationError,
                        load_split_dir, load_splits)
-from .estimation import EstimationError, cap_neighbors, estimate_candidates
-from .evaluation import (ablate, format_report, link_prediction, triplet_classification,
-                         tune_thresholds, write_report_csv)
+from .core import TripleStore
+from .evaluation import (ablate, embed_ookg, format_report, link_prediction,
+                         triplet_classification, tune_thresholds, write_report_csv)
 from .models import (ROTATE, load_checkpoint, load_vocabulary, save_checkpoint,
                      save_vocabulary)
 from .reduction import (CORRELATION, DEGREE, SCHEMES, UNIFORM, build_correlation,
-                        candidate_weights, reduce_candidates, save_correlation_csv)
-from .seeding import substream
+                        save_correlation_csv)
 from .training import TrainConfig, TrainingDivergedError, train
 
 ENV_PREFIX = "INVKGE_"
@@ -212,34 +211,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     splits = _load_benchmark(cfg)
     _check_vocab(cfg, splits)
     tables = _load_tables(cfg, splits)
-    from .core import TripleStore  # local import to keep module load light
-    aux_store = TripleStore(splits.aux, num_entities=splits.vocab.num_entities,
-                            num_relations=splits.vocab.num_relations)
-    train_store = TripleStore(splits.train, num_entities=splits.vocab.num_entities,
-                              num_relations=splits.vocab.num_relations)
-
-    rows = []
-    manifest = []
-    dangling = []
-    for entity in sorted(splits.ookg_entities):
-        try:
-            cset = estimate_candidates(tables, aux_store, entity, splits.ikg_entities)
-        except EstimationError:
-            dangling.append(entity)
-            continue
-        if cfg["cap"] is not None:
-            cset = cap_neighbors(cset, cfg["cap"], substream(cfg["seed"], "capping", entity))
-        weights = candidate_weights(cfg["scheme"], cset, train_store=train_store,
-                                    smoothing=cfg["delta"])
-        vec = reduce_candidates(cset, weights)
-        if tables.model == ROTATE:
-            vec = np.ascontiguousarray(vec).view(np.float64)  # interleave re/im
-        rows.append(vec)
-        manifest.append(entity)
+    entities = np.array(sorted(splits.ookg_entities), dtype=np.int64)
+    vectors, found = embed_ookg(tables, splits, cfg["scheme"], entities, None,
+                                smoothing=cfg["delta"], neighbor_cap=cfg["cap"],
+                                seed=cfg["seed"])
+    manifest = entities[found].tolist()
+    dangling = entities[~found].tolist()
 
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    matrix = np.stack(rows) if rows else np.zeros((0, tables.entity.shape[1]))
+    matrix = vectors[found]
+    if tables.model == ROTATE:
+        matrix = np.ascontiguousarray(matrix).view(np.float64)  # interleave re/im
     with open(out_dir / "ookg_embeddings.f32", "wb") as f:
         f.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
     with open(out_dir / "ookg_manifest.tsv", "w", encoding="utf-8", newline="\n") as f:
@@ -284,7 +267,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         label = f"tc-{scheme}"
 
     if cfg["dump_correlation"]:
-        from .core import TripleStore
         train_store = TripleStore(splits.train, num_entities=splits.vocab.num_entities,
                                   num_relations=splits.vocab.num_relations)
         save_correlation_csv(build_correlation(train_store, splits.vocab.num_relations),
@@ -414,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (DatasetFormatError, DatasetValidationError, TrainingDivergedError,
-            EstimationError, ValueError, OSError) as exc:
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

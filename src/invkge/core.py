@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 AS_HEAD = "head"
 AS_TAIL = "tail"
@@ -84,76 +86,103 @@ class Vocabulary:
 
 
 class TripleStore:
-    """Immutable, deduplicated triplet set with adjacency and degree indices.
+    """Immutable, deduplicated triplet set held as arrays.
 
-    Duplicate triplets are stored once. Self-loops are allowed and count twice
-    towards the degree of their entity (once as head, once as tail). Adjacency
-    lists keep first-insertion order, which downstream code relies on for
-    reproducible candidate ordering.
+    ``triplets`` is an (n, 3) int64 array of (head, relation, tail) rows in
+    first-insertion order; duplicates are stored once. ``degrees`` counts the
+    incident triplets of every entity id; a self-loop counts twice (once as
+    head, once as tail). Membership is answered by binary search over the
+    sorted int64 keys of the triplets.
     """
 
     def __init__(self, triplets: Iterable[Triplet],
                  num_entities: int | None = None,
                  num_relations: int | None = None) -> None:
-        self._ordered: list[Triplet] = []
-        self._set: set[Triplet] = set()
-        self.out_index: dict[int, list[tuple[int, int]]] = defaultdict(list)  # e -> [(r, t)]
-        self.in_index: dict[int, list[tuple[int, int]]] = defaultdict(list)   # e -> [(h, r)]
-        max_ent = -1
-        max_rel = -1
-        for raw in triplets:
-            t = Triplet(*raw)
-            if num_entities is not None and not (0 <= t.head < num_entities and 0 <= t.tail < num_entities):
-                raise ValueError(f"entity id out of range in triplet {t} (num_entities={num_entities})")
-            if num_relations is not None and not 0 <= t.relation < num_relations:
-                raise ValueError(f"relation id out of range in triplet {t} (num_relations={num_relations})")
-            if t.head < 0 or t.relation < 0 or t.tail < 0:
-                raise ValueError(f"negative id in triplet {t}")
-            if t in self._set:
-                continue
-            self._set.add(t)
-            self._ordered.append(t)
-            self.out_index[t.head].append((t.relation, t.tail))
-            self.in_index[t.tail].append((t.head, t.relation))
-            max_ent = max(max_ent, t.head, t.tail)
-            max_rel = max(max_rel, t.relation)
-        self.num_entities = num_entities if num_entities is not None else max_ent + 1
-        self.num_relations = num_relations if num_relations is not None else max_rel + 1
+        arr = np.fromiter(chain.from_iterable(triplets), dtype=np.int64).reshape(-1, 3)
+        ends = arr[:, [0, 2]]
+        self.num_entities = int(ends.max(initial=-1)) + 1 if num_entities is None else num_entities
+        self.num_relations = (int(arr[:, 1].max(initial=-1)) + 1 if num_relations is None
+                              else num_relations)
+        bad = (arr < 0).any(axis=1) | (ends >= self.num_entities).any(axis=1) \
+            | (arr[:, 1] >= self.num_relations)
+        if bad.any():
+            raise ValueError(f"id out of range in triplet {Triplet(*arr[np.argmax(bad)].tolist())} "
+                             f"(num_entities={self.num_entities}, "
+                             f"num_relations={self.num_relations})")
+        self._keys, first = np.unique(self._encode(*arr.T), return_index=True)
+        self.triplets = arr[np.sort(first)]
+        self.degrees = (np.bincount(self.triplets[:, 0], minlength=self.num_entities)
+                        + np.bincount(self.triplets[:, 2], minlength=self.num_entities))
 
-    def contains(self, head: int, relation: int, tail: int) -> bool:
-        return Triplet(head, relation, tail) in self._set
+    def _encode(self, head, relation, tail):
+        return (head * self.num_relations + relation) * self.num_entities + tail
+
+    def contains(self, head, relation, tail) -> np.ndarray:
+        """Membership of (head, relation, tail); the arguments broadcast against each other.
+
+        Ids outside the store's entity or relation range are never members.
+        """
+        h, r, t = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64)
+                                        for x in (head, relation, tail)))
+        keys = self._encode(h, r, t)
+        pos = np.searchsorted(self._keys, keys)
+        ok = ((h >= 0) & (h < self.num_entities) & (t >= 0) & (t < self.num_entities)
+              & (r >= 0) & (r < self.num_relations) & (pos < len(self._keys)))
+        hit = np.zeros(keys.shape, dtype=bool)
+        hit[ok] = self._keys[pos[ok]] == keys[ok]
+        return hit
 
     def __contains__(self, triplet: Triplet) -> bool:
-        return Triplet(*triplet) in self._set
+        return bool(self.contains(*triplet))
 
     def degree(self, entity: int) -> int:
-        return len(self.out_index.get(entity, ())) + len(self.in_index.get(entity, ()))
+        return int(self.degrees[entity]) if 0 <= entity < self.num_entities else 0
+
+    def incident(self, entities) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Incident triplets of each of ``entities``, grouped per entity.
+
+        Returns ``(other, relation, as_head, offsets)``: the edges of
+        ``entities[i]`` are rows ``offsets[i]:offsets[i + 1]``, those where it
+        is the head first, then those where it is the tail, each in
+        first-insertion order. ``other`` is the other endpoint.
+        """
+        h, r, t = self.triplets.T
+        focal = np.concatenate([h, t])
+        order = np.argsort(focal, kind="stable")
+        sorted_focal = focal[order]
+        entities = np.asarray(entities, dtype=np.int64)
+        starts = np.searchsorted(sorted_focal, entities, side="left")
+        counts = np.searchsorted(sorted_focal, entities, side="right") - starts
+        rows = order[segment_rows(starts, counts)]
+        n = len(h)
+        return (np.concatenate([t, h])[rows], np.concatenate([r, r])[rows], rows < n,
+                np.concatenate([[0], np.cumsum(counts)]))
 
     def neighbors(self, entity: int) -> list[Neighbor]:
         """All incident edges of ``entity``: head-direction edges first, then tail-direction.
 
         Isolated entities yield an empty list.
         """
-        out = [Neighbor(entity=t, relation=r, direction=AS_HEAD)
-               for r, t in self.out_index.get(entity, ())]
-        inc = [Neighbor(entity=h, relation=r, direction=AS_TAIL)
-               for h, r in self.in_index.get(entity, ())]
-        return out + inc
-
-    def entities(self) -> set[int]:
-        """Entities incident to at least one stored triplet."""
-        return set(self.out_index) | set(self.in_index)
+        other, relation, as_head, _ = self.incident([entity])
+        return [Neighbor(o, r, AS_HEAD if head else AS_TAIL)
+                for o, r, head in zip(other.tolist(), relation.tolist(), as_head.tolist())]
 
     def __len__(self) -> int:
-        return len(self._ordered)
+        return len(self.triplets)
 
     def __iter__(self) -> Iterator[Triplet]:
-        return iter(self._ordered)
+        return map(Triplet._make, self.triplets.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripleStore):
             return NotImplemented
-        return self._ordered == other._ordered
+        return np.array_equal(self.triplets, other.triplets)
 
     def __repr__(self) -> str:
         return f"TripleStore({len(self)} triplets, {self.num_entities} entities, {self.num_relations} relations)"
+
+
+def segment_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(starts[i], starts[i] + counts[i])`` over i."""
+    firsts = np.cumsum(counts) - counts  # where each run starts in the output
+    return np.arange(counts.sum()) + np.repeat(starts - firsts, counts)

@@ -12,80 +12,102 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import AS_HEAD, TripleStore
+from .core import TripleStore
 from .models import ROTATE, EmbeddingTables
+from .seeding import substream
 
 logger = logging.getLogger(__name__)
 
 
-class EstimationError(ValueError):
-    """The entity has no usable auxiliary neighbor."""
-
-
-@dataclass
-class Candidate:
-    """One estimated embedding and the auxiliary neighbor that produced it."""
-
-    vector: np.ndarray
-    source_entity: int
-    source_relation: int
-    direction: str  # role of the OOKG entity in the generating triplet
-
-
 @dataclass
 class CandidateSet:
-    entity: int
-    candidates: list[Candidate]
+    """Candidates of several entities, one row per usable auxiliary neighbor.
+
+    The rows of ``entities[i]`` form the segment ``offsets[i]:offsets[i + 1]``,
+    which is never empty. Row j holds the candidate ``vectors[j]`` (complex
+    for RotatE), the neighbor ``source_entity[j]`` and relation
+    ``source_relation[j]`` that produced it, and whether the entity is the
+    head (``as_head[j]``) or the tail of the generating triplet.
+    """
+
+    entities: np.ndarray
+    offsets: np.ndarray
+    vectors: np.ndarray
+    source_entity: np.ndarray
+    source_relation: np.ndarray
+    as_head: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self.vectors)
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def take(self, segments: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> CandidateSet:
+        """The given rows, regrouped into one segment per entry of ``segments``.
+
+        ``counts[i]`` consecutive rows form the new segment of ``entities[segments[i]]``.
+        """
+        return CandidateSet(self.entities[segments], np.concatenate([[0], np.cumsum(counts)]),
+                            self.vectors[rows], self.source_entity[rows],
+                            self.source_relation[rows], self.as_head[rows])
 
 
-def estimate_candidates(tables: EmbeddingTables, aux_store: TripleStore, entity: int,
+def estimate_candidates(tables: EmbeddingTables, aux_store: TripleStore,
+                        entities: np.ndarray | Sequence[int],
                         ikg_entities: frozenset[int] | set[int]) -> CandidateSet:
-    """Candidates for ``entity``, ordered by aux-store neighbor order.
+    """Candidates of every entity in ``entities``, in aux-store neighbor order.
 
-    Neighbors whose other endpoint is not an in-graph entity (dirty aux data)
-    are skipped with a warning rather than failing the whole entity. Raises
-    EstimationError when no candidate remains.
+    Within an entity's segment, the neighbors where it is the head come
+    first, then those where it is the tail, each in aux order. Neighbors whose
+    other endpoint is not an in-graph entity (dirty aux data) are skipped,
+    with one summary warning per call. Entities left with no candidate are
+    left out of the set.
     """
-    candidates: list[Candidate] = []
-    skipped = 0
-    rotate = tables.model == ROTATE
-    for nb in aux_store.neighbors(entity):
-        if nb.entity not in ikg_entities or nb.entity >= tables.num_entities:
-            skipped += 1
-            continue
-        other = tables.entity_vec(nb.entity)
-        if rotate:
-            rot = np.exp(1j * tables.relation[nb.relation])
-            vec = other * np.conj(rot) if nb.direction == AS_HEAD else other * rot
-        else:
-            rel = tables.relation[nb.relation]
-            vec = other - rel if nb.direction == AS_HEAD else other + rel
-        candidates.append(Candidate(vec, nb.entity, nb.relation, nb.direction))
-    if skipped:
-        logger.warning("entity %d: skipped %d aux neighbors with out-of-graph endpoints",
-                       entity, skipped)
-    if not candidates:
-        raise EstimationError(f"entity {entity} has no usable aux neighbors")
-    return CandidateSet(entity, candidates)
+    entities = np.asarray(entities, dtype=np.int64)
+    other, relation, as_head, offsets = aux_store.incident(entities)
+    ikg_ids = np.fromiter(ikg_entities, dtype=np.int64, count=len(ikg_entities))
+    ikg = np.zeros(aux_store.num_entities, dtype=bool)
+    ikg[ikg_ids[ikg_ids < aux_store.num_entities]] = True
+    usable = ikg[other] & (other < tables.num_entities)
+    segment = np.repeat(np.arange(len(entities)), np.diff(offsets))
+    counts = np.bincount(segment[usable], minlength=len(entities))
+    if not usable.all():
+        logger.warning("skipped %d aux neighbors of %d entities with out-of-graph endpoints",
+                       np.count_nonzero(~usable), len(np.unique(segment[~usable])))
+    other, relation, as_head = other[usable], relation[usable], as_head[usable]
+    source = tables.entity_matrix()[other]
+    if tables.model == ROTATE:
+        rot = np.exp(1j * tables.relation)[relation]
+        vectors = source * np.where(as_head[:, None], np.conj(rot), rot)
+    else:
+        rel = tables.relation[relation]
+        vectors = source + np.where(as_head[:, None], -rel, rel)
+    keep = counts > 0
+    return CandidateSet(entities[keep], np.concatenate([[0], np.cumsum(counts[keep])]),
+                        vectors, other, relation, as_head)
 
 
-def cap_neighbors(candidate_set: CandidateSet, k: int,
-                  rng: np.random.Generator) -> CandidateSet:
-    """Uniform subset of at most k candidates, without replacement.
+def cap_neighbors(candidate_set: CandidateSet, k: int, seed: int) -> CandidateSet:
+    """Uniform subset of at most k candidates per entity, without replacement.
 
-    Original candidate order is preserved; the set is returned unchanged when
-    it already fits.
+    Entity e draws from its own ``substream(seed, "capping", e)``, so a cap
+    does not depend on which other entities are in the set. Original
+    candidate order is preserved; segments that already fit are unchanged.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    cands = candidate_set.candidates
-    if len(cands) <= k:
-        return CandidateSet(candidate_set.entity, list(cands))
-    idx = np.sort(rng.choice(len(cands), size=k, replace=False))
-    return CandidateSet(candidate_set.entity, [cands[i] for i in idx])
+    counts = candidate_set.counts
+    keep = np.ones(len(candidate_set), dtype=bool)
+    for i in np.flatnonzero(counts > k):
+        start, n = candidate_set.offsets[i], int(counts[i])
+        rng = substream(seed, "capping", int(candidate_set.entities[i]))
+        keep[start:start + n] = False
+        keep[start + rng.choice(n, size=k, replace=False)] = True
+    return candidate_set.take(np.arange(len(counts)), np.flatnonzero(keep),
+                              np.minimum(counts, k))

@@ -15,37 +15,36 @@ from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AS_HEAD, AS_TAIL, Triplet, TripleStore
+from .core import AS_HEAD, AS_TAIL, Triplet, TripleStore, segment_rows
 from .datasets import BenchmarkSplits, build_filter_set
-from .estimation import CandidateSet, EstimationError, cap_neighbors, estimate_candidates
-from .models import ROTATE, EmbeddingTables, translation_distance
-from .reduction import (CORRELATION, DEGREE, DEFAULT_SMOOTHING, RelationCorrelation,
-                        build_correlation, candidate_weights, reduce_candidates)
-from .seeding import substream
+from .estimation import cap_neighbors, estimate_candidates
+from .models import EmbeddingTables, translation_distance
+from .reduction import (CORRELATION, DEGREE, DEFAULT_SMOOTHING, build_correlation,
+                        candidate_weights, reduce_candidates)
 
 logger = logging.getLogger(__name__)
 
 ABLATION_VARIANTS = ("cap1", "cap8", "cap32", "uniform", "ratio")
 
 
-class FilterIndex:
-    """Known-true triplets indexed for candidate filtering."""
+class FilterIndex(TripleStore):
+    """Known-true triplets, looked up to filter ranking candidates."""
 
-    def __init__(self, triplets: Iterable[Triplet]):
-        self.tails_of: dict[tuple[int, int], set[int]] = defaultdict(set)
-        self.heads_of: dict[tuple[int, int], set[int]] = defaultdict(set)
-        for h, r, t in triplets:
-            self.tails_of[(h, r)].add(t)
-            self.heads_of[(r, t)].add(h)
+    def keep_mask(self, query: LpQuery, cids: np.ndarray) -> np.ndarray:
+        """Candidates kept by the filtered protocol.
 
-    def known(self, known_entity: int, relation: int, missing: str) -> set[int]:
-        if missing == AS_TAIL:
-            return self.tails_of.get((known_entity, relation), set())
-        return self.heads_of.get((relation, known_entity), set())
+        A candidate is dropped when it forms a known-true triplet with the
+        query, unless it is the answer.
+        """
+        if query.missing == AS_TAIL:
+            known = self.contains(query.known_entity, query.relation, cids)
+        else:
+            known = self.contains(cids, query.relation, query.known_entity)
+        return ~known | (cids == query.answer)
 
 
 @dataclass
@@ -82,24 +81,20 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
 
-def filtered_rank(tables: EmbeddingTables, query: LpQuery,
-                  filter_index: FilterIndex | Iterable[Triplet],
+def filtered_rank(tables: EmbeddingTables, query: LpQuery, filter_index: FilterIndex,
                   candidate_ids: np.ndarray) -> float:
     """Rank (>= 1) of the ground truth among the candidates, filtered.
 
     Candidates other than the answer that form a known-true triplet with the
     query are dropped; ties are resolved to the mean of the optimistic and
-    pessimistic positions. Accepts a FilterIndex or any triplet iterable
-    (indexed on the fly).
+    pessimistic positions.
     """
-    if not isinstance(filter_index, FilterIndex):
-        filter_index = FilterIndex(filter_index)
     cids = np.asarray(candidate_ids)
     pos = np.flatnonzero(cids == query.answer)
     if pos.size == 0:
         raise ValueError(f"ground truth {query.answer} is not among the candidates")
     dists = _candidate_distances(tables, query, cids)
-    keep = _keep_mask(filter_index, query, cids)
+    keep = filter_index.keep_mask(query, cids)
     gt_d = dists[pos[0]]
     kept = dists[keep]
     better = int(np.count_nonzero(kept < gt_d))
@@ -116,67 +111,45 @@ def _candidate_distances(tables: EmbeddingTables, query: LpQuery,
     return translation_distance(tables.model, tables.norm_order, cand, rel, query.known_vec)
 
 
-def _keep_mask(filter_index: FilterIndex, query: LpQuery, cids: np.ndarray) -> np.ndarray:
-    known = filter_index.known(query.known_entity, query.relation, query.missing)
-    keep = np.ones(len(cids), dtype=bool)
-    if known:
-        drop = np.fromiter((e for e in known if e != query.answer), dtype=np.int64)
-        if drop.size:
-            keep &= ~np.isin(cids, drop)
-    return keep
+def embed_ookg(tables: EmbeddingTables, splits: BenchmarkSplits, scheme: str,
+               entities: np.ndarray | Sequence[int],
+               relations: np.ndarray | Sequence[int] | None, *,
+               smoothing: float = DEFAULT_SMOOTHING,
+               neighbor_cap: int | None = None, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced embeddings of the OOKG ``entities``, queried with ``relations``.
 
-
-class _OokgEmbedder:
-    """Shared estimation/reduction cache for one evaluation run."""
-
-    def __init__(self, tables: EmbeddingTables, splits: BenchmarkSplits, scheme: str,
-                 correlation: RelationCorrelation | None, smoothing: float,
-                 neighbor_cap: int | None, seed: int):
-        self.tables = tables
-        self.scheme = scheme
-        self.smoothing = smoothing
-        self.neighbor_cap = neighbor_cap
-        self.seed = seed
-        self.ikg = splits.ikg_entities
-        self.aux_store = TripleStore(splits.aux, num_entities=splits.vocab.num_entities,
-                                     num_relations=splits.vocab.num_relations)
-        self.train_store = TripleStore(splits.train, num_entities=splits.vocab.num_entities,
-                                       num_relations=splits.vocab.num_relations)
-        if scheme == CORRELATION and correlation is None:
-            correlation = build_correlation(self.train_store, splits.vocab.num_relations)
-        self.correlation = correlation
-        self._cand_cache: dict[int, CandidateSet | None] = {}
-        self._vec_cache: dict = {}
-
-    def _candidates(self, entity: int) -> CandidateSet | None:
-        if entity not in self._cand_cache:
-            try:
-                cset = estimate_candidates(self.tables, self.aux_store, entity, self.ikg)
-            except EstimationError:
-                cset = None
-            if cset is not None and self.neighbor_cap is not None:
-                cset = cap_neighbors(cset, self.neighbor_cap,
-                                     substream(self.seed, "capping", entity))
-            self._cand_cache[entity] = cset
-        return self._cand_cache[entity]
-
-    def embed(self, entity: int, query_relation: int) -> np.ndarray | None:
-        """Reduced embedding, or None when the entity has no usable neighbors.
-
-        Correlation weights depend on the query relation, so those embeddings
-        are cached per (entity, relation); the other schemes cache per entity.
-        """
-        key = (entity, query_relation) if self.scheme == CORRELATION else entity
-        if key not in self._vec_cache:
-            cset = self._candidates(entity)
-            if cset is None:
-                self._vec_cache[key] = None
-            else:
-                w = candidate_weights(self.scheme, cset, correlation=self.correlation,
-                                      query_relation=query_relation,
-                                      train_store=self.train_store, smoothing=self.smoothing)
-                self._vec_cache[key] = reduce_candidates(cset, w)
-        return self._vec_cache[key]
+    Returns ``(vectors, found)``: row i embeds ``entities[i]``, and
+    ``found[i]`` is False (the row is left zero) when the entity has no usable
+    aux neighbor. Each entity is estimated and capped once. Correlation
+    weights depend on the query relation, so they reduce each unique
+    (entity, relation) pair once; the other schemes reduce each entity once
+    and ignore ``relations``, which may then be None.
+    """
+    n_ent, n_rel = splits.vocab.num_entities, splits.vocab.num_relations
+    aux_store = TripleStore(splits.aux, num_entities=n_ent, num_relations=n_rel)
+    train_store = TripleStore(splits.train, num_entities=n_ent, num_relations=n_rel)
+    correlation = build_correlation(train_store, n_rel) if scheme == CORRELATION else None
+    entities = np.asarray(entities, dtype=np.int64)
+    if scheme == CORRELATION:
+        query = np.asarray(relations, dtype=np.int64)
+    else:
+        query = np.zeros_like(entities)
+    pairs, inverse = np.unique(np.stack([entities, query], axis=1), axis=0, return_inverse=True)
+    cset = estimate_candidates(tables, aux_store, np.unique(pairs[:, 0]), splits.ikg_entities)
+    if neighbor_cap is not None:
+        cset = cap_neighbors(cset, neighbor_cap, seed)
+    found = np.isin(pairs[:, 0], cset.entities)
+    seg = np.searchsorted(cset.entities, pairs[found, 0])
+    counts = cset.counts[seg]
+    pair_set = cset.take(seg, segment_rows(cset.offsets[seg], counts), counts)
+    weights = candidate_weights(scheme, pair_set, correlation=correlation,
+                                query_relation=pairs[found, 1], train_store=train_store,
+                                smoothing=smoothing)
+    reduced = reduce_candidates(pair_set, weights)
+    vectors = np.zeros((len(pairs), reduced.shape[1]), dtype=reduced.dtype)
+    vectors[found] = reduced
+    inverse = inverse.reshape(-1)
+    return vectors[inverse], found[inverse]
 
 
 def _map_ordered(fn: Callable, items: list, threads: int) -> list:
@@ -188,7 +161,6 @@ def _map_ordered(fn: Callable, items: list, threads: int) -> list:
 
 def link_prediction(tables: EmbeddingTables, splits: BenchmarkSplits,
                     scheme: str = CORRELATION, *,
-                    correlation: RelationCorrelation | None = None,
                     smoothing: float = DEFAULT_SMOOTHING,
                     neighbor_cap: int | None = None, seed: int = 0,
                     threads: int = 1) -> EvalReport:
@@ -199,8 +171,6 @@ def link_prediction(tables: EmbeddingTables, splits: BenchmarkSplits,
     entity is ranked against all in-graph entities. Dangling OOKG entities
     receive the worst post-filter rank and are counted in the report.
     """
-    embedder = _OokgEmbedder(tables, splits, scheme, correlation, smoothing,
-                             neighbor_cap, seed)
     findex = FilterIndex(build_filter_set(splits))
     cids = np.array(sorted(splits.ikg_entities), dtype=np.int64)
     if cids.size == 0:
@@ -208,40 +178,31 @@ def link_prediction(tables: EmbeddingTables, splits: BenchmarkSplits,
     ookg = splits.ookg_entities
     counts: dict[str, int] = defaultdict(int)
 
-    jobs: list[tuple[LpQuery, bool]] = []  # (query, dangling)
+    queries: list[tuple[int, int, str, int]] = []  # (known OOKG side, relation, missing, answer)
     labels = splits.test_labels
     for i, trip in enumerate(splits.test):
         if labels is not None and labels[i] != 1:
             counts["negatives_skipped"] += 1
-            continue
-        head_ookg = trip.head in ookg
-        tail_ookg = trip.tail in ookg
-        if head_ookg and tail_ookg:
+        elif trip.head in ookg and trip.tail in ookg:
             counts["skipped_both_ookg"] += 1
-            continue
-        if head_ookg:
-            known, missing, answer = trip.head, AS_TAIL, trip.tail
-        elif tail_ookg:
-            known, missing, answer = trip.tail, AS_HEAD, trip.head
-        else:
-            counts["ikg_only"] += 1
-            known, missing, answer = trip.head, AS_TAIL, trip.tail
-        if known in ookg:
-            vec = embedder.embed(known, trip.relation)
-        else:
-            vec = tables.entity_vec(known)
-        if vec is None:
-            counts["dangling"] += 1
-        jobs.append((LpQuery(known, vec, trip.relation, missing, answer), vec is None))
-
-    if not jobs:
+        elif trip.head in ookg:
+            queries.append((trip.head, trip.relation, AS_TAIL, trip.tail))
+        else:  # validation guarantees that every test triplet touches an OOKG entity
+            queries.append((trip.tail, trip.relation, AS_HEAD, trip.head))
+    if not queries:
         raise ValueError("no evaluable test triplets")
 
-    def rank_one(job: tuple[LpQuery, bool]) -> float:
-        query, dangling = job
-        if dangling:
-            keep = _keep_mask(findex, query, cids)
-            return float(np.count_nonzero(keep))  # worst possible rank
+    known, relations, _, _ = zip(*queries)
+    vectors, found = embed_ookg(tables, splits, scheme, known, relations, smoothing=smoothing,
+                                neighbor_cap=neighbor_cap, seed=seed)
+    if not found.all():
+        counts["dangling"] = int(np.count_nonzero(~found))
+    jobs = [LpQuery(entity, vec if ok else None, relation, missing, answer)
+            for (entity, relation, missing, answer), vec, ok in zip(queries, vectors, found)]
+
+    def rank_one(query: LpQuery) -> float:
+        if query.known_vec is None:  # dangling
+            return float(np.count_nonzero(findex.keep_mask(query, cids)))  # worst possible rank
         return filtered_rank(tables, query, findex, cids)
 
     ranks = np.array(_map_ordered(rank_one, jobs, threads))
@@ -273,24 +234,19 @@ def tune_thresholds(tables: EmbeddingTables, valid: list[Triplet],
         raise ValueError("labeled validation triplets required")
     data = np.array(valid, dtype=np.int64)
     ent = tables.entity_matrix()
-    h = ent[data[:, 0]]
-    t = ent[data[:, 2]]
-    if tables.model == ROTATE:
-        r = np.exp(1j * tables.relation[data[:, 1]])
-    else:
-        r = tables.relation[data[:, 1]]
-    dists = translation_distance(tables.model, tables.norm_order, h, r, t)
+    dists = translation_distance(tables.model, tables.norm_order, ent[data[:, 0]],
+                                 tables.relation_vec(data[:, 1]), ent[data[:, 2]])
     y = np.array(labels) == 1
 
     per_relation: dict[int, float] = {}
     for rel in np.unique(data[:, 1]):
         mask = data[:, 1] == rel
-        per_relation[int(rel)], _ = _best_threshold(dists[mask], y[mask])
-    default, _ = _best_threshold(dists, y)
+        per_relation[int(rel)] = _best_threshold(dists[mask], y[mask])
+    default = _best_threshold(dists, y)
     return Thresholds(per_relation, default)
 
 
-def _best_threshold(dists: np.ndarray, positive: np.ndarray) -> tuple[float, float]:
+def _best_threshold(dists: np.ndarray, positive: np.ndarray) -> float:
     """Smallest cutoff maximizing accuracy of 'positive iff distance <= cutoff'."""
     order = np.argsort(dists, kind="stable")
     ds = dists[order]
@@ -299,20 +255,14 @@ def _best_threshold(dists: np.ndarray, positive: np.ndarray) -> tuple[float, flo
     cands = np.concatenate([[-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]])
     pos_cum = np.concatenate([[0], np.cumsum(ys)])
     neg_cum = np.concatenate([[0], np.cumsum(~ys)])
-    total_neg = neg_cum[-1]
-    best_cut, best_correct = -np.inf, -1
-    for c in cands:
-        k = int(np.searchsorted(ds, c, side="right"))
-        correct = int(pos_cum[k] + (total_neg - neg_cum[k]))
-        if correct > best_correct:
-            best_correct, best_cut = correct, float(c)
-    return best_cut, best_correct / len(ds)
+    k = np.searchsorted(ds, cands, side="right")
+    correct = pos_cum[k] + (neg_cum[-1] - neg_cum[k])
+    return float(cands[np.argmax(correct)])  # the first maximum is the smallest cutoff
 
 
 def triplet_classification(tables: EmbeddingTables, splits: BenchmarkSplits,
                            scheme: str = DEGREE, *,
                            thresholds: Thresholds | None = None,
-                           correlation: RelationCorrelation | None = None,
                            smoothing: float = DEFAULT_SMOOTHING,
                            neighbor_cap: int | None = None, seed: int = 0,
                            threads: int = 1) -> EvalReport:
@@ -326,14 +276,19 @@ def triplet_classification(tables: EmbeddingTables, splits: BenchmarkSplits,
         raise ValueError("triplet classification needs labeled valid/test splits")
     if thresholds is None:
         thresholds = tune_thresholds(tables, splits.valid, splits.valid_labels)
-    embedder = _OokgEmbedder(tables, splits, scheme, correlation, smoothing,
-                             neighbor_cap, seed)
     ookg = splits.ookg_entities
     counts: dict[str, int] = defaultdict(int)
 
+    sides = [(entity, trip.relation) for trip in splits.test
+             for entity in (trip.head, trip.tail) if entity in ookg]
+    vectors, found = embed_ookg(tables, splits, scheme, [e for e, _ in sides],
+                                [r for _, r in sides], smoothing=smoothing,
+                                neighbor_cap=neighbor_cap, seed=seed)
+    embedded = {side: vec if ok else None for side, vec, ok in zip(sides, vectors, found)}
+
     def resolve(entity: int, relation: int) -> np.ndarray | None:
         if entity in ookg:
-            return embedder.embed(entity, relation)
+            return embedded[(entity, relation)]
         return tables.entity_vec(entity)
 
     jobs = []
@@ -370,7 +325,6 @@ def triplet_classification(tables: EmbeddingTables, splits: BenchmarkSplits,
 
 def ablate(tables: EmbeddingTables, splits: BenchmarkSplits, variants: list[str], *,
            task: str = "lp", scheme: str | None = None,
-           correlation: RelationCorrelation | None = None,
            smoothing: float = DEFAULT_SMOOTHING, seed: int = 0, threads: int = 1,
            ratio_runs: list[tuple[str, EmbeddingTables, BenchmarkSplits]] | None = None,
            ) -> list[tuple[str, EvalReport]]:
@@ -385,14 +339,10 @@ def ablate(tables: EmbeddingTables, splits: BenchmarkSplits, variants: list[str]
 
     def run(run_tables, run_splits, run_scheme, cap):
         if task == "lp":
-            return link_prediction(run_tables, run_splits, run_scheme,
-                                   correlation=correlation if run_tables is tables else None,
-                                   smoothing=smoothing, neighbor_cap=cap, seed=seed,
-                                   threads=threads)
-        return triplet_classification(run_tables, run_splits, run_scheme,
-                                      correlation=correlation if run_tables is tables else None,
-                                      smoothing=smoothing, neighbor_cap=cap, seed=seed,
-                                      threads=threads)
+            return link_prediction(run_tables, run_splits, run_scheme, smoothing=smoothing,
+                                   neighbor_cap=cap, seed=seed, threads=threads)
+        return triplet_classification(run_tables, run_splits, run_scheme, smoothing=smoothing,
+                                      neighbor_cap=cap, seed=seed, threads=threads)
 
     results: list[tuple[str, EvalReport]] = []
     for variant in variants:

@@ -180,6 +180,10 @@ def load_checkpoint(path: str | Path) -> tuple[EmbeddingTables, int]:
     magic, version, model_code, norm_order, dim, n_ent, n_rel, seed = _HEADER.unpack_from(raw)
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    if model_code >= len(MODELS):
+        raise ValueError(f"{path}: unknown model code {model_code}")
+    if norm_order not in (1, 2):
+        raise ValueError(f"{path}: unsupported norm order {norm_order}")
     model = MODELS[model_code]
     ent_width = 2 * dim if model == ROTATE else dim
     offset = _HEADER.size

@@ -46,83 +46,70 @@ def build_correlation(train_store: TripleStore,
     if len(train_store) == 0:
         raise ValueError("correlation requires a nonempty training store")
     n_rel = num_relations if num_relations is not None else train_store.num_relations
-    count = np.zeros((n_rel, n_rel))
-    for e in sorted(train_store.entities()):
-        rels = {r for r, _ in train_store.out_index.get(e, ())}
-        rels.update(r for _, r in train_store.in_index.get(e, ()))
-        idx = np.fromiter(rels, dtype=np.int64)
-        count[np.ix_(idx, idx)] += 1.0
+    h, r, t = train_store.triplets.T
+    incidence = np.zeros((train_store.num_entities, n_rel))  # entity carries relation
+    incidence[h, r] = 1.0
+    incidence[t, r] = 1.0
+    count = incidence.T @ incidence
     support = np.diag(count).copy()
     denom = np.where(support > 0, support, 1.0)
     conditional = np.where(support[:, None] > 0, count / denom[:, None], 0.0)
     return RelationCorrelation(conditional, support.astype(np.int64))
 
 
-def uniform_weights(candidate_set: CandidateSet) -> np.ndarray:
-    n = len(candidate_set)
-    if n == 0:
-        raise ValueError("empty candidate set")
-    return np.full(n, 1.0 / n)
-
-
-def degree_weights(candidate_set: CandidateSet, train_store: TripleStore,
-                   smoothing: float = DEFAULT_SMOOTHING) -> np.ndarray:
-    """Weights proportional to log(training degree of the source entity + smoothing)."""
-    if smoothing <= 0:
-        raise ValueError("smoothing must be positive")
-    raw = np.array([np.log(train_store.degree(c.source_entity) + smoothing)
-                    for c in candidate_set.candidates])
-    return _normalize(raw, DEGREE)
-
-
-def correlation_weights(candidate_set: CandidateSet, correlation: RelationCorrelation,
-                        query_relation: int) -> np.ndarray:
-    """Query-aware weights: P(source relation | query) + P(query | source relation)."""
-    p = correlation.conditional
-    raw = np.array([p[query_relation, c.source_relation] + p[c.source_relation, query_relation]
-                    for c in candidate_set.candidates])
-    return _normalize(raw, CORRELATION)
-
-
-def _normalize(raw: np.ndarray, scheme: str) -> np.ndarray:
-    if raw.size == 0:
-        raise ValueError("empty candidate set")
-    raw = np.clip(raw, 0.0, None)
-    total = raw.sum()
-    if total <= 0.0:
-        logger.warning("all %s weights are zero; falling back to uniform", scheme)
-        return np.full(raw.size, 1.0 / raw.size)
-    return raw / total
-
-
 def candidate_weights(scheme: str, candidate_set: CandidateSet, *,
                       correlation: RelationCorrelation | None = None,
-                      query_relation: int | None = None,
+                      query_relation: int | np.ndarray | None = None,
                       train_store: TripleStore | None = None,
                       smoothing: float = DEFAULT_SMOOTHING) -> np.ndarray:
-    """Dispatch to one of the weighting schemes; weights are >= 0 and sum to 1."""
+    """Weights of every candidate; within each entity's segment they are >= 0 and sum to 1.
+
+    * uniform: equal weights;
+    * degree: proportional to log(training degree of the source entity + smoothing);
+    * correlation (query-aware): proportional to P(source relation | query) +
+      P(query | source relation). ``query_relation`` holds one relation per
+      segment, or one for all.
+
+    A segment whose raw weights are all zero falls back to uniform weights.
+    """
+    counts = candidate_set.counts
     if scheme == UNIFORM:
-        return uniform_weights(candidate_set)
-    if scheme == DEGREE:
+        raw = np.ones(len(candidate_set))
+    elif scheme == DEGREE:
         if train_store is None:
             raise ValueError("degree weights need the training store")
-        return degree_weights(candidate_set, train_store, smoothing)
-    if scheme == CORRELATION:
+        if smoothing <= 0:
+            raise ValueError("smoothing must be positive")
+        raw = np.log(train_store.degrees[candidate_set.source_entity] + smoothing)
+    elif scheme == CORRELATION:
         if correlation is None or query_relation is None:
             raise ValueError("correlation weights need the correlation matrix and a query relation")
-        return correlation_weights(candidate_set, correlation, query_relation)
-    raise ValueError(f"unknown weighting scheme {scheme!r}")
+        p = correlation.conditional
+        query = np.repeat(np.broadcast_to(query_relation, counts.shape), counts)
+        source = candidate_set.source_relation
+        raw = p[query, source] + p[source, query]
+    else:
+        raise ValueError(f"unknown weighting scheme {scheme!r}")
+    raw = np.clip(raw, 0.0, None)
+    total = np.add.reduceat(raw, candidate_set.offsets[:-1])
+    degenerate = total <= 0.0
+    if degenerate.any():
+        logger.warning("all %s weights are zero for %d entities; falling back to uniform",
+                       scheme, np.count_nonzero(degenerate))
+        raw[np.repeat(degenerate, counts)] = 1.0
+        total[degenerate] = counts[degenerate]
+    return raw / np.repeat(total, counts)
 
 
 def reduce_candidates(candidate_set: CandidateSet, weights: np.ndarray) -> np.ndarray:
-    """Element-wise weighted sum of the candidate vectors (complex for RotatE)."""
+    """Weighted sum of each entity's candidate vectors, one row per segment (complex for RotatE)."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (len(candidate_set),):
         raise ValueError(f"expected {len(candidate_set)} weights, got shape {w.shape}")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must sum to 1")
-    mat = np.stack([c.vector for c in candidate_set.candidates])
-    return w @ mat
+    starts = candidate_set.offsets[:-1]
+    if np.any(np.abs(np.add.reduceat(w, starts) - 1.0) > 1e-9):
+        raise ValueError("weights must sum to 1 per entity")
+    return np.add.reduceat(w[:, None] * candidate_set.vectors, starts, axis=0)
 
 
 def save_correlation_csv(correlation: RelationCorrelation, vocab: Vocabulary,

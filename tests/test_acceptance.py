@@ -15,7 +15,7 @@ import pytest
 from invkge.core import Triplet, TripleStore
 from invkge.datasets import (generate_planted_splits, generate_trainable_splits,
                              load_split_dir)
-from invkge.estimation import Candidate, CandidateSet, estimate_candidates
+from invkge.estimation import CandidateSet, estimate_candidates
 from invkge.evaluation import (FilterIndex, LpQuery, filtered_rank, link_prediction,
                                triplet_classification, tune_thresholds)
 from invkge.models import (ROTATE, TRANSE, EmbeddingTables, distance, init_tables)
@@ -52,7 +52,7 @@ def test_criterion_1_estimator_optimality():
             as_head = bool(rng.random() < 0.5)
             trip = Triplet(0, rel, other) if as_head else Triplet(other, rel, 0)
             aux = TripleStore([trip], num_entities=n_ent, num_relations=3)
-            vec = estimate_candidates(tables, aux, 0, set(range(1, n_ent))).candidates[0].vector
+            vec = estimate_candidates(tables, aux, [0], set(range(1, n_ent))).vectors[0]
             if as_head:
                 resid = distance(tables, vec, rel, other)
             else:
@@ -251,34 +251,38 @@ def test_criterion_4_weight_contracts():
                 for _ in range(150)]
     store = TripleStore(triplets, num_entities=30, num_relations=5)
     corr = build_correlation(store)
+    n_sets, dim = 1000, 5
+    counts = rng.integers(1, 12, size=n_sets)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    rows = int(offsets[-1])
+    cands = CandidateSet(np.arange(n_sets), offsets, rng.normal(size=(rows, dim)),
+                         rng.integers(30, size=rows), rng.integers(5, size=rows),
+                         np.ones(rows, dtype=bool))
     worst_sum = 0.0
     worst_reduce = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(1, 12))
-        dim = int(rng.integers(1, 6))
-        cands = CandidateSet(0, [Candidate(rng.normal(size=dim), int(rng.integers(30)),
-                                           int(rng.integers(5)), AS_HEAD)
-                                 for _ in range(n)])
-        for scheme, kwargs in [("uniform", {}),
-                               ("degree", {"train_store": store}),
-                               ("correlation", {"correlation": corr,
-                                                "query_relation": int(rng.integers(5))})]:
-            w = candidate_weights(scheme, cands, **kwargs)
-            assert np.all(w >= 0.0)
-            gap = abs(float(w.sum()) - 1.0)
+    for scheme, kwargs in [("uniform", {}),
+                           ("degree", {"train_store": store}),
+                           ("correlation", {"correlation": corr,
+                                            "query_relation": rng.integers(5, size=n_sets)})]:
+        w = candidate_weights(scheme, cands, **kwargs)
+        assert np.all(w >= 0.0)
+        out = reduce_candidates(cands, w)
+        assert out.shape == (n_sets, dim)
+        for s in range(n_sets):
+            seg = range(offsets[s], offsets[s + 1])
+            gap = abs(float(w[seg].sum()) - 1.0)
             worst_sum = max(worst_sum, gap)
             assert gap <= 1e-9
-            out = reduce_candidates(cands, w)
             oracle = np.zeros(dim)
-            for i, cand in enumerate(cands.candidates):
+            for i in seg:
                 for k in range(dim):
-                    oracle[k] += w[i] * cand.vector[k]
-            err = float(np.max(np.abs(out - oracle)))
+                    oracle[k] += w[i] * cands.vectors[i, k]
+            err = float(np.max(np.abs(out[s] - oracle)))
             worst_reduce = max(worst_reduce, err)
             assert err <= 1e-12
     _report("4 weight contracts",
-            f"1000 candidate sets x 3 schemes, worst sum gap {worst_sum:.1e}, "
-            f"worst reduce deviation {worst_reduce:.1e}")
+            f"one batched set of {n_sets} segments x 3 schemes, worst sum gap "
+            f"{worst_sum:.1e}, worst reduce deviation {worst_reduce:.1e}")
 
 
 # ---------------------------------------------------------------------------

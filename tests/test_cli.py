@@ -164,6 +164,21 @@ def test_eval_checkpoint_vocab_mismatch(lp_dataset, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("offset, value, message", [(6, 7, "unknown model code 7"),
+                                                     (7, 9, "unsupported norm order 9")])
+def test_eval_rejects_corrupt_checkpoint_header(lp_dataset, tmp_path, capsys, offset, value,
+                                                message):
+    root, _, _ = lp_dataset
+    raw = bytearray((root / "gt.bin").read_bytes())
+    raw[offset] = value  # byte 6 is the model code, byte 7 the norm order
+    (tmp_path / "bad.bin").write_bytes(bytes(raw))
+    rc = main(["eval", *_split_flags(root), "--checkpoint", str(tmp_path / "bad.bin"),
+               "--task", "lp", "--out", str(tmp_path / "w")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert message in err and "Traceback" not in err
+
+
 def test_ablate_variants(lp_dataset, tmp_path):
     root, _, _ = lp_dataset
     out = tmp_path / "abl"

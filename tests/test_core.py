@@ -13,16 +13,18 @@ def test_empty_store():
 
 def test_single_edge_indices():
     store = TripleStore([Triplet(0, 0, 1)])
-    assert store.out_index[0] == [(0, 1)]
-    assert store.in_index[1] == [(0, 0)]
+    assert store.triplets.tolist() == [[0, 0, 1]]
+    assert store.triplets.dtype == np.int64
+    assert store.degrees.tolist() == [1, 1]
     assert store.degree(0) == 1
     assert store.degree(1) == 1
 
 
 def test_duplicates_deduplicated():
-    # hand count after dedup: {(0,0,1), (1,1,0)}
-    store = TripleStore([Triplet(0, 0, 1), Triplet(0, 0, 1), Triplet(1, 1, 0)])
+    # hand count after dedup: {(0,0,1), (1,1,0)}, first-insertion order kept
+    store = TripleStore([Triplet(1, 1, 0), Triplet(0, 0, 1), Triplet(1, 1, 0)])
     assert len(store) == 2
+    assert list(store) == [Triplet(1, 1, 0), Triplet(0, 0, 1)]
     assert store.degree(0) == 2
     assert store.degree(1) == 2
 
@@ -33,6 +35,8 @@ def test_contains():
     assert not store.contains(1, 0, 0)
     assert Triplet(0, 0, 1) in store
     assert (1, 0, 0) not in store
+    assert (0, 0, 5) not in store  # ids beyond the store's range are never members
+    assert store.contains(0, 0, np.arange(-1, 4)).tolist() == [False, False, True, False, False]
 
 
 def test_neighbors_direction_tags():
@@ -83,8 +87,13 @@ def test_neighbors_match_brute_force_on_random_graphs():
         for e in range(n_ent):
             expected = _brute_force_neighbors(deduped, e)
             got = store.neighbors(e)
-            assert sorted(got) == sorted(expected)
+            assert got == expected
             assert len(got) == store.degree(e)
+        members = {tuple(t) for t in deduped}
+        for h in range(n_ent + 1):
+            for r in range(n_rel):
+                got = store.contains(h, r, np.arange(n_ent + 1))
+                assert got.tolist() == [(h, r, t) in members for t in range(n_ent + 1)]
 
 
 def test_rebuild_from_dump_is_identical():

@@ -3,8 +3,8 @@ import logging
 import numpy as np
 import pytest
 
-from invkge.core import AS_HEAD, AS_TAIL, Triplet, TripleStore
-from invkge.estimation import EstimationError, cap_neighbors, estimate_candidates
+from invkge.core import Triplet, TripleStore
+from invkge.estimation import cap_neighbors, estimate_candidates
 from invkge.models import ROTATE, TRANSE, EmbeddingTables, distance, init_tables
 from invkge.seeding import substream
 
@@ -19,22 +19,21 @@ def _transe_fixture():
 def test_invtranse_head_case():
     tables = _transe_fixture()
     aux = TripleStore([Triplet(0, 0, 1)], num_entities=3, num_relations=2)
-    cset = estimate_candidates(tables, aux, 0, ikg_entities={1, 2})
+    cset = estimate_candidates(tables, aux, [0], ikg_entities={1, 2})
     assert len(cset) == 1
-    cand = cset.candidates[0]
-    assert np.array_equal(cand.vector, np.array([1.0, 2.0]))  # t - r
-    assert cand.direction == AS_HEAD
-    assert cand.source_entity == 1
-    assert cand.source_relation == 0
+    assert cset.entities.tolist() == [0] and cset.offsets.tolist() == [0, 1]
+    assert np.array_equal(cset.vectors[0], np.array([1.0, 2.0]))  # t - r
+    assert cset.as_head[0]
+    assert cset.source_entity[0] == 1
+    assert cset.source_relation[0] == 0
 
 
 def test_invtranse_tail_case():
     tables = _transe_fixture()
     aux = TripleStore([Triplet(2, 1, 0)], num_entities=3, num_relations=2)
-    cset = estimate_candidates(tables, aux, 0, ikg_entities={1, 2})
-    cand = cset.candidates[0]
-    assert np.array_equal(cand.vector, np.array([3.0, 1.0]))  # h + r
-    assert cand.direction == AS_TAIL
+    cset = estimate_candidates(tables, aux, [0], ikg_entities={1, 2})
+    assert np.array_equal(cset.vectors[0], np.array([3.0, 1.0]))  # h + r
+    assert not cset.as_head[0]
 
 
 def test_invrotate_quarter_turn_inverse():
@@ -43,33 +42,34 @@ def test_invrotate_quarter_turn_inverse():
     relation = np.array([[np.pi / 2]])
     tables = EmbeddingTables(ROTATE, 1, 1, entity, relation)
     aux = TripleStore([Triplet(0, 0, 1)], num_entities=2, num_relations=1)
-    cset = estimate_candidates(tables, aux, 0, ikg_entities={1})
-    assert np.allclose(cset.candidates[0].vector, np.array([1.0 + 0.0j]), atol=1e-12)
+    cset = estimate_candidates(tables, aux, [0], ikg_entities={1})
+    assert np.allclose(cset.vectors[0], np.array([1.0 + 0.0j]), atol=1e-12)
 
 
 def test_invrotate_tail_case_applies_rotation():
     rng = np.random.default_rng(0)
     tables = init_tables(1, ROTATE, 4, 5, 3)
     aux = TripleStore([Triplet(2, 1, 0)], num_entities=5, num_relations=3)
-    cset = estimate_candidates(tables, aux, 0, ikg_entities={1, 2, 3, 4})
+    cset = estimate_candidates(tables, aux, [0], ikg_entities={1, 2, 3, 4})
     expected = tables.entity_vec(2) * np.exp(1j * tables.relation[1])
-    assert np.allclose(cset.candidates[0].vector, expected, atol=1e-15)
+    assert np.allclose(cset.vectors[0], expected, atol=1e-15)
 
 
 def test_candidates_follow_aux_store_order():
     tables = init_tables(2, TRANSE, 4, 6, 3)
     aux = TripleStore([Triplet(0, 1, 3), Triplet(0, 0, 2), Triplet(4, 2, 0)],
                       num_entities=6, num_relations=3)
-    cset = estimate_candidates(tables, aux, 0, ikg_entities={1, 2, 3, 4, 5})
-    got = [(c.source_entity, c.source_relation, c.direction) for c in cset.candidates]
-    assert got == [(3, 1, AS_HEAD), (2, 0, AS_HEAD), (4, 2, AS_TAIL)]
+    cset = estimate_candidates(tables, aux, [0], ikg_entities={1, 2, 3, 4, 5})
+    got = list(zip(cset.source_entity.tolist(), cset.source_relation.tolist(),
+                   cset.as_head.tolist()))
+    assert got == [(3, 1, True), (2, 0, True), (4, 2, False)]
 
 
-def test_no_neighbors_is_an_error():
+def test_no_usable_neighbor_leaves_the_entity_out():
     tables = init_tables(0, TRANSE, 4, 4, 2)
     aux = TripleStore([Triplet(1, 0, 2)], num_entities=4, num_relations=2)
-    with pytest.raises(EstimationError):
-        estimate_candidates(tables, aux, 3, ikg_entities={1, 2})
+    cset = estimate_candidates(tables, aux, [3, 0], ikg_entities={1, 2})
+    assert cset.entities.size == 0 and cset.offsets.tolist() == [0] and len(cset) == 0
 
 
 def test_ookg_neighbor_skipped_with_warning(caplog):
@@ -77,9 +77,22 @@ def test_ookg_neighbor_skipped_with_warning(caplog):
     # neighbor 4 is itself out-of-graph: skipped, not fatal
     aux = TripleStore([Triplet(0, 0, 1), Triplet(0, 1, 4)], num_entities=5, num_relations=2)
     with caplog.at_level(logging.WARNING):
-        cset = estimate_candidates(tables, aux, 0, ikg_entities={1, 2, 3})
+        cset = estimate_candidates(tables, aux, [0], ikg_entities={1, 2, 3})
     assert len(cset) == 1
     assert "skipped" in caplog.text
+
+
+def test_skipped_neighbors_warn_once_per_call(caplog):
+    tables = init_tables(0, TRANSE, 4, 12, 2)
+    # entities 0..4 each have one clean and one dirty neighbor (10 is out of graph)
+    aux = TripleStore([t for e in range(5) for t in (Triplet(e, 0, 5 + e), Triplet(10, 1, e))],
+                      num_entities=12, num_relations=2)
+    with caplog.at_level(logging.WARNING):
+        cset = estimate_candidates(tables, aux, range(5), ikg_entities=set(range(5, 10)))
+    assert cset.counts.tolist() == [1] * 5
+    skipped = [r for r in caplog.records if "skipped" in r.getMessage()]
+    assert len(skipped) == 1
+    assert "skipped 5 aux neighbors of 5 entities" in skipped[0].getMessage()
 
 
 @pytest.mark.parametrize("model", [TRANSE, ROTATE])
@@ -95,8 +108,8 @@ def test_candidates_zero_their_generating_triplet(model):
         as_head = bool(rng.random() < 0.5)
         trip = Triplet(e, rel, other) if as_head else Triplet(other, rel, e)
         aux = TripleStore([trip], num_entities=n_ent, num_relations=4)
-        cset = estimate_candidates(tables, aux, e, ikg_entities=set(range(1, n_ent)))
-        vec = cset.candidates[0].vector
+        cset = estimate_candidates(tables, aux, [e], ikg_entities=set(range(1, n_ent)))
+        vec = cset.vectors[0]
         if as_head:
             assert distance(tables, vec, rel, other) < 1e-6
         else:
@@ -106,10 +119,11 @@ def test_candidates_zero_their_generating_triplet(model):
 def test_invrotate_preserves_source_moduli():
     tables = init_tables(3, ROTATE, 6, 5, 3)
     aux = TripleStore([Triplet(0, 0, 1), Triplet(2, 1, 0)], num_entities=5, num_relations=3)
-    cset = estimate_candidates(tables, aux, 0, ikg_entities={1, 2, 3, 4})
-    for cand in cset.candidates:
-        source_mod = np.abs(tables.entity_vec(cand.source_entity))
-        assert np.allclose(np.abs(cand.vector), source_mod, atol=1e-12)
+    cset = estimate_candidates(tables, aux, [0], ikg_entities={1, 2, 3, 4})
+    assert len(cset) == 2
+    for vec, source in zip(cset.vectors, cset.source_entity):
+        source_mod = np.abs(tables.entity_vec(source))
+        assert np.allclose(np.abs(vec), source_mod, atol=1e-12)
 
 
 def test_invtranse_forward_reproduces_source_exactly():
@@ -118,7 +132,7 @@ def test_invtranse_forward_reproduces_source_exactly():
     relation = np.array([[5.0, 7.0]])
     tables = EmbeddingTables(TRANSE, 2, 1, entity, relation)
     aux = TripleStore([Triplet(0, 0, 1)], num_entities=2, num_relations=1)
-    vec = estimate_candidates(tables, aux, 0, {1}).candidates[0].vector
+    vec = estimate_candidates(tables, aux, [0], {1}).vectors[0]
     assert np.array_equal(vec + relation[0], entity[1])
 
 
@@ -127,42 +141,125 @@ def test_any_other_vector_has_positive_residual(model):
     rng = np.random.default_rng(9)
     tables = init_tables(4, model, 5, 6, 2, margin=3.0)
     aux = TripleStore([Triplet(0, 1, 3)], num_entities=6, num_relations=2)
-    cand = estimate_candidates(tables, aux, 0, set(range(1, 6))).candidates[0]
+    cand = estimate_candidates(tables, aux, [0], set(range(1, 6))).vectors[0]
     for _ in range(20):
         if model == ROTATE:
             noise = rng.normal(size=5) + 1j * rng.normal(size=5)
         else:
             noise = rng.normal(size=5)
-        other_vec = cand.vector + noise * 0.1
+        other_vec = cand + noise * 0.1
         assert distance(tables, other_vec, 1, 3) > 0
 
 
 def test_cap_noop_when_k_exceeds_count():
     tables = init_tables(0, TRANSE, 4, 8, 2)
     aux = TripleStore([Triplet(0, 0, i) for i in range(1, 6)], num_entities=8, num_relations=2)
-    cset = estimate_candidates(tables, aux, 0, set(range(1, 8)))
-    capped = cap_neighbors(cset, 8, substream(0, "capping", 0))
+    cset = estimate_candidates(tables, aux, [0], set(range(1, 8)))
+    capped = cap_neighbors(cset, 8, seed=0)
     assert len(capped) == 5
-    assert [c.source_entity for c in capped.candidates] == [c.source_entity for c in cset.candidates]
+    assert capped.source_entity.tolist() == cset.source_entity.tolist()
 
 
 def test_cap_selects_exactly_k():
     tables = init_tables(0, TRANSE, 4, 8, 2)
     aux = TripleStore([Triplet(0, 0, i) for i in range(1, 6)], num_entities=8, num_relations=2)
-    cset = estimate_candidates(tables, aux, 0, set(range(1, 8)))
-    capped = cap_neighbors(cset, 1, substream(0, "capping", 0))
+    cset = estimate_candidates(tables, aux, [0], set(range(1, 8)))
+    capped = cap_neighbors(cset, 1, seed=0)
     assert len(capped) == 1
     with pytest.raises(ValueError):
-        cap_neighbors(cset, 0, substream(0, "capping", 0))
+        cap_neighbors(cset, 0, seed=0)
 
 
 def test_cap_deterministic_and_order_preserving():
     tables = init_tables(1, TRANSE, 4, 50, 2)
     aux = TripleStore([Triplet(0, 0, i) for i in range(1, 41)], num_entities=50, num_relations=2)
-    cset = estimate_candidates(tables, aux, 0, set(range(1, 50)))
-    a = cap_neighbors(cset, 32, substream(7, "capping", 0))
-    b = cap_neighbors(cset, 32, substream(7, "capping", 0))
-    assert [c.source_entity for c in a.candidates] == [c.source_entity for c in b.candidates]
-    order = [c.source_entity for c in a.candidates]
-    full_order = [c.source_entity for c in cset.candidates]
+    cset = estimate_candidates(tables, aux, [0], set(range(1, 50)))
+    a = cap_neighbors(cset, 32, seed=7)
+    b = cap_neighbors(cset, 32, seed=7)
+    assert a.source_entity.tolist() == b.source_entity.tolist()
+    order = a.source_entity.tolist()
+    full_order = cset.source_entity.tolist()
     assert order == [e for e in full_order if e in set(order)]
+
+
+def _random_aux(rng, n_ent, n_rel, ookg):
+    """Aux triplets around the ``ookg`` entities, with duplicates and dirty neighbors."""
+    triplets = []
+    for _ in range(int(rng.integers(1, 60))):
+        e = int(rng.choice(ookg))
+        other = int(rng.integers(n_ent))  # may itself be out of graph: dirty
+        rel = int(rng.integers(n_rel))
+        triplets.append(Triplet(e, rel, other) if rng.random() < 0.5 else Triplet(other, rel, e))
+    return triplets
+
+
+def _scalar_candidates(tables, triplets, entity, ikg):
+    """Per-entity oracle: head-role neighbors, then tail-role ones, in aux order."""
+    rows = []
+    deduped = list(dict.fromkeys(triplets))
+    for as_head in (True, False):
+        for h, r, t in deduped:
+            if (h if as_head else t) != entity:
+                continue
+            other = t if as_head else h
+            if other not in ikg:
+                continue
+            src = tables.entity_vec(other)
+            if tables.model == ROTATE:
+                rot = np.exp(1j * tables.relation[r])
+                vec = src * np.conj(rot) if as_head else src * rot
+            else:
+                vec = src - tables.relation[r] if as_head else src + tables.relation[r]
+            rows.append((vec, other, r, as_head))
+    return rows
+
+
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+def test_batched_candidates_match_scalar_oracle(model):
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        n_ent, n_rel = int(rng.integers(4, 30)), int(rng.integers(1, 5))
+        tables = init_tables(int(rng.integers(1 << 30)), model, int(rng.integers(1, 6)),
+                             n_ent, n_rel)
+        ookg = rng.choice(n_ent, size=int(rng.integers(1, n_ent // 2 + 1)), replace=False)
+        ikg = set(range(n_ent)) - set(ookg.tolist())
+        triplets = _random_aux(rng, n_ent, n_rel, ookg)
+        aux = TripleStore(triplets, num_entities=n_ent, num_relations=n_rel)
+        requested = rng.permutation(ookg)
+        cset = estimate_candidates(tables, aux, requested, ikg)
+        expected = {int(e): _scalar_candidates(tables, triplets, int(e), ikg) for e in requested}
+        assert cset.entities.tolist() == [int(e) for e in requested if expected[int(e)]]
+        for i, e in enumerate(cset.entities.tolist()):
+            seg = slice(cset.offsets[i], cset.offsets[i + 1])
+            rows = expected[e]
+            assert cset.source_entity[seg].tolist() == [row[1] for row in rows]
+            assert cset.source_relation[seg].tolist() == [row[2] for row in rows]
+            assert cset.as_head[seg].tolist() == [row[3] for row in rows]
+            vectors = np.array([row[0] for row in rows])
+            if model == TRANSE:
+                assert np.array_equal(cset.vectors[seg], vectors)
+            else:  # a complex product may round differently inside and outside SIMD loops
+                assert np.allclose(cset.vectors[seg], vectors, rtol=0.0, atol=1e-15)
+
+
+def test_cap_draws_each_entity_from_its_own_substream():
+    rng = np.random.default_rng(67)
+    tables = init_tables(2, TRANSE, 3, 60, 3)
+    ookg = np.arange(10)
+    triplets = [Triplet(int(e), int(rng.integers(3)), int(rng.integers(10, 60)))
+                for e in ookg for _ in range(int(rng.integers(1, 12)))]
+    aux = TripleStore(triplets, num_entities=60, num_relations=3)
+    cset = estimate_candidates(tables, aux, ookg, set(range(10, 60)))
+    for seed in (0, 5):
+        for k in (1, 2, 4):
+            capped = cap_neighbors(cset, k, seed)
+            assert capped.entities.tolist() == cset.entities.tolist()
+            for i, e in enumerate(cset.entities.tolist()):
+                n = int(cset.counts[i])
+                full = cset.source_entity[cset.offsets[i]:cset.offsets[i + 1]]
+                kept = capped.source_entity[capped.offsets[i]:capped.offsets[i + 1]]
+                if n <= k:
+                    assert kept.tolist() == full.tolist()
+                else:
+                    idx = np.sort(substream(seed, "capping", e).choice(n, k, replace=False))
+                    assert kept.tolist() == full[idx].tolist()

@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 
 from invkge.core import Triplet, TripleStore
-from invkge.estimation import Candidate, CandidateSet
+from invkge.estimation import CandidateSet
 from invkge.reduction import (CORRELATION, DEGREE, UNIFORM, RelationCorrelation,
-                              build_correlation, candidate_weights, correlation_weights,
-                              degree_weights, reduce_candidates, save_correlation_csv,
-                              uniform_weights)
+                              build_correlation, candidate_weights, reduce_candidates,
+                              save_correlation_csv)
 
 
 def _cands(vectors, sources=None, relations=None):
+    """One entity's candidate set (a single segment)."""
     n = len(vectors)
     sources = sources or list(range(n))
     relations = relations or [0] * n
-    return CandidateSet(99, [Candidate(np.asarray(v, dtype=float), s, r, "head")
-                             for v, s, r in zip(vectors, sources, relations)])
+    return CandidateSet(np.array([99]), np.array([0, n]), np.asarray(vectors),
+                        np.array(sources), np.array(relations), np.ones(n, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_correlation_matches_brute_force_on_random_graphs():
 # ---------------------------------------------------------------------------
 
 def test_uniform_weights():
-    w = uniform_weights(_cands([[1, 0], [0, 1], [2, 2], [3, 3]]))
+    w = candidate_weights(UNIFORM, _cands([[1, 0], [0, 1], [2, 2], [3, 3]]))
     assert np.array_equal(w, np.full(4, 0.25))
 
 
@@ -96,7 +96,7 @@ def test_degree_weights_hand_arithmetic():
     # degrees: entity 0 -> 1, entity 1 -> 2; delta = 0.1
     store = TripleStore([Triplet(0, 0, 1), Triplet(2, 0, 1)], num_entities=3, num_relations=1)
     cset = _cands([[1.0], [2.0]], sources=[0, 1])
-    w = degree_weights(cset, store, smoothing=0.1)
+    w = candidate_weights(DEGREE, cset, train_store=store, smoothing=0.1)
     raw = np.array([np.log(1.1), np.log(2.1)])
     assert np.allclose(w, raw / raw.sum(), atol=1e-15)
 
@@ -104,7 +104,7 @@ def test_degree_weights_hand_arithmetic():
 def test_degree_weights_reject_bad_smoothing():
     store = TripleStore([Triplet(0, 0, 1)], num_entities=2, num_relations=1)
     with pytest.raises(ValueError):
-        degree_weights(_cands([[1.0]]), store, smoothing=0.0)
+        candidate_weights(DEGREE, _cands([[1.0]]), train_store=store, smoothing=0.0)
 
 
 def test_correlation_weights_all_mass_on_correlated_candidate():
@@ -113,7 +113,7 @@ def test_correlation_weights_all_mass_on_correlated_candidate():
     p[2, 1] = 0.6  # sum 1.0 for candidate with relation 2 under query 1
     corr = RelationCorrelation(p, np.array([1, 1, 1]))
     cset = _cands([[1.0], [5.0]], relations=[2, 0])
-    w = correlation_weights(cset, corr, query_relation=1)
+    w = candidate_weights(CORRELATION, cset, correlation=corr, query_relation=1)
     assert np.array_equal(w, np.array([1.0, 0.0]))
 
 
@@ -122,7 +122,7 @@ def test_correlation_weights_formula():
     p = rng.uniform(0, 1, (4, 4))
     corr = RelationCorrelation(p, np.ones(4, dtype=int))
     cset = _cands([[1.0], [2.0], [3.0]], relations=[0, 2, 3])
-    w = correlation_weights(cset, corr, query_relation=1)
+    w = candidate_weights(CORRELATION, cset, correlation=corr, query_relation=1)
     raw = np.array([p[1, 0] + p[0, 1], p[1, 2] + p[2, 1], p[1, 3] + p[3, 1]])
     assert np.allclose(w, raw / raw.sum(), atol=1e-15)
 
@@ -131,7 +131,7 @@ def test_degenerate_weights_fall_back_to_uniform(caplog):
     corr = RelationCorrelation(np.zeros((2, 2)), np.zeros(2, dtype=int))
     cset = _cands([[1.0], [2.0]], relations=[0, 0])
     with caplog.at_level(logging.WARNING):
-        w = correlation_weights(cset, corr, query_relation=1)
+        w = candidate_weights(CORRELATION, cset, correlation=corr, query_relation=1)
     assert np.array_equal(w, np.array([0.5, 0.5]))
     assert "falling back to uniform" in caplog.text
 
@@ -180,10 +180,10 @@ def test_degree_weights_permutation_invariant():
     store = TripleStore(triplets, num_entities=10, num_relations=1)
     sources = [1, 4, 7, 2, 9]
     cset = _cands([[float(i)] for i in range(5)], sources=sources)
-    w = degree_weights(cset, store)
+    w = candidate_weights(DEGREE, cset, train_store=store)
     perm = [3, 0, 4, 1, 2]
     permuted = _cands([[float(i)] for i in perm], sources=[sources[i] for i in perm])
-    w_perm = degree_weights(permuted, store)
+    w_perm = candidate_weights(DEGREE, permuted, train_store=store)
     assert np.allclose(w_perm, w[perm], atol=1e-15)
 
 
@@ -193,13 +193,13 @@ def test_degree_weights_permutation_invariant():
 
 def test_reduce_identity():
     cset = _cands([[2.0, -1.0]])
-    assert np.array_equal(reduce_candidates(cset, np.array([1.0])), np.array([2.0, -1.0]))
+    assert np.array_equal(reduce_candidates(cset, np.array([1.0])), np.array([[2.0, -1.0]]))
 
 
 def test_reduce_midpoint():
     cset = _cands([[1.0, 0.0], [0.0, 1.0]])
     out = reduce_candidates(cset, np.array([0.5, 0.5]))
-    assert np.array_equal(out, np.array([0.5, 0.5]))
+    assert np.array_equal(out, np.array([[0.5, 0.5]]))
 
 
 def test_reduce_matches_scalar_loop_oracle():
@@ -209,7 +209,7 @@ def test_reduce_matches_scalar_loop_oracle():
         vectors = rng.normal(size=(n, d))
         w = rng.uniform(0.1, 1.0, size=n)
         w /= w.sum()
-        out = reduce_candidates(_cands(vectors.tolist()), w)
+        out = reduce_candidates(_cands(vectors.tolist()), w)[0]
         oracle = np.zeros(d)
         for i in range(n):
             for k in range(d):
@@ -219,8 +219,7 @@ def test_reduce_matches_scalar_loop_oracle():
 
 def test_reduce_complex_candidates():
     vecs = [np.array([1.0 + 1.0j, 0.0j]), np.array([0.0j, 2.0 - 2.0j])]
-    cset = CandidateSet(0, [Candidate(v, 0, 0, "head") for v in vecs])
-    out = reduce_candidates(cset, np.array([0.25, 0.75]))
+    out = reduce_candidates(_cands(vecs), np.array([0.25, 0.75]))[0]
     assert np.allclose(out, 0.25 * vecs[0] + 0.75 * vecs[1], atol=1e-15)
 
 
@@ -230,7 +229,7 @@ def test_reduce_output_in_convex_hull():
         n, d = int(rng.integers(1, 6)), 4
         vectors = rng.normal(size=(n, d))
         w = rng.dirichlet(np.ones(n))
-        out = reduce_candidates(_cands(vectors.tolist()), w)
+        out = reduce_candidates(_cands(vectors.tolist()), w)[0]
         assert np.all(out >= vectors.min(axis=0) - 1e-12)
         assert np.all(out <= vectors.max(axis=0) + 1e-12)
 
@@ -241,6 +240,10 @@ def test_reduce_validates_weights():
         reduce_candidates(cset, np.array([1.0]))            # count mismatch
     with pytest.raises(ValueError):
         reduce_candidates(cset, np.array([0.7, 0.7]))       # does not sum to 1
+    two = CandidateSet(np.array([5, 6]), np.array([0, 1, 2]), np.array([[1.0], [2.0]]),
+                       np.array([0, 0]), np.array([0, 0]), np.ones(2, dtype=bool))
+    with pytest.raises(ValueError):
+        reduce_candidates(two, np.array([0.5, 0.5]))        # each segment must sum to 1
 
 
 def test_correlation_csv_dump(tmp_path):
