@@ -11,6 +11,7 @@ complex matrix without copying.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,7 +56,7 @@ class EmbeddingTables:
     def entity_matrix(self) -> np.ndarray:
         """Entity table as (n, dim): real for TransE, complex view for RotatE."""
         if self.model == ROTATE:
-            return self.entity.view(np.complex128)
+            return self.entity.view(np.result_type(self.entity.dtype, np.complex64))
         return self.entity
 
     def entity_vec(self, eid: int) -> np.ndarray:
@@ -159,16 +160,29 @@ def score(tables: EmbeddingTables, head, relation, tail) -> float:
 
 
 def save_checkpoint(tables: EmbeddingTables, path: str | Path, seed: int = 0) -> None:
-    """Binary checkpoint: fixed header followed by float32 little-endian tables."""
+    """Binary checkpoint: fixed header followed by float32 little-endian tables.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path`` in one step, so ``path`` is never left half-written.
+    """
     if seed < 0:
         raise ValueError("seed must be non-negative")
     model_code = MODELS.index(tables.model)
     header = _HEADER.pack(_MAGIC, _VERSION, model_code, tables.norm_order, tables.dim,
                           tables.num_entities, tables.num_relations, seed)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(np.ascontiguousarray(tables.entity, dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(tables.relation, dtype="<f4").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(header)
+            f.write(np.ascontiguousarray(tables.entity, dtype="<f4").tobytes())
+            f.write(np.ascontiguousarray(tables.relation, dtype="<f4").tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[EmbeddingTables, int]:

@@ -11,16 +11,23 @@ of the same positive. The p_i are treated as constants: no gradient flows
 through them. Batches are averaged; gradients are accumulated sparsely per
 touched embedding row and applied with a lazy Adam update (moments of
 untouched rows are left alone).
+
+Both models score every triplet, positive or corrupted, as the norm of one
+residual e - q (see ``_batch_loss_grads``). Dtype policy: the kernel computes
+in the dtype of the tables it is given, with float64 distances, adversarial
+weights and loss; ``train`` keeps parameters and Adam moments in float32, the
+checkpoint's dtype, and ``self_adversarial_loss`` on float64 tables is float64.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
-from .core import Triplet
+from .core import Triplet, TripleStore
 from .datasets import BenchmarkSplits
 from .models import MODELS, ROTATE, TRANSE, EmbeddingTables, init_tables
 from .seeding import substream
@@ -93,9 +100,9 @@ class Adam:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
-    def register(self, name: str, shape: tuple[int, ...]) -> None:
-        self.m[name] = np.zeros(shape)
-        self.v[name] = np.zeros(shape)
+    def register(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> None:
+        self.m[name] = np.zeros(shape, dtype=dtype)
+        self.v[name] = np.zeros(shape, dtype=dtype)
 
     def step(self, params: dict[str, np.ndarray],
              grads: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
@@ -106,13 +113,20 @@ class Adam:
         for name, (ids, g) in grads.items():
             if len(ids) == 0:
                 continue
-            m = self.m[name][ids]
-            v = self.v[name][ids]
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
+            m, v = self.m[name][ids], self.v[name][ids]   # copies, updated in place
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
             self.m[name][ids] = m
             self.v[name][ids] = v
-            params[name][ids] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m /= bc1
+            m *= self.lr
+            v /= bc2
+            np.sqrt(v, out=v)
+            v += self.eps
+            m /= v
+            params[name][ids] -= m
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -123,17 +137,24 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -x)
 
 
-def _interleave(z: np.ndarray) -> np.ndarray:
-    """Complex (..., d) -> real (..., 2d) with re/im interleaved (table layout)."""
-    return np.ascontiguousarray(z).view(np.float64)
-
-
 def _scatter_sum(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum gradient rows per unique id (sort + reduceat, faster than np.add.at)."""
-    uids, inv = np.unique(ids, return_inverse=True)
-    order = np.argsort(inv, kind="stable")
-    starts = np.searchsorted(inv[order], np.arange(len(uids)))
-    return uids, np.add.reduceat(rows[order], starts, axis=0)
+    """Sum the rows of equal ids; returns the sorted unique ids and their sums.
+
+    ``rows`` is overwritten: the rows of each id are added pairwise in place,
+    one vectorized level per doubling of the largest count. On wide rows this
+    is many times faster than np.add.reduceat or np.add.at.
+    """
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    first = np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
+    starts = np.flatnonzero(first)
+    rank = np.arange(len(ids)) - starts[np.cumsum(first) - 1]   # position within its id
+    span, top = 1, rank.max()
+    while span <= top:
+        at = np.flatnonzero(rank % (2 * span) == span)
+        rows[order[at - span]] += rows[order[at]]
+        span *= 2
+    return sorted_ids[starts], rows[order[starts]]
 
 
 def sample_negatives(rng: np.random.Generator, triplet: Triplet, n: int,
@@ -181,66 +202,46 @@ def _batch_loss_grads(tables: EmbeddingTables, pos: np.ndarray, neg_entity: np.n
     Returns (loss, ent_ids, ent_grads, rel_ids, rel_grads, weights). Passing
     ``weights`` freezes the adversarial weights instead of recomputing them
     from the current scores, which is also how the gradient treats them.
+
+    Every distance is the norm of a residual ``w = e - q``: a negative's
+    replacement entity e against the query q of the side it corrupts, and the
+    positive's head against the head-side query (column 0 below). TransE has
+    q = t - r (head side) and h + r (tail side); RotatE, because |r| = 1,
+    q = t o conj(r) and h o r. The normalized residual is the gradient w.r.t.
+    e for both models, and the gradients w.r.t. the shared entity and the
+    relation are linear in it, so they are summed per (positive, side) before
+    the chain rule through q.
     """
     bsz, n = neg_entity.shape
-    l1 = tables.norm_order == 1
     heads, rels, tails = pos[:, 0], pos[:, 1], pos[:, 2]
-
+    ent = tables.entity_matrix()
+    h, t = ent[heads], ent[tails]
     if tables.model == ROTATE:
-        ent = tables.entity_matrix()
-        h = ent[heads]
-        t = ent[tails]
-        rot = np.exp(1j * tables.relation[rels])
-        hr = h * rot
-        z_pos = hr - t
-        a_pos = np.abs(z_pos)
-        if l1:
-            d_pos = a_pos.sum(axis=1)
-            g_pos = np.where(a_pos > 0, z_pos / np.where(a_pos > 0, a_pos, 1.0), 0.0)
-        else:
-            d_pos = np.sqrt((a_pos * a_pos).sum(axis=1))
-            safe = np.where(d_pos > 0, d_pos, 1.0)
-            g_pos = z_pos / safe[:, None] * (d_pos > 0)[:, None]
-
-        e_neg = ent[neg_entity]                                   # (B, n, d)
-        h_neg = np.where(neg_is_head[:, :, None], e_neg, h[:, None, :])
-        t_neg = np.where(neg_is_head[:, :, None], t[:, None, :], e_neg)
-        hr_neg = h_neg * rot[:, None, :]
-        z_neg = hr_neg - t_neg
-        a_neg = np.abs(z_neg)
-        if l1:
-            d_neg = a_neg.sum(axis=2)
-            g_neg = np.where(a_neg > 0, z_neg / np.where(a_neg > 0, a_neg, 1.0), 0.0)
-        else:
-            d_neg = np.sqrt((a_neg * a_neg).sum(axis=2))
-            safe = np.where(d_neg > 0, d_neg, 1.0)
-            g_neg = z_neg / safe[:, :, None] * (d_neg > 0)[:, :, None]
+        r = np.exp(1j * tables.relation[rels])
+        q = np.stack([t * r.conj(), h * r], axis=1)                 # (B, 2, d)
     else:
-        ent = tables.entity
-        h = ent[heads]
-        t = ent[tails]
-        rv = tables.relation[rels]
-        u_pos = h + rv - t
-        if l1:
-            d_pos = np.abs(u_pos).sum(axis=1)
-            g_pos = np.sign(u_pos)
-        else:
-            d_pos = np.sqrt((u_pos * u_pos).sum(axis=1))
-            safe = np.where(d_pos > 0, d_pos, 1.0)
-            g_pos = u_pos / safe[:, None] * (d_pos > 0)[:, None]
+        r = tables.relation[rels]
+        q = np.stack([t - r, h + r], axis=1)
+    ids = np.concatenate([heads[:, None], neg_entity], axis=1)        # (B, n + 1)
+    head_side = np.concatenate([np.ones((bsz, 1), dtype=bool), neg_is_head], axis=1)
 
-        # both corruptions share the residual e' - q with q = t - r or h + r;
-        # the corrupted-slot gradient is sign(w) in either case
-        e_neg = ent[neg_entity]
-        q = np.where(neg_is_head[:, :, None], (t - rv)[:, None, :], (h + rv)[:, None, :])
-        w_res = e_neg - q
-        if l1:
-            d_neg = np.abs(w_res).sum(axis=2)
-            g_neg = np.sign(w_res)
-        else:
-            d_neg = np.sqrt((w_res * w_res).sum(axis=2))
-            safe = np.where(d_neg > 0, d_neg, 1.0)
-            g_neg = w_res / safe[:, :, None] * (d_neg > 0)[:, :, None]
+    # corrupted-entity rows, then the shared tails (head side) and heads (tail side)
+    rows = np.empty((bsz * (n + 3), ent.shape[1]), dtype=ent.dtype)
+    w = rows[:bsz * (n + 1)].reshape(bsz, n + 1, -1)
+    if neg_entity.min() < 0 or neg_entity.max() >= len(ent):
+        raise IndexError("negative entity id out of range")
+    np.take(ent, ids, axis=0, out=w, mode="clip")                    # unbuffered, ids checked
+    np.subtract(w, q[:, None, 0], out=w, where=head_side[:, :, None])
+    np.subtract(w, q[:, None, 1], out=w, where=~head_side[:, :, None])
+    real = tables.entity.dtype
+    if tables.norm_order == 1:
+        scale = np.abs(w)                                             # element moduli
+        dist = scale.sum(axis=2)
+    else:
+        w_real = w.view(real)
+        dist = np.sqrt(np.einsum("bjk,bjk->bj", w_real, w_real))
+        scale = dist[:, :, None]
+    d_pos, d_neg = dist[:, 0].astype(np.float64), dist[:, 1:].astype(np.float64)
 
     if weights is None:
         logits = -temperature * d_neg
@@ -251,41 +252,26 @@ def _batch_loss_grads(tables: EmbeddingTables, pos: np.ndarray, neg_entity: np.n
     loss = float(np.mean(-_log_sigmoid(margin - d_pos)
                          - (weights * _log_sigmoid(d_neg - margin)).sum(axis=1)))
 
-    c_pos = _sigmoid(d_pos - margin) / bsz                         # (B,)
-    c_neg = -(weights * _sigmoid(margin - d_neg)) / bsz            # (B, n)
+    coef = np.empty((bsz, n + 1, 1), dtype=real)
+    coef[:, 0, 0] = _sigmoid(d_pos - margin) / bsz
+    coef[:, 1:, 0] = -(weights * _sigmoid(margin - d_neg)) / bsz
+    np.divide(coef, scale, out=scale, where=scale > 0)              # 0 where w = 0
+    w *= scale                                                        # coef * w / |w|
+    sides = np.stack([head_side, ~head_side], axis=1).astype(real)   # (B, 2, n + 1)
+    s_head, s_tail = np.moveaxis(np.matmul(sides, w.view(real)).view(ent.dtype), 1, 0)
 
     if tables.model == ROTATE:
-        dh_pos = _interleave(g_pos * np.conj(rot))
-        dt_pos = _interleave(-g_pos)
-        dth_pos = np.imag(g_pos * np.conj(hr))                     # phase gradient
-        dh_neg = g_neg * np.conj(rot[:, None, :])
-        dt_neg = -g_neg
-        dth_neg = np.imag(g_neg * np.conj(hr_neg))
-        d_corrupt = _interleave(np.where(neg_is_head[:, :, None], dh_neg, dt_neg))
-        d_shared = _interleave(np.where(neg_is_head[:, :, None], dt_neg, dh_neg))
-        width = 2 * tables.dim
+        to_tail, to_head = r * s_head, r.conj() * s_tail
+        rel_rows = (q[:, 0].conj() * s_head).imag - (q[:, 1].conj() * s_tail).imag
     else:
-        dh_pos = g_pos
-        dt_pos = -g_pos
-        dth_pos = g_pos
-        d_corrupt = g_neg
-        d_shared = -g_neg
-        dth_neg = np.where(neg_is_head[:, :, None], g_neg, -g_neg)
-        width = tables.dim
+        to_tail, to_head = s_head, s_tail
+        rel_rows = s_head - s_tail
+    np.negative(to_tail, out=rows[bsz * (n + 1):bsz * (n + 2)])
+    np.negative(to_head, out=rows[bsz * (n + 2):])
 
-    shared_ids = np.where(neg_is_head, tails[:, None], heads[:, None])
-    ent_ids_all = np.concatenate([heads, tails, neg_entity.ravel(), shared_ids.ravel()])
-    ent_grads_all = np.concatenate([
-        c_pos[:, None] * dh_pos,
-        c_pos[:, None] * dt_pos,
-        (c_neg[:, :, None] * d_corrupt).reshape(bsz * n, width),
-        (c_neg[:, :, None] * d_shared).reshape(bsz * n, width),
-    ])
-    ent_ids, ent_grads = _scatter_sum(ent_ids_all, ent_grads_all)
-
-    rel_rows = c_pos[:, None] * dth_pos + (c_neg[:, :, None] * dth_neg).sum(axis=1)
+    ent_ids, ent_grads = _scatter_sum(np.concatenate([ids.ravel(), tails, heads]),
+                                      rows.view(real))
     rel_ids, rel_grads = _scatter_sum(rels, rel_rows)
-
     return loss, ent_ids, ent_grads, rel_ids, rel_grads, weights
 
 
@@ -329,7 +315,9 @@ def train(splits: BenchmarkSplits, config: TrainConfig) -> tuple[EmbeddingTables
     Minibatches are drawn by repeated shuffled passes over the training set;
     ``config.steps`` counts minibatch updates, not epochs. Deterministic for
     a fixed seed (serial execution). Raises TrainingDivergedError if the loss
-    leaves the finite range.
+    leaves the finite range. Parameters and Adam moments are float32, the
+    checkpoint's dtype, so the returned float64 tables equal their checkpoint
+    round trip.
     """
     if not splits.train:
         raise ValueError("training split is empty")
@@ -343,13 +331,17 @@ def train(splits: BenchmarkSplits, config: TrainConfig) -> tuple[EmbeddingTables
 
     rng_shuffle = substream(config.seed, "shuffle")
     rng_neg = substream(config.seed, "negatives")
-    data = np.array(splits.train, dtype=np.int64)
-    train_set = frozenset(splits.train) if config.filter_false_negatives else None
+    data = np.fromiter(chain.from_iterable(splits.train), dtype=np.int64).reshape(-1, 3)
+    train_store = (TripleStore(splits.train, num_entities, num_relations)
+                   if config.filter_false_negatives else None)
+    surviving = 0
 
+    tables.entity = tables.entity.astype(np.float32)
+    tables.relation = tables.relation.astype(np.float32)
     params = {"entity": tables.entity, "relation": tables.relation}
     opt = Adam(lr=config.learning_rate)
-    opt.register("entity", tables.entity.shape)
-    opt.register("relation", tables.relation.shape)
+    for name, table in params.items():
+        opt.register(name, table.shape, table.dtype)
 
     order = rng_shuffle.permutation(len(data))
     ptr = 0
@@ -372,9 +364,9 @@ def train(splits: BenchmarkSplits, config: TrainConfig) -> tuple[EmbeddingTables
         batch = next_batch()
         neg_entity, neg_is_head = _sample_negative_batch(
             rng_neg, batch, config.num_negatives, num_entities)
-        if train_set is not None:
-            _resample_true_negatives(rng_neg, batch, neg_entity, neg_is_head,
-                                     num_entities, train_set)
+        if train_store is not None:
+            surviving += _resample_true_negatives(rng_neg, batch, neg_entity, neg_is_head,
+                                                  num_entities, train_store)
         loss, ent_ids, ent_grads, rel_ids, rel_grads, _ = _batch_loss_grads(
             tables, batch, neg_entity, neg_is_head, config.margin, config.temperature)
         if config.l2 > 0.0:
@@ -382,33 +374,37 @@ def train(splits: BenchmarkSplits, config: TrainConfig) -> tuple[EmbeddingTables
             rel_rows = tables.relation[rel_ids]
             loss += config.l2 * (float((ent_rows * ent_rows).sum())
                                  + float((rel_rows * rel_rows).sum()))
-            ent_grads = ent_grads + 2.0 * config.l2 * ent_rows
-            rel_grads = rel_grads + 2.0 * config.l2 * rel_rows
+            ent_grads += 2.0 * config.l2 * ent_rows
+            rel_grads += 2.0 * config.l2 * rel_rows
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at step {step}")
         opt.step(params, {"entity": (ent_ids, ent_grads), "relation": (rel_ids, rel_grads)})
         if step == 1 or step % config.log_every == 0 or step == config.steps:
             trace.append((step, loss))
+    if train_store is not None:
+        logger.info("false-negative filter: %d true training triplets kept as negatives",
+                    surviving)
     logger.info("training finished: %d steps, final loss %.6f", config.steps, trace[-1][1])
+    tables.entity = tables.entity.astype(np.float64)
+    tables.relation = tables.relation.astype(np.float64)
     return tables, trace
 
 
-def _resample_true_negatives(rng, batch, neg_entity, neg_is_head, num_entities, train_set):
-    """Redraw negatives that happen to be true training triplets (few passes)."""
-    for _ in range(10):
-        dirty = []
-        for b in range(batch.shape[0]):
-            h, r, t = batch[b]
-            for j in range(neg_entity.shape[1]):
-                e = neg_entity[b, j]
-                trip = (e, r, t) if neg_is_head[b, j] else (h, r, e)
-                if Triplet(*map(int, trip)) in train_set:
-                    dirty.append((b, j))
-        if not dirty:
-            return
-        for b, j in dirty:
-            original = batch[b, 0] if neg_is_head[b, j] else batch[b, 2]
-            repl = int(rng.integers(num_entities - 1))
-            if repl >= original:
-                repl += 1
-            neg_entity[b, j] = repl
+def _resample_true_negatives(rng, batch, neg_entity, neg_is_head, num_entities,
+                             train_store) -> int:
+    """Redraw negatives that are true training triplets, in up to 10 passes.
+
+    Each pass redraws the dirty slots in row-major order, one draw per slot,
+    the same stream as one scalar draw per slot. Returns how many negatives
+    are still true triplets after the last pass.
+    """
+    original = np.where(neg_is_head, batch[:, 0:1], batch[:, 2:3])
+    for remaining in range(10, -1, -1):
+        dirty = train_store.contains(np.where(neg_is_head, neg_entity, batch[:, 0:1]),
+                                     batch[:, 1:2],
+                                     np.where(neg_is_head, batch[:, 2:3], neg_entity))
+        count = int(dirty.sum())
+        if count == 0 or remaining == 0:
+            return count
+        repl = rng.integers(num_entities - 1, size=count)
+        neg_entity[dirty] = repl + (repl >= original[dirty])

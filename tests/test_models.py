@@ -182,6 +182,18 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(truncated)
 
 
+def test_failed_checkpoint_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(init_tables(0, TRANSE, 2, 3, 1), path, seed=4)
+    before = path.read_bytes()
+    # the header and the entity table are written before the relation table fails
+    broken = EmbeddingTables(TRANSE, 2, 1, np.zeros((3, 2)), np.array([["x", "y"]], dtype=object))
+    with pytest.raises(ValueError):
+        save_checkpoint(broken, path, seed=5)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
+
+
 def test_vocabulary_sidecar_round_trip(tmp_path):
     vocab = Vocabulary()
     for name in ["alpha", "beta", "gamma"]:

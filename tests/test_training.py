@@ -1,11 +1,16 @@
+import logging
+
 import numpy as np
 import pytest
 
-from invkge.core import Triplet
+from invkge.core import Triplet, TripleStore
 from invkge.datasets import generate_synthetic_splits, generate_trainable_splits
-from invkge.models import ROTATE, TRANSE, EmbeddingTables, init_tables, translation_distance
+from invkge.models import (ROTATE, TRANSE, EmbeddingTables, init_tables, load_checkpoint,
+                           save_checkpoint, translation_distance)
 from invkge.training import (REFERENCE_CONFIGS, Adam, TrainConfig, TrainingDivergedError,
-                             sample_negatives, self_adversarial_loss, train)
+                             _batch_loss_grads, _resample_true_negatives,
+                             _sample_negative_batch, sample_negatives, self_adversarial_loss,
+                             train)
 
 
 def test_config_validation():
@@ -208,6 +213,124 @@ def test_gradients_match_finite_differences(model, norm):
         assert err < 1e-4, f"trial {trial}: relative gradient error {err}"
 
 
+def _interleaved(z):
+    return np.ascontiguousarray(z).view(np.float64) if np.iscomplexobj(z) else z
+
+
+def _reference_loss_grads(tables, pos, neg_entity, neg_is_head, margin, temperature):
+    """Loss and dense gradients with every triplet's head and tail written out.
+
+    Column 0 is the positive, columns 1..n its negatives; each triplet's
+    gradient goes to its own head, relation and tail rows.
+    """
+    bsz, n = neg_entity.shape
+    heads, rels, tails = pos[:, 0:1], pos[:, 1], pos[:, 2:3]
+    h_ids = np.concatenate([heads, np.where(neg_is_head, neg_entity, heads)], axis=1)
+    t_ids = np.concatenate([tails, np.where(neg_is_head, tails, neg_entity)], axis=1)
+    ent = tables.entity_matrix()
+    h, t = ent[h_ids], ent[t_ids]                                      # (B, n + 1, d)
+    if tables.model == ROTATE:
+        r = np.exp(1j * tables.relation[rels])[:, None, :]
+        z = h * r - t
+    else:
+        r = tables.relation[rels][:, None, :]
+        z = h + r - t
+    a = np.abs(z)
+    if tables.norm_order == 1:
+        dist = a.sum(axis=2)
+        g = np.where(a > 0, z / np.where(a > 0, a, 1.0), 0.0)
+    else:
+        dist = np.sqrt((a * a).sum(axis=2))
+        g = z / np.where(dist > 0, dist, 1.0)[:, :, None]
+    d_pos, d_neg = dist[:, 0], dist[:, 1:]
+    weights = np.exp(-temperature * (d_neg - d_neg.min(axis=1, keepdims=True)))
+    weights /= weights.sum(axis=1, keepdims=True)
+    log_sig = lambda x: -np.logaddexp(0.0, -x)
+    sig = lambda x: 1.0 / (1.0 + np.exp(-x))
+    loss = float(np.mean(-log_sig(margin - d_pos) - (weights * log_sig(d_neg - margin)).sum(axis=1)))
+    coef = np.concatenate([sig(d_pos - margin)[:, None], -weights * sig(margin - d_neg)], axis=1)
+    coef = (coef / bsz)[:, :, None]
+    if tables.model == ROTATE:
+        dh, dt, dr = g * r.conj(), -g, np.imag(g * np.conj(h * r))
+    else:
+        dh, dt, dr = g, -g, g
+    width = tables.entity.shape[1]
+    ent_grad = np.zeros_like(tables.entity)
+    np.add.at(ent_grad, h_ids.ravel(), _interleaved(coef * dh).reshape(-1, width))
+    np.add.at(ent_grad, t_ids.ravel(), _interleaved(coef * dt).reshape(-1, width))
+    rel_grad = np.zeros_like(tables.relation)
+    np.add.at(rel_grad, rels, (coef * dr).sum(axis=1))
+    return loss, ent_grad, rel_grad, weights
+
+
+def _kernel_dense(tables, pos, neg_entity, neg_is_head, margin, temperature):
+    loss, ent_ids, ent_rows, rel_ids, rel_rows, weights = _batch_loss_grads(
+        tables, pos, neg_entity, neg_is_head, margin, temperature)
+    assert len(np.unique(ent_ids)) == len(ent_ids) and len(np.unique(rel_ids)) == len(rel_ids)
+    ent_grad = np.zeros(tables.entity.shape)
+    ent_grad[ent_ids] = ent_rows
+    rel_grad = np.zeros(tables.relation.shape)
+    rel_grad[rel_ids] = rel_rows
+    return loss, ent_grad, rel_grad, weights
+
+
+def _relative_gap(x, ref):
+    return float(np.max(np.abs(np.asarray(x) - ref)) / max(np.max(np.abs(ref)), 1e-300))
+
+
+def _kernel_instance(model, norm, rng):
+    """Small batch over few entities: repeated ids, both sides, some exact zero residuals."""
+    dim, n_ent, bsz, n = 4, 7, 24, 6
+    width = 2 * dim if model == ROTATE else dim
+    entity = rng.integers(-1, 2, size=(n_ent, width)).astype(np.float64)
+    entity[::2] = rng.normal(size=(len(entity[::2]), width))
+    relation = (rng.uniform(-np.pi, np.pi, (3, dim)) if model == ROTATE
+                else rng.normal(size=(3, dim)))
+    relation[0] = 0.0                         # identity relation: e' = t or h gives w = 0
+    tables = EmbeddingTables(model, dim, norm, entity, relation)
+    pos = np.stack([rng.integers(n_ent, size=bsz), rng.integers(3, size=bsz),
+                    rng.integers(n_ent, size=bsz)], axis=1)
+    pos[:4, 1] = 0
+    pos[:4, 0] = pos[:4, 2]                   # zero positive residual
+    neg_entity, neg_is_head = _sample_negative_batch(rng, pos, n, n_ent)
+    neg_entity[4:8, 0] = np.where(neg_is_head[4:8, 0], pos[4:8, 2], pos[4:8, 0])
+    pos[4:8, 1] = 0                           # zero negative residuals
+    keep = neg_entity != np.where(neg_is_head, pos[:, 0:1], pos[:, 2:3])
+    neg_entity = np.where(keep, neg_entity, (neg_entity + 1) % n_ent)
+    return tables, pos, neg_entity, neg_is_head
+
+
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+@pytest.mark.parametrize("norm", [1, 2])
+def test_batch_kernel_matches_per_triplet_reference(model, norm):
+    rng = np.random.default_rng(10 * norm + (model == ROTATE))
+    for _ in range(5):
+        tables, pos, neg_entity, neg_is_head = _kernel_instance(model, norm, rng)
+        assert neg_is_head.any() and not neg_is_head.all()
+        got = _kernel_dense(tables, pos, neg_entity, neg_is_head, 1.5, 0.7)
+        ref = _reference_loss_grads(tables, pos, neg_entity, neg_is_head, 1.5, 0.7)
+        for g, r in zip(got, ref):
+            assert _relative_gap(g, r) <= 1e-12
+
+
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+@pytest.mark.parametrize("norm", [1, 2])
+def test_float32_kernel_agrees_with_float64(model, norm):
+    rng = np.random.default_rng(20 * norm + (model == ROTATE))
+    tables = _micro_tables(model, norm, rng, dim=16, n_ent=40, n_rel=3)
+    tables.entity = tables.entity.astype(np.float32)
+    tables.relation = tables.relation.astype(np.float32)
+    wide = EmbeddingTables(model, 16, norm, tables.entity.astype(np.float64),
+                           tables.relation.astype(np.float64))
+    pos = np.stack([rng.integers(40, size=64), rng.integers(3, size=64),
+                    rng.integers(40, size=64)], axis=1)
+    neg_entity, neg_is_head = _sample_negative_batch(rng, pos, 8, 40)
+    single = _kernel_dense(tables, pos, neg_entity, neg_is_head, 2.0, 1.0)
+    double = _kernel_dense(wide, pos, neg_entity, neg_is_head, 2.0, 1.0)
+    for g, r in zip(single, double):
+        assert _relative_gap(g, r) <= 1e-4
+
+
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
@@ -328,9 +451,87 @@ def test_negative_seed_rejected():
         TrainConfig(seed=-1)
 
 
-def test_filter_false_negatives_flag_runs():
+def test_filter_false_negatives_flag_runs(caplog):
     splits = generate_synthetic_splits(6, 20, 3, 80, 0.15)
     cfg = TrainConfig(dim=8, margin=1.0, num_negatives=4, batch_size=16, steps=20,
                       seed=3, filter_false_negatives=True, log_every=10)
-    tables, trace = train(splits, cfg)
+    with caplog.at_level(logging.INFO, logger="invkge.training"):
+        tables, trace = train(splits, cfg)
     assert np.isfinite(trace[-1][1])
+    assert "false-negative filter: 0 true training triplets kept" in caplog.text
+
+
+def _resample_loop(rng, batch, neg_entity, neg_is_head, num_entities, train_set):
+    """Scalar reference: one membership test and one draw per negative slot."""
+    for _ in range(10):
+        dirty = []
+        for b in range(batch.shape[0]):
+            h, r, t = batch[b]
+            for j in range(neg_entity.shape[1]):
+                e = neg_entity[b, j]
+                trip = (e, r, t) if neg_is_head[b, j] else (h, r, e)
+                if Triplet(*map(int, trip)) in train_set:
+                    dirty.append((b, j))
+        if not dirty:
+            return
+        for b, j in dirty:
+            original = batch[b, 0] if neg_is_head[b, j] else batch[b, 2]
+            repl = int(rng.integers(num_entities - 1))
+            if repl >= original:
+                repl += 1
+            neg_entity[b, j] = repl
+
+
+def _true_negatives(store, batch, neg_entity, neg_is_head):
+    return store.contains(np.where(neg_is_head, neg_entity, batch[:, 0:1]), batch[:, 1:2],
+                          np.where(neg_is_head, batch[:, 2:3], neg_entity))
+
+
+@pytest.mark.parametrize("num_entities,num_train", [(20, 80), (10, 150)])
+def test_vectorized_false_negative_filter_matches_loop(num_entities, num_train):
+    # (10, 150) is dense enough that some true triplets survive all passes
+    splits = generate_synthetic_splits(6, num_entities, 3, num_train, 0.15)
+    n_ent = splits.vocab.num_entities
+    store = TripleStore(splits.train, n_ent, splits.vocab.num_relations)
+    data = np.array(splits.train, dtype=np.int64)
+    survived = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        batch = data[rng.integers(len(data), size=32)]
+        neg_entity, neg_is_head = _sample_negative_batch(rng, batch, 16, n_ent)
+        expected = neg_entity.copy()
+        rng_loop, rng_vec = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+        _resample_loop(rng_loop, batch, expected, neg_is_head, n_ent, frozenset(splits.train))
+        count = _resample_true_negatives(rng_vec, batch, neg_entity, neg_is_head, n_ent, store)
+        assert np.array_equal(neg_entity, expected)
+        assert rng_loop.integers(1 << 30) == rng_vec.integers(1 << 30)
+        assert count == int(_true_negatives(store, batch, neg_entity, neg_is_head).sum())
+        survived += count
+    assert (survived > 0) == (num_entities == 10)
+
+
+def test_false_negative_filter_leaves_no_true_triplet():
+    splits = generate_synthetic_splits(6, 20, 3, 80, 0.15)
+    n_ent = splits.vocab.num_entities
+    store = TripleStore(splits.train, n_ent, splits.vocab.num_relations)
+    data = np.array(splits.train, dtype=np.int64)
+    rng = np.random.default_rng(0)
+    # every training triplet, each corrupted 64 times
+    neg_entity, neg_is_head = _sample_negative_batch(rng, data, 64, n_ent)
+    assert _true_negatives(store, data, neg_entity, neg_is_head).any()
+    assert _resample_true_negatives(rng, data, neg_entity, neg_is_head, n_ent, store) == 0
+    assert not _true_negatives(store, data, neg_entity, neg_is_head).any()
+    assert (neg_entity != np.where(neg_is_head, data[:, 0:1], data[:, 2:3])).all()
+
+
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+def test_trained_tables_equal_their_checkpoint(model, tmp_path):
+    splits = generate_synthetic_splits(2, 30, 3, 100, 0.1)
+    cfg = TrainConfig(model=model, dim=8, margin=2.0, num_negatives=4, batch_size=16,
+                      steps=30, seed=7, l2=1e-3)
+    tables, _ = train(splits, cfg)
+    save_checkpoint(tables, tmp_path / "checkpoint.bin")
+    loaded, _ = load_checkpoint(tmp_path / "checkpoint.bin")
+    assert tables.entity.dtype == tables.relation.dtype == np.float64
+    assert np.array_equal(tables.entity, loaded.entity)
+    assert np.array_equal(tables.relation, loaded.relation)
