@@ -2,8 +2,9 @@
 
 The TripleStore is the substrate everything else stands on: a deduplicated
 triplet array with per-entity degrees and sorted keys for membership.
-Neighbor queries return the other endpoint plus the direction the focal
-entity plays, which is exactly what the unseen-entity estimator needs later.
+``incident`` returns the edges of many entities at once, grouped per entity:
+the other endpoint, the relation and whether the focal entity is the head,
+which is exactly what the unseen-entity estimator needs later.
 """
 
 from invkge import Triplet, TripleStore, Vocabulary
@@ -27,18 +28,18 @@ print(store)
 print(f"duplicates collapsed: {len(triples_by_name)} lines -> {len(store)} triplets")
 
 nolan = vocab.entity_id("nolan")
-print(f"\ndegree('nolan') = {store.degree(nolan)}")
-for nb in store.neighbors(nolan):
-    rel = vocab.relation_name(nb.relation)
-    other = vocab.entity_name(nb.entity)
-    print(f"  nolan is the {nb.direction}-side partner of ({other}, {rel})"
-          if nb.direction == "tail" else f"  ({other}, {rel}) with nolan as head")
-
 tenet = vocab.entity_id("tenet")
-print(f"\nneighbors of 'tenet' (in insertion order):")
-for nb in store.neighbors(tenet):
-    print(f"  direction={nb.direction:5s} relation={vocab.relation_name(nb.relation):12s} "
-          f"other={vocab.entity_name(nb.entity)}")
+other, relation, as_head, offsets = store.incident([nolan, tenet])
+print(f"\ndegree('nolan') = {store.degree(nolan)}")
+for i in range(offsets[0], offsets[1]):
+    rel = vocab.relation_name(relation[i])
+    print(f"  ({vocab.entity_name(other[i])}, {rel}, nolan)" if not as_head[i]
+          else f"  (nolan, {rel}, {vocab.entity_name(other[i])})")
+
+print(f"\nneighbors of 'tenet' (head-side edges first, each in insertion order):")
+for i in range(offsets[1], offsets[2]):
+    print(f"  direction={'head' if as_head[i] else 'tail':5s} "
+          f"relation={vocab.relation_name(relation[i]):12s} other={vocab.entity_name(other[i])}")
 
 print(f"\ncontains (tenet, genre, action)?  {store.contains(tenet, vocab.relation_id('genre'), vocab.entity_id('action'))}")
 print(f"contains (action, genre, tenet)?  {store.contains(vocab.entity_id('action'), vocab.relation_id('genre'), tenet)}")

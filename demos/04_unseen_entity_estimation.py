@@ -5,14 +5,16 @@ entity as head of (e, r, t) the candidate is t - r (TransE) or t rotated
 backwards (RotatE); as tail of (h, r, e) it is h + r or h rotated forwards.
 A weighted average then collapses the candidates. On the exactly-planted
 lattice every candidate coincides, so the reduced embedding is perfect no
-matter the weights; on noisy data the weighting starts to matter.
+matter the weights; on noisy data the weighting starts to matter. Residuals
+are read with ``translation_distance``, the package's one distance function,
+on raw vectors: a candidate and its source's ``entity_matrix()`` row.
 """
 
 import numpy as np
 
 from invkge import (TripleStore, build_correlation, candidate_weights, cap_neighbors,
-                    distance, estimate_candidates, generate_planted_splits,
-                    reduce_candidates)
+                    estimate_candidates, generate_planted_splits, reduce_candidates,
+                    translation_distance)
 
 splits, tables = generate_planted_splits(seed=3, num_entities=240, num_relations=8,
                                          num_train=700, ookg_fraction=0.1)
@@ -50,10 +52,9 @@ print(f"\ncapped to 1 neighbor: candidate via "
 
 # the candidate exactly inverts its generating triplet
 vec, source, rel = cset.vectors[0], cset.source_entity[0], cset.source_relation[0]
-if cset.as_head[0]:
-    resid = distance(tables, vec, rel, source)
-else:
-    resid = distance(tables, source, rel, vec)
+source_vec = tables.entity_matrix()[source]
+h, t = (vec, source_vec) if cset.as_head[0] else (source_vec, vec)
+resid = translation_distance(tables.model, tables.norm_order, h, tables.relation_vec(rel), t)
 print(f"residual of the generating triplet at the candidate: {resid}")
 
 # every unseen entity at once: one gather of candidates, one reduction per segment

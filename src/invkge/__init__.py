@@ -8,17 +8,16 @@ filtered ranking / threshold-classification evaluation harness and the
 neighbor-cap, uniform-weight and OOKG-ratio ablations.
 """
 
-from .core import AS_HEAD, AS_TAIL, Neighbor, Triplet, TripleStore, Vocabulary
+from .core import AS_HEAD, AS_TAIL, Triplet, TripleStore, Vocabulary
 from .datasets import (BenchmarkSplits, DatasetFormatError, DatasetValidationError,
-                       build_filter_set, generate_planted_splits, generate_synthetic_splits,
-                       generate_trainable_splits, load_split_dir, load_splits, write_splits)
+                       generate_planted_splits, generate_trainable_splits, load_split_dir,
+                       load_splits, write_splits)
 from .estimation import CandidateSet, cap_neighbors, estimate_candidates
 from .evaluation import (EvalReport, FilterIndex, LpQuery, Thresholds, ablate, embed_ookg,
                          filtered_rank, format_report, link_prediction,
                          triplet_classification, tune_thresholds, write_report_csv)
-from .models import (MODELS, ROTATE, TRANSE, EmbeddingTables, distance, init_tables,
-                     load_checkpoint, load_vocabulary, save_checkpoint, save_vocabulary,
-                     score, translation_distance)
+from .models import (MODELS, ROTATE, TRANSE, EmbeddingTables, init_tables, load_checkpoint,
+                     load_vocabulary, save_checkpoint, save_vocabulary, translation_distance)
 from .reduction import (CORRELATION, DEGREE, UNIFORM, RelationCorrelation,
                         build_correlation, candidate_weights, reduce_candidates)
 from .seeding import substream

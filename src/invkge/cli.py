@@ -111,7 +111,8 @@ _SPECS: dict[str, dict] = {
 }
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str, command: str) -> dict[str, str]:
+    """Option values of a key=value file, skipping the echoed ``command=<command>`` line."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -120,14 +121,18 @@ def _read_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key == "command" and value == command:
+                continue
+            if key not in _SPECS[command]:
+                raise UsageError(f"{path}:{lineno}: {key}={value} is not an option of {command}")
+            values[key] = value
     return values
 
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     spec = _SPECS[command]
-    file_values = _read_config_file(args.config) if args.config else {}
+    file_values = _read_config_file(args.config, command) if args.config else {}
     resolved = {}
     for name, (cast, default) in spec.items():
         cli_value = getattr(args, name, None)
@@ -166,11 +171,11 @@ def _check_vocab(cfg: dict, splits: BenchmarkSplits) -> None:
             raise UsageError("vocabulary sidecar does not match the split files")
 
 
-def _load_tables(cfg: dict, splits: BenchmarkSplits):
-    tables, _ = load_checkpoint(cfg["checkpoint"])
+def _load_tables(path: str, splits: BenchmarkSplits):
+    tables, _ = load_checkpoint(path)
     if tables.num_entities != splits.vocab.num_entities \
             or tables.num_relations != splits.vocab.num_relations:
-        raise UsageError("checkpoint vocabulary sizes do not match the split files")
+        raise UsageError(f"checkpoint {path}: vocabulary sizes do not match the split files")
     return tables
 
 
@@ -210,7 +215,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise UsageError(f"unknown scheme {cfg['scheme']!r}")
     splits = _load_benchmark(cfg)
     _check_vocab(cfg, splits)
-    tables = _load_tables(cfg, splits)
+    tables = _load_tables(cfg["checkpoint"], splits)
     entities = np.array(sorted(splits.ookg_entities), dtype=np.int64)
     vectors, found = embed_ookg(tables, splits, cfg["scheme"], entities, None,
                                 smoothing=cfg["delta"], neighbor_cap=cfg["cap"],
@@ -242,7 +247,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise UsageError(f"unknown scheme {cfg['scheme']!r}")
     splits = _load_benchmark(cfg)
     _check_vocab(cfg, splits)
-    tables = _load_tables(cfg, splits)
+    tables = _load_tables(cfg["checkpoint"], splits)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -263,7 +268,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f.write(f"__default__,{thresholds.default!r}\n")
         report = triplet_classification(tables, splits, scheme, thresholds=thresholds,
                                         smoothing=cfg["delta"], neighbor_cap=cfg["cap"],
-                                        seed=cfg["seed"], threads=cfg["threads"])
+                                        seed=cfg["seed"])
         label = f"tc-{scheme}"
 
     if cfg["dump_correlation"]:
@@ -297,10 +302,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         ratio_runs = []
         for directory, ckpt in zip(dataset_dirs, checkpoint_paths):
             member = load_split_dir(directory, task=cfg["task"])
-            member_tables, _ = load_checkpoint(ckpt)
-            if member_tables.num_entities != member.vocab.num_entities:
-                raise UsageError(f"checkpoint {ckpt} does not match dataset {directory}")
-            ratio_runs.append((Path(directory).name, member_tables, member))
+            ratio_runs.append((Path(directory).name, _load_tables(ckpt, member), member))
 
     non_ratio = [v for v in variants if v != "ratio"]
     tables = None
@@ -311,7 +313,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                 raise UsageError(f"variants {non_ratio} need --{key}")
         splits = _load_benchmark(cfg)
         _check_vocab(cfg, splits)
-        tables = _load_tables(cfg, splits)
+        tables = _load_tables(cfg["checkpoint"], splits)
     elif ratio_runs:
         _, tables, splits = ratio_runs[0]  # ablate() needs a base pair; unused for ratio
 

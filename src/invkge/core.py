@@ -17,19 +17,6 @@ class Triplet(NamedTuple):
     tail: int
 
 
-class Neighbor(NamedTuple):
-    """One incident edge of a focal entity.
-
-    ``direction`` is the role the focal entity plays in the stored triplet:
-    AS_HEAD means the triplet is (focal, relation, entity), AS_TAIL means
-    (entity, relation, focal). ``entity`` is always the other endpoint.
-    """
-
-    entity: int
-    relation: int
-    direction: str
-
-
 class Vocabulary:
     """Bijection between names and dense integer ids, assigned in first-seen order."""
 
@@ -157,15 +144,6 @@ class TripleStore:
         n = len(h)
         return (np.concatenate([t, h])[rows], np.concatenate([r, r])[rows], rows < n,
                 np.concatenate([[0], np.cumsum(counts)]))
-
-    def neighbors(self, entity: int) -> list[Neighbor]:
-        """All incident edges of ``entity``: head-direction edges first, then tail-direction.
-
-        Isolated entities yield an empty list.
-        """
-        other, relation, as_head, _ = self.incident([entity])
-        return [Neighbor(o, r, AS_HEAD if head else AS_TAIL)
-                for o, r, head in zip(other.tolist(), relation.tolist(), as_head.tolist())]
 
     def __len__(self) -> int:
         return len(self.triplets)

@@ -212,167 +212,9 @@ def _write_file(path: Path, vocab: Vocabulary, triplets: list[Triplet],
             f.write(line + "\n")
 
 
-def build_filter_set(splits: BenchmarkSplits) -> frozenset[Triplet]:
-    """All known-true triplets across the four splits (negatives excluded)."""
-    positives: list[Triplet] = list(splits.train) + list(splits.aux)
-    positives += _positives(splits.valid, splits.valid_labels)
-    positives += _positives(splits.test, splits.test_labels)
-    return frozenset(positives)
-
-
-def _positives(triplets: list[Triplet], labels: list[int] | None) -> list[Triplet]:
-    if labels is None:
-        return list(triplets)
-    return [t for t, lab in zip(triplets, labels) if lab == 1]
-
-
 # ---------------------------------------------------------------------------
 # Synthetic split generators
 # ---------------------------------------------------------------------------
-
-def generate_synthetic_splits(seed: int, num_entities: int, num_relations: int,
-                              num_triplets: int, ookg_fraction: float,
-                              *, task: str = TASK_LP,
-                              max_aux_per_entity: int = 4,
-                              max_test_per_entity: int = 2) -> BenchmarkSplits:
-    """Uniform-random splits satisfying every benchmark invariant.
-
-    Purely a loader/validator fixture: the triplets carry no learnable
-    structure. Deterministic for a fixed seed. Raises ValueError if the
-    parameters cannot yield feasible splits after a few retries.
-    """
-    task = _normalize_task(task)
-    if not 0.0 < ookg_fraction < 1.0:
-        raise ValueError("ookg_fraction must be strictly between 0 and 1")
-    if num_entities < 4 or num_relations < 1 or num_triplets < 1:
-        raise ValueError("need at least 4 entities, 1 relation and 1 triplet")
-    last: Exception | None = None
-    for attempt in range(3):
-        rng = substream(seed, "synthetic", attempt)
-        try:
-            return _synthetic_once(rng, num_entities, num_relations, num_triplets,
-                                   ookg_fraction, task, max_aux_per_entity, max_test_per_entity)
-        except _Infeasible as exc:
-            last = exc
-    raise ValueError(f"could not generate feasible synthetic splits: {last}")
-
-
-def _synthetic_once(rng, num_entities, num_relations, num_triplets, ookg_fraction,
-                    task, max_aux, max_test) -> BenchmarkSplits:
-    ents = [f"e{i}" for i in range(num_entities)]
-    rels = [f"r{j}" for j in range(num_relations)]
-    n_ookg = max(1, int(round(ookg_fraction * num_entities)))
-    if num_entities - n_ookg < 2:
-        raise _Infeasible("fewer than two in-graph entities")
-    order = rng.permutation(num_entities)
-    ookg_names = [ents[i] for i in order[:n_ookg]]
-    ikg_names = [ents[i] for i in order[n_ookg:]]
-
-    def rand_rel() -> str:
-        return rels[int(rng.integers(num_relations))]
-
-    def rand_of(pool: list[str]) -> str:
-        return pool[int(rng.integers(len(pool)))]
-
-    train: list[tuple[str, str, str, None]] = []
-    seen: set[tuple[str, str, str]] = set()
-    if num_triplets >= len(ikg_names):
-        chain = rng.permutation(len(ikg_names))
-        for a, b in zip(chain[:-1], chain[1:]):
-            trip = (ikg_names[a], rand_rel(), ikg_names[b])
-            if trip not in seen and len(train) < num_triplets:
-                seen.add(trip)
-                train.append((*trip, None))
-    budget = 50 * num_triplets
-    while len(train) < num_triplets and budget > 0:
-        budget -= 1
-        trip = (rand_of(ikg_names), rand_rel(), rand_of(ikg_names))
-        if trip not in seen:
-            seen.add(trip)
-            train.append((*trip, None))
-    if len(train) < num_triplets:
-        raise _Infeasible("triplet budget exceeds the distinct-triplet pool")
-
-    covered = sorted({r[0] for r in train} | {r[2] for r in train})
-    if len(covered) < 2:
-        raise _Infeasible("train covers fewer than two entities")
-
-    labeled = task == TASK_CLASSIFICATION
-    positive_rows = set(seen)
-
-    def fresh_negative(h: str, r: str) -> str | None:
-        for _ in range(30):
-            t2 = rand_of(covered)
-            if (h, r, t2) not in positive_rows:
-                return t2
-        return None
-
-    valid: list[tuple[str, str, str, int | None]] = []
-    n_valid = max(1, num_triplets // 10)
-    budget = 50 * n_valid
-    while sum(1 for row in valid if row[3] in (None, 1)) < n_valid and budget > 0:
-        budget -= 1
-        trip = (rand_of(covered), rand_rel(), rand_of(covered))
-        if trip in positive_rows:
-            continue
-        positive_rows.add(trip)
-        valid.append((*trip, 1 if labeled else None))
-        if labeled:
-            neg_tail = fresh_negative(trip[0], trip[1])
-            if neg_tail is not None:
-                valid.append((trip[0], trip[1], neg_tail, -1))
-    if not valid:
-        raise _Infeasible("no validation triplets could be drawn")
-
-    aux: list[tuple[str, str, str, None]] = []
-    aux_rows: set[tuple[str, str, str]] = set()
-    per_entity_aux: dict[str, int] = {}
-    for e in ookg_names:
-        want = int(rng.integers(1, max_aux + 1))
-        got = 0
-        budget = 50 * want
-        while got < want and budget > 0:
-            budget -= 1
-            partner = rand_of(covered)
-            rel = rand_rel()
-            trip = (e, rel, partner) if rng.random() < 0.5 else (partner, rel, e)
-            if trip not in aux_rows:
-                aux_rows.add(trip)
-                aux.append((*trip, None))
-                got += 1
-        if got == 0:
-            raise _Infeasible(f"no aux triplet for out-of-graph entity {e}")
-        per_entity_aux[e] = got
-    positive_rows |= aux_rows
-
-    test: list[tuple[str, str, str, int | None]] = []
-    for e in ookg_names:
-        want = int(rng.integers(1, max_test + 1))
-        got = 0
-        budget = 50 * want
-        while got < want and budget > 0:
-            budget -= 1
-            partner = rand_of(covered)
-            rel = rand_rel()
-            trip = (e, rel, partner) if rng.random() < 0.5 else (partner, rel, e)
-            if trip in positive_rows:
-                continue
-            positive_rows.add(trip)
-            test.append((*trip, 1 if labeled else None))
-            got += 1
-            if labeled:
-                # corrupt the in-graph side so the row still touches the OOKG entity
-                for _ in range(30):
-                    partner2 = rand_of(covered)
-                    neg = (e, rel, partner2) if trip[0] == e else (partner2, rel, e)
-                    if neg not in positive_rows:
-                        test.append((*neg, -1))
-                        break
-        if got == 0:
-            raise _Infeasible(f"no test triplet for out-of-graph entity {e}")
-
-    return _assemble(task, train, valid, aux, test)
-
 
 def generate_planted_splits(seed: int, num_entities: int = 240, num_relations: int = 8,
                             num_train: int = 700, ookg_fraction: float = 0.1,

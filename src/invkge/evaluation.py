@@ -14,13 +14,14 @@ import logging
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import AS_HEAD, AS_TAIL, Triplet, TripleStore, segment_rows
-from .datasets import BenchmarkSplits, build_filter_set
+from .datasets import BenchmarkSplits
 from .estimation import cap_neighbors, estimate_candidates
 from .models import EmbeddingTables, translation_distance
 from .reduction import (CORRELATION, DEGREE, DEFAULT_SMOOTHING, build_correlation,
@@ -171,7 +172,11 @@ def link_prediction(tables: EmbeddingTables, splits: BenchmarkSplits,
     entity is ranked against all in-graph entities. Dangling OOKG entities
     receive the worst post-filter rank and are counted in the report.
     """
-    findex = FilterIndex(build_filter_set(splits))
+    labeled = ((splits.valid, splits.valid_labels), (splits.test, splits.test_labels))
+    positives = [t for part, labels in labeled for i, t in enumerate(part)
+                 if labels is None or labels[i] == 1]
+    findex = FilterIndex(chain(splits.train, splits.aux, positives),
+                         splits.vocab.num_entities, splits.vocab.num_relations)
     cids = np.array(sorted(splits.ikg_entities), dtype=np.int64)
     if cids.size == 0:
         raise ValueError("no in-graph entities to rank over")
@@ -264,8 +269,7 @@ def triplet_classification(tables: EmbeddingTables, splits: BenchmarkSplits,
                            scheme: str = DEGREE, *,
                            thresholds: Thresholds | None = None,
                            smoothing: float = DEFAULT_SMOOTHING,
-                           neighbor_cap: int | None = None, seed: int = 0,
-                           threads: int = 1) -> EvalReport:
+                           neighbor_cap: int | None = None, seed: int = 0) -> EvalReport:
     """Accuracy of thresholded distances on the labeled test split.
 
     OOKG sides (one or both) are estimated from their own aux neighborhoods;
@@ -276,47 +280,31 @@ def triplet_classification(tables: EmbeddingTables, splits: BenchmarkSplits,
         raise ValueError("triplet classification needs labeled valid/test splits")
     if thresholds is None:
         thresholds = tune_thresholds(tables, splits.valid, splits.valid_labels)
-    ookg = splits.ookg_entities
-    counts: dict[str, int] = defaultdict(int)
-
-    sides = [(entity, trip.relation) for trip in splits.test
-             for entity in (trip.head, trip.tail) if entity in ookg]
-    vectors, found = embed_ookg(tables, splits, scheme, [e for e, _ in sides],
-                                [r for _, r in sides], smoothing=smoothing,
-                                neighbor_cap=neighbor_cap, seed=seed)
-    embedded = {side: vec if ok else None for side, vec, ok in zip(sides, vectors, found)}
-
-    def resolve(entity: int, relation: int) -> np.ndarray | None:
-        if entity in ookg:
-            return embedded[(entity, relation)]
-        return tables.entity_vec(entity)
-
-    jobs = []
-    for trip, label in zip(splits.test, splits.test_labels):
-        hv = resolve(trip.head, trip.relation)
-        tv = resolve(trip.tail, trip.relation)
-        if hv is None or tv is None:
-            counts["dangling"] += 1
-        jobs.append((hv, trip.relation, tv, label))
-    if not jobs:
+    if not splits.test:
         raise ValueError("no evaluable test triplets")
-
-    def classify(job) -> bool:
-        hv, rel, tv, label = job
-        if hv is None or tv is None:
-            pred = -1
-        else:
-            d = float(translation_distance(tables.model, tables.norm_order, hv,
-                                           tables.relation_vec(rel), tv))
-            pred = 1 if d <= thresholds.for_relation(rel) else -1
-        return pred == label
-
-    correct = _map_ordered(classify, jobs, threads)
+    data = np.array(splits.test, dtype=np.int64)
+    ends = data[:, [0, 2]]  # (n, 2): head and tail ids
+    rel = data[:, 1]
+    is_ookg = np.isin(ends, list(splits.ookg_entities))
+    vectors, found = embed_ookg(tables, splits, scheme, ends[is_ookg],
+                                np.broadcast_to(rel[:, None], ends.shape)[is_ookg],
+                                smoothing=smoothing, neighbor_cap=neighbor_cap, seed=seed)
+    rows = tables.entity_matrix()[ends]
+    rows[is_ookg] = vectors
+    usable = np.ones(ends.shape, dtype=bool)
+    usable[is_ookg] = found
+    usable = usable.all(axis=1)  # a triplet with a dangling side is predicted negative
+    dists = translation_distance(tables.model, tables.norm_order, rows[:, 0],
+                                 tables.relation_vec(rel), rows[:, 1])
+    cutoffs = np.array([thresholds.for_relation(r) for r in range(splits.vocab.num_relations)])
+    predicted = np.where(usable & (dists <= cutoffs[rel]), 1, -1)
+    correct = predicted == np.array(splits.test_labels)
+    counts = {"dangling": int(np.count_nonzero(~usable))} if not usable.all() else {}
     report = EvalReport(
         task="classification",
-        num_queries=len(jobs),
+        num_queries=len(correct),
         accuracy=float(np.mean(correct)),
-        counts=dict(counts),
+        counts=counts,
         config={"scheme": scheme, "neighbor_cap": neighbor_cap, "seed": seed,
                 "smoothing": smoothing},
     )
@@ -342,7 +330,7 @@ def ablate(tables: EmbeddingTables, splits: BenchmarkSplits, variants: list[str]
             return link_prediction(run_tables, run_splits, run_scheme, smoothing=smoothing,
                                    neighbor_cap=cap, seed=seed, threads=threads)
         return triplet_classification(run_tables, run_splits, run_scheme, smoothing=smoothing,
-                                      neighbor_cap=cap, seed=seed, threads=threads)
+                                      neighbor_cap=cap, seed=seed)
 
     results: list[tuple[str, EvalReport]] = []
     for variant in variants:

@@ -1,4 +1,4 @@
-"""Parameter tables and distance/score functions for TransE and RotatE.
+"""Parameter tables and the distance function for TransE and RotatE.
 
 TransE places entities and relations in R^d and scores a triplet by the norm
 of h + r - t. RotatE places entities in C^d and relations on the unit circle
@@ -59,9 +59,6 @@ class EmbeddingTables:
             return self.entity.view(np.result_type(self.entity.dtype, np.complex64))
         return self.entity
 
-    def entity_vec(self, eid: int) -> np.ndarray:
-        return self.entity_matrix()[eid]
-
     def relation_vec(self, rid: int) -> np.ndarray:
         """Relation as used by the distance: TransE row, or RotatE unit complex."""
         if self.model == ROTATE:
@@ -112,51 +109,6 @@ def translation_distance(model: str, norm_order: int, h: np.ndarray, r: np.ndarr
     if norm_order == 1:
         return a.sum(axis=-1)
     return np.sqrt((a * a).sum(axis=-1))
-
-
-def _resolve_entity(tables: EmbeddingTables, x) -> np.ndarray:
-    if isinstance(x, (int, np.integer)):
-        return tables.entity_vec(int(x))
-    vec = np.asarray(x)
-    if tables.model == ROTATE:
-        if np.iscomplexobj(vec):
-            if vec.shape[-1] != tables.dim:
-                raise ValueError(f"expected complex entity vector of length {tables.dim}")
-            return vec
-        if vec.shape[-1] == 2 * tables.dim:
-            return np.ascontiguousarray(vec, dtype=np.float64).view(np.complex128)
-        raise ValueError(f"expected entity vector of length {tables.dim} (complex) "
-                         f"or {2 * tables.dim} (interleaved floats)")
-    if vec.shape[-1] != tables.dim:
-        raise ValueError(f"expected entity vector of length {tables.dim}")
-    return vec
-
-
-def _resolve_relation(tables: EmbeddingTables, x) -> np.ndarray:
-    if isinstance(x, (int, np.integer)):
-        return tables.relation_vec(int(x))
-    vec = np.asarray(x)
-    if vec.shape[-1] != tables.dim:
-        raise ValueError(f"expected relation vector of length {tables.dim}")
-    if tables.model == ROTATE and not np.iscomplexobj(vec):
-        return np.exp(1j * vec)  # phases given
-    return vec
-
-
-def distance(tables: EmbeddingTables, head, relation, tail) -> float:
-    """Triplet distance; arguments are ids or raw vectors (estimated embeddings)."""
-    h = _resolve_entity(tables, head)
-    r = _resolve_relation(tables, relation)
-    t = _resolve_entity(tables, tail)
-    d = float(translation_distance(tables.model, tables.norm_order, h, r, t))
-    if not np.isfinite(d):
-        raise ValueError("non-finite distance (check inputs for nan/inf)")
-    return d
-
-
-def score(tables: EmbeddingTables, head, relation, tail) -> float:
-    """Triplet plausibility, the negated distance."""
-    return -distance(tables, head, relation, tail)
 
 
 def save_checkpoint(tables: EmbeddingTables, path: str | Path, seed: int = 0) -> None:
@@ -224,6 +176,10 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 def load_vocabulary(path: str | Path) -> Vocabulary:
     with open(path, encoding="utf-8") as f:
         payload = json.load(f)
+    for key in ("entities", "relations"):
+        names = payload.get(key) if isinstance(payload, dict) else None
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ValueError(f"{path}: {key!r} must be a list of strings")
     vocab = Vocabulary()
     for name in payload["entities"]:
         vocab.add_entity(name)

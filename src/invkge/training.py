@@ -22,7 +22,7 @@ checkpoint's dtype, and ``self_adversarial_loss`` on float64 tables is float64.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -76,9 +76,6 @@ class TrainConfig:
             raise ValueError("norm_order must be 1 or 2")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-    def with_overrides(self, **kwargs) -> "TrainConfig":
-        return replace(self, **kwargs)
 
 
 class Adam:

@@ -18,7 +18,7 @@ from invkge.datasets import (generate_planted_splits, generate_trainable_splits,
 from invkge.estimation import CandidateSet, estimate_candidates
 from invkge.evaluation import (FilterIndex, LpQuery, filtered_rank, link_prediction,
                                triplet_classification, tune_thresholds)
-from invkge.models import (ROTATE, TRANSE, EmbeddingTables, distance, init_tables)
+from invkge.models import (ROTATE, TRANSE, EmbeddingTables, init_tables, translation_distance)
 from invkge.reduction import (build_correlation, candidate_weights, reduce_candidates)
 from invkge.training import (REFERENCE_CONFIGS, TrainConfig, sample_negatives,
                              self_adversarial_loss, train)
@@ -53,10 +53,10 @@ def test_criterion_1_estimator_optimality():
             trip = Triplet(0, rel, other) if as_head else Triplet(other, rel, 0)
             aux = TripleStore([trip], num_entities=n_ent, num_relations=3)
             vec = estimate_candidates(tables, aux, [0], set(range(1, n_ent))).vectors[0]
-            if as_head:
-                resid = distance(tables, vec, rel, other)
-            else:
-                resid = distance(tables, other, rel, vec)
+            source = tables.entity_matrix()[other]
+            h, t = (vec, source) if as_head else (source, vec)
+            resid = float(translation_distance(model, tables.norm_order, h,
+                                               tables.relation_vec(rel), t))
             worst = max(worst, resid)
             assert resid <= tol
     elapsed = time.perf_counter() - t0
@@ -85,8 +85,8 @@ def _micro_instance(rng, model, norm):
         negs = sample_negatives(rng, pos, n_neg, n_ent)
         smallest = np.inf
         for trip in [pos] + negs:
-            h = tables.entity_vec(trip.head)
-            t = tables.entity_vec(trip.tail)
+            h = tables.entity_matrix()[trip.head]
+            t = tables.entity_matrix()[trip.tail]
             r = tables.relation_vec(trip.relation)
             u = h * r - t if model == ROTATE else h + r - t
             smallest = min(smallest, float(np.abs(u).min()))

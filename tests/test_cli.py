@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,3 +334,63 @@ def test_module_invocation_help():
     assert proc.returncode == 0
     for sub in ("pretrain", "estimate", "eval", "ablate", "validate"):
         assert sub in proc.stdout
+
+
+def test_ablate_ratio_rejects_checkpoint_with_fewer_relations(tmp_path, capsys):
+    splits, _ = generate_planted_splits(71, 150, 6, 420, 0.08, task="classification")
+    write_splits(splits, tmp_path / "member")
+    save_checkpoint(init_tables(0, TRANSE, 2, splits.vocab.num_entities, 2),
+                    tmp_path / "ckpt.bin")
+    rc = main(["ablate", "--task", "tc", "--variants", "ratio",
+               "--datasets", str(tmp_path / "member"),
+               "--checkpoints", str(tmp_path / "ckpt.bin"), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "ckpt.bin" in err and "vocabulary sizes" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload", ['{"entities": []}', '{"entities": [], "relations": [7]}'])
+def test_eval_rejects_malformed_vocabulary_sidecar(lp_dataset, tmp_path, capsys, payload):
+    root, _, _ = lp_dataset
+    (tmp_path / "vocab.json").write_text(payload, encoding="utf-8")
+    rc = main(["eval", *_split_flags(root), "--checkpoint", str(root / "gt.bin"),
+               "--vocab", str(tmp_path / "vocab.json"), "--task", "lp",
+               "--out", str(tmp_path / "w")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "vocab.json" in err and "list of strings" in err
+
+
+def test_config_file_rejects_unknown_keys(lp_dataset, tmp_path, capsys):
+    root, _, _ = lp_dataset
+    config = tmp_path / "config.txt"
+    lines = ["command=validate"] + [f"{k}={root / (k + '.txt')}"
+                                    for k in ("train", "valid", "aux", "test")]
+    config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["validate", "--config", str(config)]) == 0
+    config.write_text("\n".join(lines + ["stpes=5"]) + "\n", encoding="utf-8")
+    assert main(["validate", "--config", str(config)]) == 2
+    assert f"{config}:6: stpes=5 is not an option of validate" in capsys.readouterr().err
+    config.write_text("\n".join(["command=eval"] + lines[1:]) + "\n", encoding="utf-8")
+    assert main(["validate", "--config", str(config)]) == 2
+    assert f"{config}:1:" in capsys.readouterr().err
+
+
+def test_module_invocation_exit_codes(lp_dataset, tmp_path):
+    root, _, _ = lp_dataset
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "invkge", "validate", *args], env=env,
+                              capture_output=True, text=True, timeout=60).returncode
+
+    assert run(*_split_flags(root)) == 0
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for name in ("valid.txt", "aux.txt", "test.txt"):
+        (broken / name).write_bytes((root / name).read_bytes())
+    (broken / "train.txt").write_text("a\tr\n", encoding="utf-8")
+    assert run(*_split_flags(broken)) == 1
+    assert run("--train", str(root / "train.txt")) == 2

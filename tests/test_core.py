@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from invkge.core import AS_HEAD, AS_TAIL, Neighbor, Triplet, TripleStore, Vocabulary
+from invkge.core import Triplet, TripleStore, Vocabulary
 
 
 def test_empty_store():
     store = TripleStore([])
     assert len(store) == 0
     assert store.degree(0) == 0
-    assert store.neighbors(3) == []
+    other, relation, as_head, offsets = store.incident([3])
+    assert len(other) == len(relation) == len(as_head) == 0
+    assert offsets.tolist() == [0, 0]
 
 
 def test_single_edge_indices():
@@ -39,24 +41,27 @@ def test_contains():
     assert store.contains(0, 0, np.arange(-1, 4)).tolist() == [False, False, True, False, False]
 
 
+def _neighbors(store, e):
+    """Incident edges of one entity as (other endpoint, relation, entity is head) rows."""
+    other, relation, as_head, _ = store.incident([e])
+    return list(zip(other.tolist(), relation.tolist(), as_head.tolist()))
+
+
 def test_neighbors_direction_tags():
     store = TripleStore([Triplet(0, 0, 1)])
-    assert store.neighbors(0) == [Neighbor(entity=1, relation=0, direction=AS_HEAD)]
-    assert store.neighbors(1) == [Neighbor(entity=0, relation=0, direction=AS_TAIL)]
+    assert _neighbors(store, 0) == [(1, 0, True)]
+    assert _neighbors(store, 1) == [(0, 0, False)]
 
 
 def test_neighbors_both_directions():
     store = TripleStore([Triplet(0, 0, 1), Triplet(2, 1, 0)])
-    got = store.neighbors(0)
-    assert Neighbor(entity=1, relation=0, direction=AS_HEAD) in got
-    assert Neighbor(entity=2, relation=1, direction=AS_TAIL) in got
-    assert len(got) == 2
+    assert _neighbors(store, 0) == [(1, 0, True), (2, 1, False)]
 
 
 def test_self_loop_counts_twice():
     store = TripleStore([Triplet(3, 0, 3)])
     assert store.degree(3) == 2
-    assert len(store.neighbors(3)) == 2
+    assert _neighbors(store, 3) == [(3, 0, True), (3, 0, False)]
 
 
 def test_id_range_checked():
@@ -69,8 +74,8 @@ def test_id_range_checked():
 
 
 def _brute_force_neighbors(triplets, e):
-    out = [Neighbor(t, r, AS_HEAD) for h, r, t in triplets if h == e]
-    inc = [Neighbor(h, r, AS_TAIL) for h, r, t in triplets if t == e]
+    out = [(t, r, True) for h, r, t in triplets if h == e]
+    inc = [(h, r, False) for h, r, t in triplets if t == e]
     return out + inc
 
 
@@ -84,11 +89,14 @@ def test_neighbors_match_brute_force_on_random_graphs():
                     for _ in range(int(rng.integers(1, 100)))]
         store = TripleStore(triplets)
         deduped = list(dict.fromkeys(triplets))
+        batched = store.incident(np.arange(n_ent))
         for e in range(n_ent):
             expected = _brute_force_neighbors(deduped, e)
-            got = store.neighbors(e)
+            got = _neighbors(store, e)
             assert got == expected
             assert len(got) == store.degree(e)
+            lo, hi = batched[3][e], batched[3][e + 1]
+            assert list(zip(*(a[lo:hi].tolist() for a in batched[:3]))) == expected
         members = {tuple(t) for t in deduped}
         for h in range(n_ent + 1):
             for r in range(n_rel):

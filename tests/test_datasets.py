@@ -3,12 +3,19 @@ import os
 import numpy as np
 import pytest
 
-from invkge.core import Triplet
+from invkge.core import Triplet, Vocabulary
 from invkge.datasets import (BenchmarkSplits, DatasetFormatError, DatasetValidationError,
-                             build_filter_set, generate_planted_splits,
-                             generate_synthetic_splits, generate_trainable_splits,
+                             generate_planted_splits, generate_trainable_splits,
                              load_split_dir, load_splits, write_splits)
-from invkge.models import distance
+from invkge.evaluation import embed_ookg, link_prediction
+from invkge.models import TRANSE, EmbeddingTables, translation_distance
+
+
+def _distances(tables, triplets):
+    data = np.array(triplets, dtype=np.int64)
+    ent = tables.entity_matrix()
+    return translation_distance(tables.model, tables.norm_order, ent[data[:, 0]],
+                                tables.relation_vec(data[:, 1]), ent[data[:, 2]])
 
 
 def _write(path, lines):
@@ -115,85 +122,113 @@ def test_dangling_ookg_flagged_not_fatal(tmp_path):
     assert splits.dangling_ookg == {splits.vocab.entity_id("y")}
 
 
-def test_filter_set_disjoint_union():
-    vocabless = generate_synthetic_splits(0, 10, 2, 6, 0.2)
-    # hand-built disjoint splits of sizes 3, 2, 1, 1
+# The filter of known-true triplets is built by link_prediction from train, aux
+# and the positive valid and test triplets. Train and valid hold only in-graph
+# entities, so only the aux and test parts can ever match a query, whose known
+# side is out-of-graph: the tests below observe the filter through ranks.
+
+def _line_benchmark(test, test_labels=None):
+    """1-D TransE benchmark: a, b, c, d (ids 0-3) at 0, 1, 2, 3 and one unseen x (id 4).
+
+    The relation offset is 0 and x's only aux edge (x, r, a) places it at 0,
+    so a tail query (x, r, ?) ranks a, b, c, d in that order before filtering.
+    """
+    vocab = Vocabulary()
+    for name in "abcdx":
+        vocab.add_entity(name)
+    vocab.add_relation("r")
+    labeled = test_labels is not None
     splits = BenchmarkSplits(
-        task="lp", vocab=vocabless.vocab,
+        task="classification" if labeled else "lp", vocab=vocab,
         train=[Triplet(0, 0, 1), Triplet(1, 0, 2), Triplet(2, 0, 3)],
-        valid=[Triplet(3, 0, 4), Triplet(4, 0, 5)],
-        aux=[Triplet(5, 0, 6)],
-        test=[Triplet(6, 0, 7)],
-        valid_labels=None, test_labels=None,
-        ikg_entities=frozenset(range(8)), ookg_entities=frozenset(),
+        valid=[Triplet(0, 0, 1), Triplet(0, 0, 3)], aux=[Triplet(4, 0, 0)],
+        test=[Triplet(*t) for t in test],
+        valid_labels=[1, -1] if labeled else None, test_labels=test_labels,
+        ikg_entities=frozenset(range(4)), ookg_entities=frozenset({4}),
         dangling_ookg=frozenset())
-    assert len(build_filter_set(splits)) == 7
+    tables = EmbeddingTables(TRANSE, 1, 1, np.arange(5.0).reshape(-1, 1), np.zeros((1, 1)))
+    return tables, splits
+
+
+def test_filter_set_disjoint_union():
+    # (x, r, a) is filtered as an aux triplet and (x, r, b) as a test triplet:
+    # the answer d ranks behind c only (rank 2), and b behind nothing (rank 1)
+    tables, splits = _line_benchmark([(4, 0, 3), (4, 0, 1)])
+    report = link_prediction(tables, splits, "uniform")
+    assert report.mrr == (1 / 2 + 1 / 1) / 2
+    assert report.hits1 == 0.5
 
 
 def test_filter_set_dedups_across_splits():
-    base = generate_synthetic_splits(0, 10, 2, 6, 0.2)
-    dup = Triplet(0, 0, 1)
-    splits = BenchmarkSplits(
-        task="lp", vocab=base.vocab,
-        train=[dup, Triplet(1, 0, 2)], valid=[], aux=[], test=[dup],
-        valid_labels=None, test_labels=None,
-        ikg_entities=frozenset(range(3)), ookg_entities=frozenset(),
-        dangling_ookg=frozenset())
-    assert len(build_filter_set(splits)) == 2
+    # a triplet listed in train and valid, and another twice in test, filters as once
+    tables, splits = _line_benchmark([(4, 0, 3), (4, 0, 1), (4, 0, 3)])
+    report = link_prediction(tables, splits, "uniform")
+    assert report.num_queries == 3
+    assert report.mrr == (1 / 2 + 1 / 1 + 1 / 2) / 3
 
 
 def test_filter_set_excludes_negative_labels():
-    base = generate_synthetic_splits(0, 10, 2, 6, 0.2)
-    splits = BenchmarkSplits(
-        task="classification", vocab=base.vocab,
-        train=[Triplet(0, 0, 1)], valid=[Triplet(1, 0, 2), Triplet(2, 0, 0)],
-        aux=[], test=[Triplet(0, 0, 2)],
-        valid_labels=[1, -1], test_labels=[-1],
-        ikg_entities=frozenset(range(3)), ookg_entities=frozenset(),
-        dangling_ookg=frozenset())
-    fs = build_filter_set(splits)
-    assert Triplet(1, 0, 2) in fs
-    assert Triplet(2, 0, 0) not in fs
-    assert Triplet(0, 0, 2) not in fs
+    # the negative (x, r, b) stays a competitor; the positive (x, r, c) is filtered
+    tables, splits = _line_benchmark([(4, 0, 3), (4, 0, 1), (4, 0, 2)], [1, -1, 1])
+    report = link_prediction(tables, splits, "uniform")
+    assert report.counts["negatives_skipped"] == 1
+    assert report.mrr == 1 / 2  # both positive queries rank behind b only
 
 
 def test_filter_set_matches_linear_scan_oracle():
-    splits = generate_synthetic_splits(5, 40, 4, 200, 0.15, task="classification")
-    fs = build_filter_set(splits)
+    splits, tables = generate_trainable_splits(5, 40, 3, 200, 0.15, task="classification")
     scan = set(splits.train) | set(splits.aux)
     scan |= {t for t, lab in zip(splits.valid, splits.valid_labels) if lab == 1}
     scan |= {t for t, lab in zip(splits.test, splits.test_labels) if lab == 1}
-    assert fs == scan
-    probe = Triplet(0, 0, 0)
-    assert (probe in fs) == (probe in scan)
+    ent = tables.entity
+    ranks = []
+    for (h, r, t), lab in zip(splits.test, splits.test_labels):
+        if lab != 1 or (h in splits.ookg_entities and t in splits.ookg_entities):
+            continue
+        known, answer = (h, t) if h in splits.ookg_entities else (t, h)
+        vec = embed_ookg(tables, splits, "uniform", [known], None)[0][0]
+        dists = {}
+        for c in sorted(splits.ikg_entities):
+            trip = (known, r, c) if known == h else (c, r, known)
+            if c != answer and trip in scan:
+                continue
+            h_vec, t_vec = (vec, ent[c]) if known == h else (ent[c], vec)
+            dists[c] = float(np.abs(h_vec + tables.relation[r] - t_vec).sum())
+        d = dists[answer]
+        ranks.append(sum(x < d for x in dists.values())
+                     + (1 + sum(x == d for x in dists.values())) / 2)
+    report = link_prediction(tables, splits, "uniform")
+    assert report.num_queries == len(ranks) > 0
+    assert report.mrr == pytest.approx(float(np.mean(1.0 / np.array(ranks))), abs=1e-12)
 
 
 def test_filter_set_contains_every_positive_test_triplet():
-    # by construction of the filter: a ranking query can never lose its answer
+    # every answer forms a filtered test triplet with its query, yet stays ranked:
+    # on planted tables a dropped answer would rank 0.5 and lift MRR above 1
     for task in ("lp", "classification"):
-        splits = generate_synthetic_splits(4, 40, 4, 200, 0.15, task=task)
-        fs = build_filter_set(splits)
-        labels = splits.test_labels or [1] * len(splits.test)
-        for trip, lab in zip(splits.test, labels):
-            if lab == 1:
-                assert trip in fs
+        splits, tables = generate_planted_splits(4, 150, 6, 420, 0.1, task=task)
+        report = link_prediction(tables, splits, "uniform")
+        assert report.mrr == 1.0 and report.hits1 == 1.0
 
 
 def test_synthetic_round_trip(tmp_path):
-    splits = generate_synthetic_splits(1, 50, 5, 300, 0.1)
-    write_splits(splits, tmp_path)
-    assert load_split_dir(tmp_path) == splits
+    splits, _ = generate_trainable_splits(1, 40, 3, 200, 0.1)
+    write_splits(splits, tmp_path / "trainable")
+    assert load_split_dir(tmp_path / "trainable") == splits
+    planted, _ = generate_planted_splits(1, 150, 6, 420, 0.1)
+    write_splits(planted, tmp_path / "planted")
+    assert load_split_dir(tmp_path / "planted") == planted
 
 
 def test_synthetic_classification_round_trip(tmp_path):
-    splits = generate_synthetic_splits(2, 30, 3, 120, 0.2, task="classification")
+    splits, _ = generate_trainable_splits(2, 30, 3, 100, 0.2, task="classification")
     write_splits(splits, tmp_path)
     assert load_split_dir(tmp_path, task="classification") == splits
 
 
 def test_synthetic_deterministic_and_byte_identical(tmp_path):
-    a = generate_synthetic_splits(9, 40, 4, 150, 0.1)
-    b = generate_synthetic_splits(9, 40, 4, 150, 0.1)
+    a, _ = generate_trainable_splits(9, 40, 3, 200, 0.1)
+    b, _ = generate_trainable_splits(9, 40, 3, 200, 0.1)
     assert a == b
     write_splits(a, tmp_path / "a")
     write_splits(b, tmp_path / "b")
@@ -202,33 +237,32 @@ def test_synthetic_deterministic_and_byte_identical(tmp_path):
 
 
 def test_synthetic_parameter_validation():
+    for generate in (generate_trainable_splits, generate_planted_splits):
+        with pytest.raises(ValueError):
+            generate(0, 50, 5, 300, 0.0)
+        with pytest.raises(ValueError):
+            generate(0, 50, 5, 300, 1.0)
     with pytest.raises(ValueError):
-        generate_synthetic_splits(0, 50, 5, 300, 0.0)
-    with pytest.raises(ValueError):
-        generate_synthetic_splits(0, 50, 5, 300, 1.0)
-    with pytest.raises(ValueError):
-        generate_synthetic_splits(0, 2, 5, 300, 0.5)
+        generate_trainable_splits(0, 2, 5, 300, 0.5)
 
 
 def test_synthetic_no_dangling_by_construction():
-    splits = generate_synthetic_splits(3, 60, 6, 250, 0.2)
-    assert splits.dangling_ookg == frozenset()
-    aux_entities = {e for t in splits.aux for e in (t.head, t.tail)}
-    assert splits.ookg_entities <= aux_entities
+    for splits, _ in (generate_trainable_splits(3, 40, 3, 200, 0.2),
+                      generate_planted_splits(3, 150, 6, 420, 0.2)):
+        assert splits.dangling_ookg == frozenset()
+        aux_entities = {e for t in splits.aux for e in (t.head, t.tail)}
+        assert splits.ookg_entities <= aux_entities
 
 
 def test_planted_splits_are_exactly_translational():
     splits, tables = generate_planted_splits(13, 200, 8, 600, 0.1)
-    for trip in list(splits.train)[:200] + list(splits.aux)[:100]:
-        assert distance(tables, trip.head, trip.relation, trip.tail) == 0.0
-    for trip in splits.valid[:50]:
-        assert distance(tables, trip.head, trip.relation, trip.tail) == 0.0
+    assert (_distances(tables, list(splits.train)[:200] + list(splits.aux)[:100]) == 0.0).all()
+    assert (_distances(tables, splits.valid[:50]) == 0.0).all()
 
 
 def test_planted_classification_negatives_at_unit_distance():
     splits, tables = generate_planted_splits(13, 200, 8, 600, 0.1, task="classification")
-    for trip, label in zip(splits.test, splits.test_labels):
-        d = distance(tables, trip.head, trip.relation, trip.tail)
+    for d, label in zip(_distances(tables, splits.test), splits.test_labels):
         if label == 1:
             assert d == 0.0
         else:

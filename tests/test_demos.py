@@ -1,4 +1,4 @@
-"""The demos that exercise the public index and estimation API still run."""
+"""The demos that exercise the public API still run (demo 05 trains for long and is left out)."""
 
 import os
 import subprocess
@@ -10,8 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_triple_store_basics.py",
-                                  "04_unseen_entity_estimation.py"])
+@pytest.mark.parametrize("demo", ["01_triple_store_basics.py", "02_synthetic_benchmarks.py",
+                                  "03_pretraining.py", "04_unseen_entity_estimation.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),

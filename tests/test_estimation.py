@@ -5,8 +5,13 @@ import pytest
 
 from invkge.core import Triplet, TripleStore
 from invkge.estimation import cap_neighbors, estimate_candidates
-from invkge.models import ROTATE, TRANSE, EmbeddingTables, distance, init_tables
+from invkge.models import ROTATE, TRANSE, EmbeddingTables, init_tables, translation_distance
 from invkge.seeding import substream
+
+
+def _distance(tables, h, rel, t):
+    return float(translation_distance(tables.model, tables.norm_order, h,
+                                      tables.relation_vec(rel), t))
 
 
 def _transe_fixture():
@@ -51,7 +56,7 @@ def test_invrotate_tail_case_applies_rotation():
     tables = init_tables(1, ROTATE, 4, 5, 3)
     aux = TripleStore([Triplet(2, 1, 0)], num_entities=5, num_relations=3)
     cset = estimate_candidates(tables, aux, [0], ikg_entities={1, 2, 3, 4})
-    expected = tables.entity_vec(2) * np.exp(1j * tables.relation[1])
+    expected = tables.entity_matrix()[2] * np.exp(1j * tables.relation[1])
     assert np.allclose(cset.vectors[0], expected, atol=1e-15)
 
 
@@ -111,9 +116,9 @@ def test_candidates_zero_their_generating_triplet(model):
         cset = estimate_candidates(tables, aux, [e], ikg_entities=set(range(1, n_ent)))
         vec = cset.vectors[0]
         if as_head:
-            assert distance(tables, vec, rel, other) < 1e-6
+            assert _distance(tables, vec, rel, tables.entity_matrix()[other]) < 1e-6
         else:
-            assert distance(tables, other, rel, vec) < 1e-6
+            assert _distance(tables, tables.entity_matrix()[other], rel, vec) < 1e-6
 
 
 def test_invrotate_preserves_source_moduli():
@@ -122,7 +127,7 @@ def test_invrotate_preserves_source_moduli():
     cset = estimate_candidates(tables, aux, [0], ikg_entities={1, 2, 3, 4})
     assert len(cset) == 2
     for vec, source in zip(cset.vectors, cset.source_entity):
-        source_mod = np.abs(tables.entity_vec(source))
+        source_mod = np.abs(tables.entity_matrix()[source])
         assert np.allclose(np.abs(vec), source_mod, atol=1e-12)
 
 
@@ -148,7 +153,7 @@ def test_any_other_vector_has_positive_residual(model):
         else:
             noise = rng.normal(size=5)
         other_vec = cand + noise * 0.1
-        assert distance(tables, other_vec, 1, 3) > 0
+        assert _distance(tables, other_vec, 1, tables.entity_matrix()[3]) > 0
 
 
 def test_cap_noop_when_k_exceeds_count():
@@ -204,7 +209,7 @@ def _scalar_candidates(tables, triplets, entity, ikg):
             other = t if as_head else h
             if other not in ikg:
                 continue
-            src = tables.entity_vec(other)
+            src = tables.entity_matrix()[other]
             if tables.model == ROTATE:
                 rot = np.exp(1j * tables.relation[r])
                 vec = src * np.conj(rot) if as_head else src * rot

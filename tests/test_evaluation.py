@@ -1,13 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from invkge.core import AS_HEAD, AS_TAIL, Triplet
 from invkge.datasets import (BenchmarkSplits, generate_planted_splits,
                              generate_trainable_splits)
-from invkge.evaluation import (EvalReport, FilterIndex, LpQuery, ablate,
-                               filtered_rank, format_report, link_prediction,
+from invkge.evaluation import (EvalReport, FilterIndex, LpQuery, Thresholds, ablate,
+                               embed_ookg, filtered_rank, format_report, link_prediction,
                                triplet_classification, tune_thresholds, write_report_csv)
-from invkge.models import TRANSE, EmbeddingTables
+from invkge.models import ROTATE, TRANSE, EmbeddingTables, init_tables, translation_distance
 
 
 def _line_tables(values, relation=0.0):
@@ -300,6 +302,58 @@ def test_classification_dangling_predicts_negative():
     assert report.accuracy < 1.0
 
 
+def _per_triplet_predictions(tables, splits, scheme, thresholds, neighbor_cap):
+    """Per-triplet reference for triplet_classification: one distance call per test triplet."""
+    ookg = splits.ookg_entities
+    sides = [(entity, trip.relation) for trip in splits.test
+             for entity in (trip.head, trip.tail) if entity in ookg]
+    vectors, found = embed_ookg(tables, splits, scheme, [e for e, _ in sides],
+                                [r for _, r in sides], neighbor_cap=neighbor_cap)
+    embedded = {side: vec if ok else None for side, vec, ok in zip(sides, vectors, found)}
+
+    def resolve(entity, relation):
+        return embedded[(entity, relation)] if entity in ookg else tables.entity_matrix()[entity]
+
+    predictions = []
+    for trip in splits.test:
+        hv, tv = resolve(trip.head, trip.relation), resolve(trip.tail, trip.relation)
+        if hv is None or tv is None:
+            predictions.append(-1)
+            continue
+        d = float(translation_distance(tables.model, tables.norm_order, hv,
+                                       tables.relation_vec(trip.relation), tv))
+        predictions.append(1 if d <= thresholds.for_relation(trip.relation) else -1)
+    return predictions
+
+
+@pytest.mark.parametrize("norm", [1, 2])
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+def test_batched_classification_matches_per_triplet_loop(model, norm):
+    splits, _ = generate_planted_splits(43, 150, 6, 420, 0.1, task="classification")
+    victim = sorted(splits.ookg_entities)[0]  # made dangling: its aux edges are dropped
+    splits = replace(splits, aux=[t for t in splits.aux if victim not in (t.head, t.tail)])
+    n_rel = splits.vocab.num_relations
+    tables = init_tables(5, model, 8, splits.vocab.num_entities, n_rel, norm_order=norm)
+    tuned = tune_thresholds(tables, splits.valid, splits.valid_labels)
+    # relation 0 falls back to the default cutoff
+    shuffled = Thresholds({r: tuned.per_relation.get((r + 1) % n_rel, tuned.default)
+                           for r in range(1, n_rel)}, tuned.default)
+    for thresholds in (tuned, shuffled):
+        for scheme, cap in (("degree", None), ("correlation", None), ("uniform", 1)):
+            expected = _per_triplet_predictions(tables, splits, scheme, thresholds, cap)
+            assert 0 < expected.count(1) < len(expected)
+            report = triplet_classification(tables, splits, scheme, thresholds=thresholds,
+                                            neighbor_cap=cap)
+            n_dangling = sum(victim in (t.head, t.tail) for t in splits.test)
+            assert report.counts == {"dangling": n_dangling}
+            assert report.accuracy == float(np.mean(np.array(expected) == splits.test_labels))
+            for i, (trip, label) in enumerate(zip(splits.test, splits.test_labels)):
+                one = replace(splits, test=[trip], test_labels=[label])
+                single = triplet_classification(tables, one, scheme, thresholds=thresholds,
+                                                neighbor_cap=cap)
+                assert single.accuracy == float(expected[i] == label)
+
+
 def test_lp_requires_positive_labels_only(planted_tc):
     splits, tables = planted_tc
     report = link_prediction(tables, splits, "uniform")
@@ -398,8 +452,8 @@ def test_rotate_pipeline_end_to_end():
         assert rep.mrr > 3.0 * baseline
 
     tc, _ = generate_trainable_splits(3, 150, 6, 1200, 0.1, task="classification")
-    tct, _ = train(tc, cfg.with_overrides(seed=3))
-    rep = triplet_classification(tct, tc, "degree", threads=2)
+    tct, _ = train(tc, replace(cfg, seed=3))
+    rep = triplet_classification(tct, tc, "degree")
     assert rep.accuracy > 0.55  # labels are balanced, so 0.5 is chance
 
 

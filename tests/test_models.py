@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from invkge.core import Vocabulary
-from invkge.models import (ROTATE, TRANSE, EmbeddingTables, distance, init_tables,
-                           load_checkpoint, load_vocabulary, save_checkpoint,
-                           save_vocabulary, score, translation_distance)
+from invkge.models import (ROTATE, TRANSE, EmbeddingTables, init_tables, load_checkpoint,
+                           load_vocabulary, save_checkpoint, save_vocabulary,
+                           translation_distance)
 
 
 def test_init_deterministic():
@@ -51,75 +51,68 @@ def test_init_validation():
         init_tables(0, TRANSE, 4, 3, 2, norm_order=3)
 
 
-def _transe_tables(norm=1):
-    # unused table rows; distances below use raw vectors
-    return EmbeddingTables(TRANSE, 2, norm, np.zeros((1, 2)), np.zeros((1, 2)))
+def _distance(model, norm, h, r, t):
+    return float(translation_distance(model, norm, np.asarray(h), np.asarray(r), np.asarray(t)))
 
 
 def test_transe_distance_examples():
-    t = _transe_tables()
-    assert distance(t, np.array([1.0, 2.0]), np.array([0.5, -1.0]), np.array([1.5, 1.0])) == 0.0
-    assert distance(t, np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([0.0, 0.0])) == 2.0
+    assert _distance(TRANSE, 1, [1.0, 2.0], [0.5, -1.0], [1.5, 1.0]) == 0.0
+    assert _distance(TRANSE, 1, [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]) == 2.0
 
 
 def test_rotate_quarter_turn():
-    t = EmbeddingTables(ROTATE, 1, 1, np.zeros((1, 2)), np.zeros((1, 1)))
     h = np.array([1.0 + 0.0j])
-    theta = np.array([np.pi / 2])
+    r = np.exp(1j * np.array([np.pi / 2]))
     tail = np.array([0.0 + 1.0j])
-    assert distance(t, h, theta, tail) < 1e-12
-
-
-def test_score_is_negative_distance():
-    t = _transe_tables()
-    h = np.array([0.0, 0.0])
-    r = np.array([1.0, 1.0])
-    assert score(t, h, r, np.array([0.0, 0.0])) == -2.0
-    assert score(t, h, r, np.array([1.0, 1.0])) == 0.0
-    # farther tail scores strictly lower
-    assert score(t, h, r, np.array([3.0, 3.0])) < score(t, h, r, np.array([1.5, 1.5]))
+    assert _distance(ROTATE, 1, h, r, tail) < 1e-12
 
 
 def test_distance_by_id_matches_raw_vectors():
+    # table rows picked by id give the distance of the raw parameter vectors
     tables = init_tables(3, TRANSE, 6, 8, 3)
-    d_ids = distance(tables, 2, 1, 5)
-    d_raw = distance(tables, tables.entity[2], tables.relation[1], tables.entity[5])
+    ent = tables.entity_matrix()
+    d_ids = _distance(TRANSE, 1, ent[2], tables.relation_vec(1), ent[5])
+    d_raw = float(np.abs(tables.entity[2] + tables.relation[1] - tables.entity[5]).sum())
     assert d_ids == d_raw
     rt = init_tables(3, ROTATE, 6, 8, 3)
-    assert distance(rt, 2, 1, 5) == pytest.approx(
-        distance(rt, rt.entity_vec(2), rt.relation[1], rt.entity_vec(5)), abs=1e-15)
+    ent = rt.entity_matrix()
+    h = rt.entity[2, 0::2] + 1j * rt.entity[2, 1::2]
+    t = rt.entity[5, 0::2] + 1j * rt.entity[5, 1::2]
+    raw = float(np.abs(h * np.exp(1j * rt.relation[1]) - t).sum())
+    assert _distance(ROTATE, 1, ent[2], rt.relation_vec(1), ent[5]) == pytest.approx(raw,
+                                                                                      abs=1e-15)
 
 
 def test_rotate_accepts_interleaved_floats():
+    # the complex entity matrix is a view of the interleaved (re, im) float rows
     rt = init_tables(4, ROTATE, 3, 4, 2)
-    head_interleaved = rt.entity[1]          # (2d,) floats
-    head_complex = rt.entity_vec(1)          # (d,) complex
-    d1 = distance(rt, head_interleaved, 0, 2)
-    d2 = distance(rt, head_complex, 0, 2)
+    head_complex = rt.entity_matrix()[1]
+    assert np.shares_memory(head_complex, rt.entity)
+    assert np.array_equal(head_complex, rt.entity[1, 0::2] + 1j * rt.entity[1, 1::2])
+    d1 = _distance(ROTATE, 1, rt.entity[1].view(np.complex128), rt.relation_vec(0),
+                   rt.entity_matrix()[2])
+    d2 = _distance(ROTATE, 1, head_complex, rt.relation_vec(0), rt.entity_matrix()[2])
     assert d1 == d2
 
 
 def test_distance_nonnegative_zero_iff_exact():
     rng = np.random.default_rng(11)
-    t1 = _transe_tables(norm=1)
-    t2 = _transe_tables(norm=2)
     for _ in range(50):
         h = rng.normal(size=2)
         r = rng.normal(size=2)
         exact = h + r
-        for tab in (t1, t2):
-            assert distance(tab, h, r, exact) < 1e-12
+        for norm in (1, 2):
+            assert _distance(TRANSE, norm, h, r, exact) < 1e-12
             perturbed = exact + rng.normal(size=2) * 0.1 + 0.01
-            assert distance(tab, h, r, perturbed) > 0
+            assert _distance(TRANSE, norm, h, r, perturbed) > 0
 
 
 def test_permutation_invariance():
     rng = np.random.default_rng(13)
-    t = EmbeddingTables(TRANSE, 5, 1, np.zeros((1, 5)), np.zeros((1, 5)))
     h, r, tl = rng.normal(size=5), rng.normal(size=5), rng.normal(size=5)
     perm = rng.permutation(5)
-    assert distance(t, h, r, tl) == pytest.approx(distance(t, h[perm], r[perm], tl[perm]),
-                                                  abs=1e-12)
+    assert _distance(TRANSE, 1, h, r, tl) == pytest.approx(
+        _distance(TRANSE, 1, h[perm], r[perm], tl[perm]), abs=1e-12)
 
 
 def test_rotate_rotation_preserves_modulus():
@@ -131,9 +124,7 @@ def test_rotate_rotation_preserves_modulus():
 
 
 def test_l2_norm_order():
-    t = _transe_tables(norm=2)
-    d = distance(t, np.array([0.0, 0.0]), np.array([3.0, 4.0]), np.array([0.0, 0.0]))
-    assert d == pytest.approx(5.0)
+    assert _distance(TRANSE, 2, [0.0, 0.0], [3.0, 4.0], [0.0, 0.0]) == pytest.approx(5.0)
 
 
 def test_translation_distance_broadcasts():
@@ -145,10 +136,13 @@ def test_translation_distance_broadcasts():
     assert np.all(d == 3.0)
 
 
-def test_non_finite_rejected():
-    t = _transe_tables()
-    with pytest.raises(ValueError):
-        distance(t, np.array([np.inf, 0.0]), np.array([0.0, 0.0]), np.array([0.0, 0.0]))
+def test_non_finite_rejected(tmp_path):
+    # non-finite parameters enter through checkpoints, which refuse them
+    tables = init_tables(0, TRANSE, 2, 3, 1)
+    tables.entity[1, 0] = np.inf
+    save_checkpoint(tables, tmp_path / "inf.bin")
+    with pytest.raises(ValueError, match="non-finite"):
+        load_checkpoint(tmp_path / "inf.bin")
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -202,3 +196,13 @@ def test_vocabulary_sidecar_round_trip(tmp_path):
     path = tmp_path / "vocab.json"
     save_vocabulary(vocab, path)
     assert load_vocabulary(path) == vocab
+
+
+@pytest.mark.parametrize("payload", ['{"entities": []}', '{"relations": []}',
+                                     '{"entities": ["a", 3], "relations": []}',
+                                     '{"entities": "ab", "relations": []}', '["a"]'])
+def test_malformed_vocabulary_sidecar_rejected(tmp_path, payload):
+    path = tmp_path / "vocab.json"
+    path.write_text(payload, encoding="utf-8")
+    with pytest.raises(ValueError, match="vocab.json"):
+        load_vocabulary(path)

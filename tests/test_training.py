@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from invkge.core import Triplet, TripleStore
-from invkge.datasets import generate_synthetic_splits, generate_trainable_splits
+from invkge.datasets import generate_trainable_splits
 from invkge.models import (ROTATE, TRANSE, EmbeddingTables, init_tables, load_checkpoint,
                            save_checkpoint, translation_distance)
 from invkge.training import (REFERENCE_CONFIGS, Adam, TrainConfig, TrainingDivergedError,
@@ -173,8 +173,8 @@ def _kink_free_instance(model, norm, rng, dim, n_neg):
         negs = sample_negatives(rng, pos, n_neg, n_ent)
         smallest = np.inf
         for trip in [pos] + negs:
-            h = tables.entity_vec(trip.head)
-            t = tables.entity_vec(trip.tail)
+            h = tables.entity_matrix()[trip.head]
+            t = tables.entity_matrix()[trip.tail]
             r = tables.relation_vec(trip.relation)
             u = h * r - t if model == ROTATE else h + r - t
             smallest = min(smallest, float(np.abs(u).min()))
@@ -363,7 +363,7 @@ def test_adam_descends_and_leaves_untouched_rows_alone():
 # ---------------------------------------------------------------------------
 
 def test_zero_steps_returns_initialization():
-    splits = generate_synthetic_splits(1, 30, 3, 100, 0.1)
+    splits, _ = generate_trainable_splits(1, 30, 3, 100, 0.1)
     cfg = TrainConfig(dim=8, margin=2.0, num_negatives=4, batch_size=16, steps=0, seed=5)
     tables, trace = train(splits, cfg)
     init = init_tables(5, TRANSE, 8, splits.vocab.num_entities,
@@ -374,7 +374,7 @@ def test_zero_steps_returns_initialization():
 
 
 def test_training_deterministic_per_seed():
-    splits = generate_synthetic_splits(2, 30, 3, 100, 0.1)
+    splits, _ = generate_trainable_splits(2, 30, 3, 100, 0.1)
     cfg = TrainConfig(dim=8, margin=2.0, num_negatives=4, batch_size=16, steps=50,
                       seed=7, log_every=10)
     t1, trace1 = train(splits, cfg)
@@ -421,7 +421,7 @@ def test_training_separates_train_triplets_from_random(model):
 
 
 def test_empty_train_split_rejected():
-    splits = generate_synthetic_splits(1, 30, 3, 100, 0.1)
+    splits, _ = generate_trainable_splits(1, 30, 3, 100, 0.1)
     splits.train.clear()
     with pytest.raises(ValueError):
         train(splits, TrainConfig(dim=4, steps=1))
@@ -429,7 +429,7 @@ def test_empty_train_split_rejected():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_aborts_with_step_number():
-    splits = generate_synthetic_splits(1, 20, 3, 60, 0.15)
+    splits, _ = generate_trainable_splits(1, 20, 3, 80, 0.15)
     cfg = TrainConfig(dim=4, margin=1.0, num_negatives=2, batch_size=8, steps=20,
                       learning_rate=1e200, norm_order=2, log_every=1)
     with pytest.raises(TrainingDivergedError) as err:
@@ -438,8 +438,8 @@ def test_divergence_aborts_with_step_number():
 
 
 def test_batch_larger_than_training_set_wraps_epochs():
-    splits = generate_synthetic_splits(4, 12, 2, 10, 0.2)
-    cfg = TrainConfig(dim=4, margin=1.0, num_negatives=2, batch_size=32, steps=15,
+    splits, _ = generate_trainable_splits(4, 20, 3, 80, 0.15)
+    cfg = TrainConfig(dim=4, margin=1.0, num_negatives=2, batch_size=128, steps=15,
                       seed=1, log_every=5)
     tables, trace = train(splits, cfg)
     assert np.isfinite(trace[-1][1])
@@ -452,7 +452,7 @@ def test_negative_seed_rejected():
 
 
 def test_filter_false_negatives_flag_runs(caplog):
-    splits = generate_synthetic_splits(6, 20, 3, 80, 0.15)
+    splits, _ = generate_trainable_splits(6, 20, 3, 80, 0.15)
     cfg = TrainConfig(dim=8, margin=1.0, num_negatives=4, batch_size=16, steps=20,
                       seed=3, filter_false_negatives=True, log_every=10)
     with caplog.at_level(logging.INFO, logger="invkge.training"):
@@ -489,11 +489,12 @@ def _true_negatives(store, batch, neg_entity, neg_is_head):
 
 @pytest.mark.parametrize("num_entities,num_train", [(20, 80), (10, 150)])
 def test_vectorized_false_negative_filter_matches_loop(num_entities, num_train):
-    # (10, 150) is dense enough that some true triplets survive all passes
-    splits = generate_synthetic_splits(6, num_entities, 3, num_train, 0.15)
-    n_ent = splits.vocab.num_entities
-    store = TripleStore(splits.train, n_ent, splits.vocab.num_relations)
-    data = np.array(splits.train, dtype=np.int64)
+    # uniform random graphs; (10, 150) is dense enough that some true triplets
+    # survive all passes, which no generated benchmark of that size is
+    n_ent = num_entities
+    keys = np.random.default_rng(6).choice(n_ent * 3 * n_ent, size=num_train, replace=False)
+    data = np.stack(np.unravel_index(keys, (n_ent, 3, n_ent)), axis=1).astype(np.int64)
+    store = TripleStore(map(Triplet._make, data.tolist()), n_ent, 3)
     survived = 0
     for seed in range(6):
         rng = np.random.default_rng(seed)
@@ -501,7 +502,7 @@ def test_vectorized_false_negative_filter_matches_loop(num_entities, num_train):
         neg_entity, neg_is_head = _sample_negative_batch(rng, batch, 16, n_ent)
         expected = neg_entity.copy()
         rng_loop, rng_vec = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
-        _resample_loop(rng_loop, batch, expected, neg_is_head, n_ent, frozenset(splits.train))
+        _resample_loop(rng_loop, batch, expected, neg_is_head, n_ent, frozenset(store))
         count = _resample_true_negatives(rng_vec, batch, neg_entity, neg_is_head, n_ent, store)
         assert np.array_equal(neg_entity, expected)
         assert rng_loop.integers(1 << 30) == rng_vec.integers(1 << 30)
@@ -511,7 +512,7 @@ def test_vectorized_false_negative_filter_matches_loop(num_entities, num_train):
 
 
 def test_false_negative_filter_leaves_no_true_triplet():
-    splits = generate_synthetic_splits(6, 20, 3, 80, 0.15)
+    splits, _ = generate_trainable_splits(6, 20, 3, 80, 0.15)
     n_ent = splits.vocab.num_entities
     store = TripleStore(splits.train, n_ent, splits.vocab.num_relations)
     data = np.array(splits.train, dtype=np.int64)
@@ -526,7 +527,7 @@ def test_false_negative_filter_leaves_no_true_triplet():
 
 @pytest.mark.parametrize("model", [TRANSE, ROTATE])
 def test_trained_tables_equal_their_checkpoint(model, tmp_path):
-    splits = generate_synthetic_splits(2, 30, 3, 100, 0.1)
+    splits, _ = generate_trainable_splits(2, 30, 3, 100, 0.1)
     cfg = TrainConfig(model=model, dim=8, margin=2.0, num_negatives=4, batch_size=16,
                       steps=30, seed=7, l2=1e-3)
     tables, _ = train(splits, cfg)
