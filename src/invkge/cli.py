@@ -3,8 +3,9 @@
 Every option resolves with the precedence CLI flag > INVKGE_* environment
 variable > --config key=value file > built-in default, and each run echoes
 its fully resolved configuration to <out>/config.txt so that
-``invkge <cmd> --config <out>/config.txt`` reproduces it bit-for-bit (serial
-mode). All randomness flows from a single --seed through named substreams.
+``invkge <cmd> --config <out>/config.txt`` reproduces it bit-for-bit. Every
+command runs serially. All randomness flows from a single --seed through named
+substreams.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .evaluation import (ablate, embed_ookg, format_report, link_prediction,
                          triplet_classification, tune_thresholds, write_report_csv)
 from .models import (ROTATE, load_checkpoint, load_vocabulary, save_checkpoint,
                      save_vocabulary)
-from .reduction import (CORRELATION, DEGREE, SCHEMES, UNIFORM, build_correlation,
+from .reduction import (CORRELATION, DEGREE, SCHEMES, build_correlation,
                         save_correlation_csv)
 from .training import TrainConfig, TrainingDivergedError, train
 
@@ -111,9 +112,9 @@ _SPECS: dict[str, dict] = {
 }
 
 
-def _read_config_file(path: str, command: str) -> dict[str, str]:
-    """Option values of a key=value file, skipping the echoed ``command=<command>`` line."""
-    values: dict[str, str] = {}
+def _read_config_file(path: str, command: str) -> dict[str, tuple[str, str]]:
+    """``key -> (value, "file:line")`` of a key=value file, less the echoed command line."""
+    values: dict[str, tuple[str, str]] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -126,8 +127,16 @@ def _read_config_file(path: str, command: str) -> dict[str, str]:
                 continue
             if key not in _SPECS[command]:
                 raise UsageError(f"{path}:{lineno}: {key}={value} is not an option of {command}")
-            values[key] = value
+            values[key] = (value, f"{path}:{lineno}")
     return values
+
+
+def _cast(cast, name: str, text: str, source: str):
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise ValueError(f"{source}: bad value {text!r} for --{name.replace('_', '-')}: "
+                         f"{exc}") from None
 
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
@@ -141,14 +150,18 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             continue
         env_value = os.environ.get(ENV_PREFIX + name.upper())
         if env_value is not None:
-            resolved[name] = cast(env_value)
+            resolved[name] = _cast(cast, name, env_value, ENV_PREFIX + name.upper())
             continue
-        if name in file_values and file_values[name] != "":
-            resolved[name] = cast(file_values[name])
+        if name in file_values and file_values[name][0] != "":
+            resolved[name] = _cast(cast, name, *file_values[name])
             continue
         if default is _REQUIRED:
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
         resolved[name] = default
+    if resolved.get("threads", 1) != 1:
+        raise UsageError("every command runs serially; --threads must be 1")
+    if resolved.get("scheme") not in (None, *SCHEMES):
+        raise UsageError(f"unknown scheme {resolved['scheme']!r}")
     return resolved
 
 
@@ -181,8 +194,6 @@ def _load_tables(path: str, splits: BenchmarkSplits):
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
     cfg = _resolve("pretrain", args)
-    if cfg["threads"] != 1:
-        raise UsageError("pretraining is serial; --threads must be 1")
     splits = _load_benchmark(cfg)
     config = TrainConfig(model=cfg["model"], dim=cfg["dim"], margin=cfg["gamma"],
                          temperature=cfg["alpha"], num_negatives=cfg["neg"], l2=cfg["l2"],
@@ -206,13 +217,9 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _resolve("estimate", args)
-    if cfg["threads"] != 1:
-        raise UsageError("--threads > 1 is only supported for evaluation")
     if cfg["scheme"] == CORRELATION:
         raise UsageError("correlation weights are query-aware and only defined per "
                          "evaluation query; use --scheme degree or uniform here")
-    if cfg["scheme"] not in (DEGREE, UNIFORM):
-        raise UsageError(f"unknown scheme {cfg['scheme']!r}")
     splits = _load_benchmark(cfg)
     _check_vocab(cfg, splits)
     tables = _load_tables(cfg["checkpoint"], splits)
@@ -243,8 +250,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _resolve("eval", args)
-    if cfg["scheme"] is not None and cfg["scheme"] not in SCHEMES:
-        raise UsageError(f"unknown scheme {cfg['scheme']!r}")
     splits = _load_benchmark(cfg)
     _check_vocab(cfg, splits)
     tables = _load_tables(cfg["checkpoint"], splits)
@@ -255,8 +260,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if cfg["task"] == "lp":
         scheme = scheme or CORRELATION
         report = link_prediction(tables, splits, scheme, smoothing=cfg["delta"],
-                                 neighbor_cap=cfg["cap"], seed=cfg["seed"],
-                                 threads=cfg["threads"])
+                                 neighbor_cap=cfg["cap"], seed=cfg["seed"])
         label = f"lp-{scheme}"
     else:
         scheme = scheme or DEGREE
@@ -318,8 +322,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         _, tables, splits = ratio_runs[0]  # ablate() needs a base pair; unused for ratio
 
     results = ablate(tables, splits, variants, task=cfg["task"], scheme=cfg["scheme"],
-                     smoothing=cfg["delta"], seed=cfg["seed"], threads=cfg["threads"],
-                     ratio_runs=ratio_runs)
+                     smoothing=cfg["delta"], seed=cfg["seed"], ratio_runs=ratio_runs)
 
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -95,6 +95,8 @@ def _parse_file(path: str | Path, labeled: bool) -> list[tuple[str, str, str, in
                 detail = "label column unexpected for this task" if len(cols) == 4 and not labeled \
                     else f"expected {expected} tab-separated columns, got {len(cols)}"
                 raise DatasetFormatError(f"{path}:{lineno}: {detail}")
+            if "" in cols[:3]:
+                raise DatasetFormatError(f"{path}:{lineno}: empty entity or relation field")
             label = _parse_label(cols[3], path, lineno) if labeled else None
             rows.append((cols[0], cols[1], cols[2], label))
     return rows

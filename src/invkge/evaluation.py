@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import logging
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,28 +87,25 @@ def filtered_rank(tables: EmbeddingTables, query: LpQuery, filter_index: FilterI
 
     Candidates other than the answer that form a known-true triplet with the
     query are dropped; ties are resolved to the mean of the optimistic and
-    pessimistic positions.
+    pessimistic positions. Distances are taken against the whole entity table
+    in place, and the kept candidates are selected from them by a mask.
     """
     cids = np.asarray(candidate_ids)
-    pos = np.flatnonzero(cids == query.answer)
-    if pos.size == 0:
+    if not np.any(cids == query.answer):
         raise ValueError(f"ground truth {query.answer} is not among the candidates")
-    dists = _candidate_distances(tables, query, cids)
-    keep = filter_index.keep_mask(query, cids)
-    gt_d = dists[pos[0]]
+    ent = tables.entity_matrix()
+    rel = tables.relation_vec(query.relation)
+    if query.missing == AS_TAIL:
+        dists = translation_distance(tables.model, tables.norm_order, query.known_vec, rel, ent)
+    else:
+        dists = translation_distance(tables.model, tables.norm_order, ent, rel, query.known_vec)
+    keep = np.zeros(len(ent), dtype=bool)
+    keep[cids] = filter_index.keep_mask(query, cids)
+    gt_d = dists[query.answer]
     kept = dists[keep]
     better = int(np.count_nonzero(kept < gt_d))
     tied = int(np.count_nonzero(kept == gt_d))  # includes the ground truth
     return better + (1 + tied) / 2.0
-
-
-def _candidate_distances(tables: EmbeddingTables, query: LpQuery,
-                         cids: np.ndarray) -> np.ndarray:
-    cand = tables.entity_matrix()[cids]
-    rel = tables.relation_vec(query.relation)
-    if query.missing == AS_TAIL:
-        return translation_distance(tables.model, tables.norm_order, query.known_vec, rel, cand)
-    return translation_distance(tables.model, tables.norm_order, cand, rel, query.known_vec)
 
 
 def embed_ookg(tables: EmbeddingTables, splits: BenchmarkSplits, scheme: str,
@@ -153,18 +149,10 @@ def embed_ookg(tables: EmbeddingTables, splits: BenchmarkSplits, scheme: str,
     return vectors[inverse], found[inverse]
 
 
-def _map_ordered(fn: Callable, items: list, threads: int) -> list:
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 def link_prediction(tables: EmbeddingTables, splits: BenchmarkSplits,
                     scheme: str = CORRELATION, *,
                     smoothing: float = DEFAULT_SMOOTHING,
-                    neighbor_cap: int | None = None, seed: int = 0,
-                    threads: int = 1) -> EvalReport:
+                    neighbor_cap: int | None = None, seed: int = 0) -> EvalReport:
     """Filtered MRR / Hits@1 / Hits@10 over the test split.
 
     For each test triplet the OOKG side is estimated and reduced (per query
@@ -172,10 +160,11 @@ def link_prediction(tables: EmbeddingTables, splits: BenchmarkSplits,
     entity is ranked against all in-graph entities. Dangling OOKG entities
     receive the worst post-filter rank and are counted in the report.
     """
-    labeled = ((splits.valid, splits.valid_labels), (splits.test, splits.test_labels))
-    positives = [t for part, labels in labeled for i, t in enumerate(part)
-                 if labels is None or labels[i] == 1]
-    findex = FilterIndex(chain(splits.train, splits.aux, positives),
+    # Train and valid triplets hold only in-graph entities and a query's known side is
+    # out-of-graph, so they can never match a query; only aux and test are indexed.
+    labels = splits.test_labels
+    positives = [t for i, t in enumerate(splits.test) if labels is None or labels[i] == 1]
+    findex = FilterIndex(chain(splits.aux, positives),
                          splits.vocab.num_entities, splits.vocab.num_relations)
     cids = np.array(sorted(splits.ikg_entities), dtype=np.int64)
     if cids.size == 0:
@@ -184,7 +173,6 @@ def link_prediction(tables: EmbeddingTables, splits: BenchmarkSplits,
     counts: dict[str, int] = defaultdict(int)
 
     queries: list[tuple[int, int, str, int]] = []  # (known OOKG side, relation, missing, answer)
-    labels = splits.test_labels
     for i, trip in enumerate(splits.test):
         if labels is not None and labels[i] != 1:
             counts["negatives_skipped"] += 1
@@ -202,15 +190,13 @@ def link_prediction(tables: EmbeddingTables, splits: BenchmarkSplits,
                                 neighbor_cap=neighbor_cap, seed=seed)
     if not found.all():
         counts["dangling"] = int(np.count_nonzero(~found))
-    jobs = [LpQuery(entity, vec if ok else None, relation, missing, answer)
-            for (entity, relation, missing, answer), vec, ok in zip(queries, vectors, found)]
-
-    def rank_one(query: LpQuery) -> float:
-        if query.known_vec is None:  # dangling
-            return float(np.count_nonzero(findex.keep_mask(query, cids)))  # worst possible rank
-        return filtered_rank(tables, query, findex, cids)
-
-    ranks = np.array(_map_ordered(rank_one, jobs, threads))
+    ranks = np.empty(len(queries))
+    for i, (entity, relation, missing, answer) in enumerate(queries):
+        query = LpQuery(entity, vectors[i] if found[i] else None, relation, missing, answer)
+        if found[i]:
+            ranks[i] = filtered_rank(tables, query, findex, cids)
+        else:  # dangling: the worst possible rank
+            ranks[i] = np.count_nonzero(findex.keep_mask(query, cids))
     report = EvalReport(
         task="lp",
         num_queries=len(ranks),
@@ -313,7 +299,7 @@ def triplet_classification(tables: EmbeddingTables, splits: BenchmarkSplits,
 
 def ablate(tables: EmbeddingTables, splits: BenchmarkSplits, variants: list[str], *,
            task: str = "lp", scheme: str | None = None,
-           smoothing: float = DEFAULT_SMOOTHING, seed: int = 0, threads: int = 1,
+           smoothing: float = DEFAULT_SMOOTHING, seed: int = 0,
            ratio_runs: list[tuple[str, EmbeddingTables, BenchmarkSplits]] | None = None,
            ) -> list[tuple[str, EvalReport]]:
     """Run the requested ablation variants and return (name, report) pairs.
@@ -328,7 +314,7 @@ def ablate(tables: EmbeddingTables, splits: BenchmarkSplits, variants: list[str]
     def run(run_tables, run_splits, run_scheme, cap):
         if task == "lp":
             return link_prediction(run_tables, run_splits, run_scheme, smoothing=smoothing,
-                                   neighbor_cap=cap, seed=seed, threads=threads)
+                                   neighbor_cap=cap, seed=seed)
         return triplet_classification(run_tables, run_splits, run_scheme, smoothing=smoothing,
                                       neighbor_cap=cap, seed=seed)
 

@@ -1,13 +1,17 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from invkge.cli import main
-from invkge.datasets import generate_planted_splits, generate_trainable_splits, write_splits
+from invkge.core import AS_HEAD, AS_TAIL
+from invkge.datasets import (generate_planted_splits, generate_trainable_splits, load_split_dir,
+                             write_splits)
+from invkge.evaluation import FilterIndex, LpQuery, embed_ookg, filtered_rank
 from invkge.models import TRANSE, init_tables, load_checkpoint, save_checkpoint
 
 
@@ -394,3 +398,107 @@ def test_module_invocation_exit_codes(lp_dataset, tmp_path):
     (broken / "train.txt").write_text("a\tr\n", encoding="utf-8")
     assert run(*_split_flags(broken)) == 1
     assert run("--train", str(root / "train.txt")) == 2
+
+
+def test_eval_threads_must_be_one(lp_dataset, tmp_path, capsys):
+    root, _, _ = lp_dataset
+    args = ["eval", *_split_flags(root), "--checkpoint", str(root / "gt.bin"), "--task", "lp"]
+    for threads in ("2", "0", "-3"):
+        assert main(args + ["--threads", threads, "--out", str(tmp_path / "t")]) == 2
+        assert "--threads must be 1" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+    out1, out2 = tmp_path / "e1", tmp_path / "e2"
+    assert main(args + ["--threads", "1", "--out", str(out1)]) == 0
+    assert "threads=1" in (out1 / "config.txt").read_text().splitlines()
+    assert main(["eval", "--config", str(out1 / "config.txt"), "--out", str(out2)]) == 0
+    for name in ("report.csv", "report.txt"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_eval_lp_ignores_out_of_graph_table_rows(tmp_path):
+    # One test triplet per OOKG entity, whose own table row is then moved to beat its
+    # query's answer: only a ranking that read out-of-graph rows would see the change.
+    splits, tables = generate_planted_splits(61, 150, 6, 420, 0.1, task="lp")
+    ookg, seen, test = splits.ookg_entities, set(), []
+    for t in splits.test:
+        side = t.head if t.head in ookg else t.tail
+        if side not in seen and side not in splits.dangling_ookg \
+                and not (t.head in ookg and t.tail in ookg):
+            seen.add(side)
+            test.append(t)
+    root = tmp_path / "data"
+    write_splits(replace(splits, test=test), root)
+    loaded = load_split_dir(root)
+    assert loaded.vocab == splits.vocab and loaded.test == test
+    rng = np.random.default_rng(5)
+    noisy = replace(tables, entity=tables.entity + rng.normal(scale=0.1, size=tables.entity.shape))
+    save_checkpoint(noisy, root / "clean.bin")
+    clean, _ = load_checkpoint(root / "clean.bin")
+
+    known = [t.head if t.head in ookg else t.tail for t in test]
+    vectors, found = embed_ookg(clean, loaded, "degree", known, None)
+    assert found.all()
+    poisoned = clean.copy()
+    queries = []
+    for t, entity, vec in zip(test, known, vectors):
+        rel = clean.relation[t.relation]
+        if entity == t.head:  # tail candidates e score |vec + r - e|
+            poisoned.entity[entity] = vec + rel
+            queries.append(LpQuery(entity, vec, t.relation, AS_TAIL, t.tail))
+        else:  # head candidates e score |e + r - vec|
+            poisoned.entity[entity] = vec - rel
+            queries.append(LpQuery(entity, vec, t.relation, AS_HEAD, t.head))
+    save_checkpoint(poisoned, root / "poisoned.bin")
+    poisoned, _ = load_checkpoint(root / "poisoned.bin")
+    cids = np.array(sorted(loaded.ikg_entities))
+    everyone = np.arange(loaded.vocab.num_entities)
+    for query in queries:  # every answer is beaten once out-of-graph rows compete
+        assert filtered_rank(poisoned, query, FilterIndex([]), everyone) \
+            > filtered_rank(poisoned, query, FilterIndex([]), cids)
+
+    outs = []
+    for name in ("clean.bin", "poisoned.bin"):
+        out = tmp_path / name
+        assert main(["eval", *_split_flags(root), "--checkpoint", str(root / name),
+                     "--task", "lp", "--scheme", "degree", "--out", str(out)]) == 0
+        outs.append(out)
+    for name in ("report.csv", "report.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_validate_rejects_empty_fields(lp_dataset, tmp_path, capsys):
+    root, _, _ = lp_dataset
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for name in ("train.txt", "valid.txt", "aux.txt", "test.txt"):
+        (broken / name).write_bytes((root / name).read_bytes())
+    lines = (root / "train.txt").read_text(encoding="utf-8").splitlines()
+    head, relation, _ = lines[0].split("\t")
+    (broken / "train.txt").write_text("\n".join(lines + [f"{head}\t{relation}\t"]) + "\n",
+                                      encoding="utf-8")
+    assert main(["validate", *_split_flags(broken)]) == 1
+    err = capsys.readouterr().err
+    assert f"{broken / 'train.txt'}:{len(lines) + 1}: empty entity or relation field" in err
+
+
+def test_ablate_rejects_unknown_scheme_before_loading(lp_dataset, tmp_path, capsys):
+    root, _, _ = lp_dataset
+    rc = main(["ablate", *_split_flags(root), "--checkpoint", str(tmp_path / "missing.bin"),
+               "--variants", "uniform", "--scheme", "bogus", "--out", str(tmp_path / "a")])
+    assert rc == 2
+    assert "unknown scheme 'bogus'" in capsys.readouterr().err
+
+
+def test_bad_values_name_the_option_and_source(lp_dataset, tmp_path, capsys, monkeypatch):
+    root, _, _ = lp_dataset
+    args = ["pretrain", *_split_flags(root), "--dim", "4"]
+    monkeypatch.setenv("INVKGE_SEED", "abc")
+    assert main(args + ["--steps", "0", "--out", str(tmp_path / "env")]) == 1
+    err = capsys.readouterr().err
+    assert "INVKGE_SEED: bad value 'abc' for --seed" in err and "Traceback" not in err
+    monkeypatch.delenv("INVKGE_SEED")
+    config = tmp_path / "config.txt"
+    config.write_text("command=pretrain\nlog_every=5\nsteps=abc\n", encoding="utf-8")
+    assert main(args + ["--config", str(config), "--out", str(tmp_path / "file")]) == 1
+    err = capsys.readouterr().err
+    assert f"{config}:3: bad value 'abc' for --steps" in err and "Traceback" not in err
