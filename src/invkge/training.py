@@ -76,6 +76,8 @@ class TrainConfig:
             raise ValueError("norm_order must be 1 or 2")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.log_every < 1:
+            raise ValueError("log_every must be at least 1")
 
 
 class Adam:

@@ -88,6 +88,17 @@ def test_pretrain_rejects_threads(lp_dataset, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("log_every", ["0", "-1"])
+def test_pretrain_rejects_log_every_below_one(lp_dataset, tmp_path, capsys, log_every):
+    root, _, _ = lp_dataset
+    out = tmp_path / "x"
+    rc = main(["pretrain", *_split_flags(root), "--dim", "4", "--steps", "2",
+               "--log-every", log_every, "--out", str(out)])
+    assert rc == 1
+    assert "log_every must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pretrain_missing_required_flag(tmp_path):
     rc = main(["pretrain", "--out", str(tmp_path / "x")])
     assert rc == 2

@@ -1,8 +1,10 @@
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
+from invkge import evaluation
 from invkge.core import AS_HEAD, AS_TAIL, Triplet
 from invkge.datasets import (BenchmarkSplits, generate_planted_splits,
                              generate_trainable_splits)
@@ -65,6 +67,13 @@ def test_answer_must_be_a_candidate():
         filtered_rank(tables, query, FilterIndex([]), np.arange(2))
 
 
+def _oracle_distance(tables, h, r, t):
+    """One triplet's distance from raw vectors: L1 or L2 over element moduli."""
+    u = h * np.exp(1j * r) - t if tables.model == ROTATE else h + r - t
+    a = np.abs(u)
+    return float(a.sum()) if tables.norm_order == 1 else float(np.sqrt((a * a).sum()))
+
+
 def _oracle_rank(tables, query, filter_triplets, candidate_ids):
     """Exhaustive-sort oracle with best/worst tie positions averaged."""
     known = set()
@@ -74,44 +83,86 @@ def _oracle_rank(tables, query, filter_triplets, candidate_ids):
         if query.missing == AS_HEAD and (r, t) == (query.relation, query.known_entity):
             known.add(h)
     scored = []
+    rel = tables.relation[query.relation]
     for cid in candidate_ids:
         if cid != query.answer and cid in known:
             continue
-        cand = tables.entity[cid]
+        cand = tables.entity_matrix()[cid]
         if query.missing == AS_TAIL:
-            d = float(np.abs(query.known_vec + tables.relation[query.relation] - cand).sum())
+            d = _oracle_distance(tables, query.known_vec, rel, cand)
         else:
-            d = float(np.abs(cand + tables.relation[query.relation] - query.known_vec).sum())
+            d = _oracle_distance(tables, cand, rel, query.known_vec)
         scored.append((d, int(cid)))
     scored.sort(key=lambda x: x[0])
-    positions = [i + 1 for i, (d, cid) in enumerate(scored) if cid == query.answer]
     d_answer = next(d for d, cid in scored if cid == query.answer)
     best = 1 + sum(1 for d, _ in scored if d < d_answer)
     worst = sum(1 for d, _ in scored if d <= d_answer)
     return (best + worst) / 2.0
 
 
-def test_filtered_rank_matches_oracle_on_random_instances():
+def test_filtered_rank_matches_oracle_on_random_instances(monkeypatch):
     rng = np.random.default_rng(17)
-    for _ in range(40):
-        n = 20
+    n = 20
+    in_last_partial_block = 0
+    for i, (model, norm, _) in enumerate(product((TRANSE, ROTATE), (1, 2), range(60))):
         dim = int(rng.integers(1, 4))
-        entity = np.round(rng.normal(size=(n, dim)) * 2) / 2  # coarse grid forces ties
+        width = 2 * dim if model == ROTATE else dim
+        entity = np.round(rng.normal(size=(n, width)) * 2) / 2  # coarse grid forces ties
         relation = np.round(rng.normal(size=(2, dim)) * 2) / 2
-        tables = EmbeddingTables(TRANSE, dim, 1, entity, relation)
+        tables = EmbeddingTables(model, dim, norm, entity, relation)
+        ent = tables.entity_matrix()
         filter_triplets = [Triplet(int(rng.integers(n)), int(rng.integers(2)),
                                    int(rng.integers(n))) for _ in range(30)]
         # a random strict subset holding the answer: rows outside it must be ignored
         cids = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
         answer = int(rng.choice(cids))
         query = LpQuery(known_entity=int(rng.integers(n)),
-                        known_vec=entity[int(rng.integers(n))],
+                        known_vec=ent[int(rng.integers(n))],
                         relation=int(rng.integers(2)),
                         missing=AS_TAIL if rng.random() < 0.5 else AS_HEAD,
                         answer=answer)
+        # one row per block, then blocks of 3 and 7 rows that leave a partial last block
+        step = (1, 3, 7)[i % 3]
+        monkeypatch.setattr(evaluation, "_RANK_BLOCK_BYTES", step * ent.shape[1] * ent.itemsize)
+        in_last_partial_block += step > 1 and answer >= n - n % step
         got = filtered_rank(tables, query, FilterIndex(filter_triplets), cids)
         expected = _oracle_rank(tables, query, filter_triplets, cids)
         assert got == expected
+    assert in_last_partial_block > 0
+
+
+@pytest.mark.parametrize("norm", [1, 2])
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+@pytest.mark.parametrize("missing", [AS_TAIL, AS_HEAD])
+def test_blocked_distances_equal_whole_table_call(monkeypatch, model, norm, missing):
+    rng = np.random.default_rng(23)
+    dim = 5
+    probe = init_tables(0, model, dim, 1, 1, norm_order=norm).entity_matrix()
+    step = evaluation._RANK_BLOCK_BYTES // (probe.shape[1] * probe.itemsize)
+    blocks = []
+
+    def recording_distance(*args):
+        out = translation_distance(*args)
+        blocks.append(out)
+        return out
+
+    monkeypatch.setattr(evaluation, "translation_distance", recording_distance)
+    for n in (1, step - 1, step, step + 1, 3 * step + 2):
+        tables = init_tables(int(rng.integers(1 << 30)), model, dim, n, 2, norm_order=norm)
+        ent = tables.entity_matrix()
+        known = ent[0] * 1.5
+        query = LpQuery(known_entity=0, known_vec=known, relation=1, missing=missing,
+                        answer=n - 1)
+        blocks.clear()
+        rank = filtered_rank(tables, query, FilterIndex([]), np.arange(n))
+        rel = tables.relation_vec(1)
+        h, t = (known, ent) if missing == AS_TAIL else (ent, known)
+        whole = translation_distance(model, norm, h, rel, t)
+        assert len(blocks) == -(-n // step)
+        assert max(len(b) for b in blocks) <= step  # no table-sized temporaries
+        assert np.array_equal(np.concatenate(blocks), whole)
+        better = np.count_nonzero(whole < whole[-1])
+        assert rank == better + (1 + np.count_nonzero(whole == whole[-1])) / 2.0
 
 
 def test_filtered_rank_never_worse_than_raw():
