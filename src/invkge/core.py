@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from itertools import chain
+from collections import defaultdict
+from collections.abc import Sequence
+from itertools import count, islice
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -23,24 +25,21 @@ class Vocabulary:
     def __init__(self) -> None:
         self.entity_names: list[str] = []
         self.relation_names: list[str] = []
-        self._entity_ids: dict[str, int] = {}
-        self._relation_ids: dict[str, int] = {}
+        self._entity_ids: defaultdict[str, int] = defaultdict(None)  # factory set only in _add_names
+        self._relation_ids: defaultdict[str, int] = defaultdict(None)
 
     def add_entity(self, name: str) -> int:
-        eid = self._entity_ids.get(name)
-        if eid is None:
-            eid = len(self.entity_names)
-            self._entity_ids[name] = eid
-            self.entity_names.append(name)
-        return eid
+        return int(self.add_entities([name])[0])
 
     def add_relation(self, name: str) -> int:
-        rid = self._relation_ids.get(name)
-        if rid is None:
-            rid = len(self.relation_names)
-            self._relation_ids[name] = rid
-            self.relation_names.append(name)
-        return rid
+        return int(self.add_relations([name])[0])
+
+    def add_entities(self, names: list[str]) -> np.ndarray:
+        """Ids of ``names``; names not seen before get the next ids, in first-seen order."""
+        return _add_names(self._entity_ids, self.entity_names, names)
+
+    def add_relations(self, names: list[str]) -> np.ndarray:
+        return _add_names(self._relation_ids, self.relation_names, names)
 
     def entity_id(self, name: str) -> int:
         return self._entity_ids[name]
@@ -72,6 +71,45 @@ class Vocabulary:
         return f"Vocabulary({self.num_entities} entities, {self.num_relations} relations)"
 
 
+def _add_names(ids: defaultdict[str, int], ordered: list[str], names: list[str]) -> np.ndarray:
+    ids.default_factory = count(len(ordered)).__next__  # numbers a new name at its first lookup
+    try:
+        found = np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=len(names))
+    finally:  # names added before a failure stay added, as with add_entity one by one
+        ids.default_factory = None
+        ordered += islice(ids, len(ordered), None)
+    return found
+
+
+class TripletArray(Sequence):
+    """Read-only sequence of Triplets over an (n, 3) int64 array, which ``np.asarray`` returns uncopied.
+
+    ``==`` compares with a TripletArray or a list of triplets; ``+`` concatenates like a list.
+    """
+
+    def __init__(self, rows: np.ndarray | Sequence[Triplet] = ()) -> None:
+        self._rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3).view()
+        self._rows.flags.writeable = False
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self._rows, dtype=dtype, copy=copy)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        return TripletArray(self._rows[index]) if isinstance(index, slice) else Triplet(*self._rows[index].tolist())
+
+    def __iter__(self) -> Iterator[Triplet]:
+        return map(Triplet._make, self._rows.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == list(other) if isinstance(other, (TripletArray, list)) else NotImplemented
+
+    def __add__(self, other: TripletArray | list[Triplet]) -> TripletArray:
+        return TripletArray(np.concatenate([self._rows, TripletArray(other)._rows]))
+
+
 class TripleStore:
     """Immutable, deduplicated triplet set held as arrays.
 
@@ -82,10 +120,12 @@ class TripleStore:
     sorted int64 keys of the triplets.
     """
 
-    def __init__(self, triplets: Iterable[Triplet],
+    def __init__(self, triplets: np.ndarray | Iterable[Triplet],
                  num_entities: int | None = None,
                  num_relations: int | None = None) -> None:
-        arr = np.fromiter(chain.from_iterable(triplets), dtype=np.int64).reshape(-1, 3)
+        if not isinstance(triplets, (np.ndarray, Sequence)):
+            triplets = list(triplets)  # an iterator
+        arr = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
         ends = arr[:, [0, 2]]
         self.num_entities = int(ends.max(initial=-1)) + 1 if num_entities is None else num_entities
         self.num_relations = (int(arr[:, 1].max(initial=-1)) + 1 if num_relations is None

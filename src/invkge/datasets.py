@@ -5,19 +5,27 @@ validation triplets use only in-graph (IKG) entities; the auxiliary set joins
 each out-of-knowledge-graph (OOKG) entity to IKG entities and is available
 only at inference time; test triplets involve at least one OOKG entity.
 Classification-task valid/test files carry a trailing label column.
+
+Each file is read whole and split in bulk. Names get ids in first-seen order
+(train, valid, aux, test; head before tail) from one dictionary pass, and from
+then on every split is an (n, 3) int64 id array in a TripletArray. Format checks
+and split invariants run over whole columns; only a malformed file is scanned
+line by line, for the line to report.
 """
 
 from __future__ import annotations
 
+import codecs
 import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .core import Triplet, Vocabulary
+from .core import TripletArray, Vocabulary
 from .models import TRANSE, EmbeddingTables
 from .seeding import substream
 
@@ -29,6 +37,7 @@ TASK_CLASSIFICATION = "classification"
 SPLIT_FILENAMES = {"train": "train.txt", "valid": "valid.txt", "aux": "aux.txt", "test": "test.txt"}
 
 _MAX_LISTED_VIOLATIONS = 10
+_LABELS = {"1": 1, "-1": -1, "0": -1}
 
 
 class DatasetFormatError(ValueError):
@@ -51,19 +60,22 @@ class _Infeasible(Exception):
 
 @dataclass
 class BenchmarkSplits:
-    """The four splits of one benchmark plus derived entity partitions."""
+    """The four splits of one benchmark (TripletArrays; lists of Triplets are converted) plus entity partitions."""
 
     task: str
     vocab: Vocabulary
-    train: list[Triplet]
-    valid: list[Triplet]
-    aux: list[Triplet]
-    test: list[Triplet]
+    train: TripletArray
+    valid: TripletArray
+    aux: TripletArray
+    test: TripletArray
     valid_labels: list[int] | None
     test_labels: list[int] | None
     ikg_entities: frozenset[int]
     ookg_entities: frozenset[int]
     dangling_ookg: frozenset[int]
+
+    def __post_init__(self) -> None:
+        self.train, self.valid, self.aux, self.test = map(TripletArray, (self.train, self.valid, self.aux, self.test))
 
 
 def _normalize_task(task: str) -> str:
@@ -74,84 +86,68 @@ def _normalize_task(task: str) -> str:
     raise ValueError(f"unknown task {task!r}, expected 'lp' or 'classification'")
 
 
-def _parse_label(token: str, path, lineno: int) -> int:
-    if token == "1":
-        return 1
-    if token in ("-1", "0"):
-        return -1
-    raise DatasetFormatError(f"{path}:{lineno}: bad label {token!r} (expected 1, -1 or 0)")
+def _parse_file(path: str | Path, labeled: bool) -> tuple[list[str], list[str], list[str], list[int] | None]:
+    """Head, relation and tail columns of a UTF-8 split file (BOM dropped), and its labels if ``labeled``."""
+    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        lines = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    except UnicodeDecodeError as exc:
+        lineno = len((raw[:exc.start] + b"?").splitlines())  # the line holding the bad byte
+        raise DatasetFormatError(f"{path}:{lineno}: byte 0x{raw[exc.start]:02x} is not UTF-8") from None
+    width = 4 if labeled else 3
+    rows = list(filter(None, lines))
+    if set(map(str.count, rows, repeat("\t"))) <= {width - 1}:
+        fields = "\t".join(rows).split("\t") if rows else []
+        cols = [fields[i::width] for i in range(width)]
+        labels = cols[3] if labeled else []
+        if not any("" in col for col in cols[:3]) and set(labels) <= _LABELS.keys():
+            return cols[0], cols[1], cols[2], list(map(_LABELS.__getitem__, labels)) if labeled else None
+    for lineno, line in enumerate(lines, start=1):  # some line is malformed: raise for the first
+        cols = line.split("\t")
+        if line and (len(cols) != width or "" in cols[:3] or labeled and cols[3] not in _LABELS):
+            detail = ("label column unexpected for this task" if len(cols) == 4 and not labeled
+                      else f"expected {width} tab-separated columns, got {len(cols)}" if len(cols) != width
+                      else "empty entity or relation field" if "" in cols[:3]
+                      else f"bad label {cols[3]!r} (expected 1, -1 or 0)")
+            raise DatasetFormatError(f"{path}:{lineno}: {detail}")
 
 
-def _parse_file(path: str | Path, labeled: bool) -> list[tuple[str, str, str, int | None]]:
-    rows: list[tuple[str, str, str, int | None]] = []
-    expected = 4 if labeled else 3
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != expected:
-                detail = "label column unexpected for this task" if len(cols) == 4 and not labeled \
-                    else f"expected {expected} tab-separated columns, got {len(cols)}"
-                raise DatasetFormatError(f"{path}:{lineno}: {detail}")
-            if "" in cols[:3]:
-                raise DatasetFormatError(f"{path}:{lineno}: empty entity or relation field")
-            label = _parse_label(cols[3], path, lineno) if labeled else None
-            rows.append((cols[0], cols[1], cols[2], label))
-    return rows
+def _touched(num_entities: int, triplets: np.ndarray) -> np.ndarray:
+    """Mask of the entities that are the head or tail of some triplet."""
+    mask = np.zeros(num_entities, dtype=bool)
+    mask[triplets[:, [0, 2]]] = True
+    return mask
 
 
-def _entities_of(triplets: list[Triplet]) -> set[int]:
-    out: set[int] = set()
-    for t in triplets:
-        out.add(t.head)
-        out.add(t.tail)
-    return out
+def _assemble(task: str, *parts: tuple[list[str], list[str], list[str], list[int] | None]) -> BenchmarkSplits:
+    """Build vocabulary (first-seen order: train, valid, aux, test), id arrays, and validate.
 
-
-def _assemble(task: str,
-              train_rows: list[tuple[str, str, str, int | None]],
-              valid_rows: list[tuple[str, str, str, int | None]],
-              aux_rows: list[tuple[str, str, str, int | None]],
-              test_rows: list[tuple[str, str, str, int | None]]) -> BenchmarkSplits:
-    """Build vocabulary (first-seen order: train, valid, aux, test) and validate."""
+    ``parts`` are the (heads, relations, tails, labels) columns of the train,
+    valid, aux and test splits, each a sequence of names (labels: of ints).
+    """
+    ends = list(chain.from_iterable(chain.from_iterable(zip(p[0], p[2])) for p in parts))  # h, t, h, ...
     vocab = Vocabulary()
+    end_ids = vocab.add_entities(ends)
+    rel_ids = vocab.add_relations(list(chain.from_iterable(p[1] for p in parts)))
+    rows = np.column_stack([end_ids[0::2], rel_ids, end_ids[1::2]])
+    train, valid, aux, test = np.split(rows, np.cumsum([len(p[0]) for p in parts])[:3])
 
-    def convert(rows):
-        trips, labels = [], []
-        for h, r, t, lab in rows:
-            trips.append(Triplet(vocab.add_entity(h), vocab.add_relation(r), vocab.add_entity(t)))
-            labels.append(lab)
-        return trips, labels
-
-    train, _ = convert(train_rows)
-    valid, valid_labels = convert(valid_rows)
-    aux, _ = convert(aux_rows)
-    test, test_labels = convert(test_rows)
-
-    ikg = frozenset(_entities_of(train))
-    ookg = frozenset((_entities_of(aux) | _entities_of(test)) - ikg)
-
-    violations: list[str] = []
-    for t in valid:
-        if t.head not in ikg or t.tail not in ikg:
-            violations.append(f"valid triplet {_names(vocab, t)} uses an entity absent from train")
-    for t in aux:
-        n_ookg = (t.head in ookg) + (t.tail in ookg)
-        if n_ookg != 1:
-            kind = "no out-of-graph entity" if n_ookg == 0 else "two out-of-graph entities"
-            violations.append(f"aux triplet {_names(vocab, t)} has {kind}")
-    for t in test:
-        if t.head not in ookg and t.tail not in ookg:
-            violations.append(f"test triplet {_names(vocab, t)} has no out-of-graph entity")
-    if not aux and test:
+    ikg, in_aux, in_test = (_touched(vocab.num_entities, split) for split in (train, aux, test))
+    ookg = (in_aux | in_test) & ~ikg
+    violations = [f"valid triplet {_names(vocab, t)} uses an entity absent from train"
+                  for t in valid[~(ikg[valid[:, 0]] & ikg[valid[:, 2]])]]
+    n_ookg = ookg[aux[:, 0]].astype(np.int64) + ookg[aux[:, 2]]
+    for t, k in zip(aux[n_ookg != 1], n_ookg[n_ookg != 1]):
+        kind = "no out-of-graph entity" if k == 0 else "two out-of-graph entities"
+        violations.append(f"aux triplet {_names(vocab, t)} has {kind}")
+    violations += [f"test triplet {_names(vocab, t)} has no out-of-graph entity"
+                   for t in test[~(ookg[test[:, 0]] | ookg[test[:, 2]])]]
+    if not len(aux) and len(test):
         violations.append("aux split is empty but test is not: test entities cannot be estimated")
     if violations:
         raise DatasetValidationError(violations)
 
-    aux_entities = _entities_of(aux)
-    dangling = frozenset(e for e in _entities_of(test) if e in ookg and e not in aux_entities)
+    dangling = frozenset(np.flatnonzero(ookg & in_test & ~in_aux).tolist())
     if dangling:
         logger.warning("%d out-of-graph test entities have no aux neighbors and will be "
                        "scored pessimistically", len(dangling))
@@ -159,13 +155,14 @@ def _assemble(task: str,
     labeled = task == TASK_CLASSIFICATION
     return BenchmarkSplits(
         task=task, vocab=vocab, train=train, valid=valid, aux=aux, test=test,
-        valid_labels=valid_labels if labeled else None,
-        test_labels=test_labels if labeled else None,
-        ikg_entities=ikg, ookg_entities=ookg, dangling_ookg=dangling)
+        valid_labels=list(parts[1][3]) if labeled else None,
+        test_labels=list(parts[3][3]) if labeled else None,
+        ikg_entities=frozenset(np.flatnonzero(ikg).tolist()),
+        ookg_entities=frozenset(np.flatnonzero(ookg).tolist()), dangling_ookg=dangling)
 
 
-def _names(vocab: Vocabulary, t: Triplet) -> str:
-    return f"({vocab.entity_name(t.head)}, {vocab.relation_name(t.relation)}, {vocab.entity_name(t.tail)})"
+def _names(vocab: Vocabulary, t) -> str:
+    return f"({vocab.entity_name(t[0])}, {vocab.relation_name(t[1])}, {vocab.entity_name(t[2])})"
 
 
 def load_splits(train_path, valid_path, aux_path, test_path, task: str = TASK_LP) -> BenchmarkSplits:
@@ -178,11 +175,10 @@ def load_splits(train_path, valid_path, aux_path, test_path, task: str = TASK_LP
     """
     task = _normalize_task(task)
     labeled = task == TASK_CLASSIFICATION
-    train_rows = _parse_file(train_path, labeled=False)
-    valid_rows = _parse_file(valid_path, labeled=labeled)
-    aux_rows = _parse_file(aux_path, labeled=False)
-    test_rows = _parse_file(test_path, labeled=labeled)
-    return _assemble(task, train_rows, valid_rows, aux_rows, test_rows)
+    return _assemble(task, _parse_file(train_path, labeled=False),
+                     _parse_file(valid_path, labeled=labeled),
+                     _parse_file(aux_path, labeled=False),
+                     _parse_file(test_path, labeled=labeled))
 
 
 def load_split_dir(directory: str | Path, task: str = TASK_LP) -> BenchmarkSplits:
@@ -204,7 +200,7 @@ def write_splits(splits: BenchmarkSplits, directory: str | Path) -> dict[str, Pa
     return paths
 
 
-def _write_file(path: Path, vocab: Vocabulary, triplets: list[Triplet],
+def _write_file(path: Path, vocab: Vocabulary, triplets: TripletArray,
                 labels: list[int] | None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for i, t in enumerate(triplets):
@@ -403,13 +399,9 @@ def _planted_once(rng, num_entities, num_relations, num_train, ookg_fraction,
         for i in usable[n_test:]:
             aux_rows.append(row(i))
 
-    splits = _assemble(task, train_rows, valid_rows, aux_rows, test_rows)
-    entity_table = np.zeros((splits.vocab.num_entities, 2))
-    for eid, ename in enumerate(splits.vocab.entity_names):
-        entity_table[eid] = point_of[int(ename[1:])]
-    relation_table = np.zeros((splits.vocab.num_relations, 2))
-    for rid, rn in enumerate(splits.vocab.relation_names):
-        relation_table[rid] = offsets[int(rn[1:])]
+    splits = _assemble(task, *(tuple(zip(*r)) for r in (train_rows, valid_rows, aux_rows, test_rows)))
+    entity_table = np.array([point_of[int(n[1:])] for n in splits.vocab.entity_names], dtype=np.float64)
+    relation_table = np.array([offsets[int(n[1:])] for n in splits.vocab.relation_names], dtype=np.float64)
     tables = EmbeddingTables(TRANSE, 2, 1, entity_table, relation_table)
     return splits, tables
 
@@ -654,14 +646,9 @@ def _trainable_once(rng, num_entities, num_relations, num_train, ookg_fraction, 
     def rows(items):
         return [(name[h], rname[r], name[t], lab) for h, r, t, lab in items]
 
-    splits = _assemble(task,
-                       rows([(h, r, t, None) for h, r, t in train]),
-                       rows(valid), rows(aux), rows(test))
-    entity_table = np.zeros((splits.vocab.num_entities, latent_dim))
-    for eid, ename in enumerate(splits.vocab.entity_names):
-        entity_table[eid] = points[int(ename[1:])]
-    relation_table = np.zeros((splits.vocab.num_relations, latent_dim))
-    for rid, rn in enumerate(splits.vocab.relation_names):
-        relation_table[rid] = offsets[int(rn[1:])]
+    splits = _assemble(task, *(tuple(zip(*r)) for r in (rows([(h, r, t, None) for h, r, t in train]),
+                                                        rows(valid), rows(aux), rows(test))))
+    entity_table = points[[int(n[1:]) for n in splits.vocab.entity_names]]
+    relation_table = offsets[[int(n[1:]) for n in splits.vocab.relation_names]]
     tables = EmbeddingTables(TRANSE, latent_dim, 1, entity_table, relation_table)
     return splits, tables

@@ -82,12 +82,12 @@ def estimate_candidates(tables: EmbeddingTables, aux_store: TripleStore,
                        np.count_nonzero(~usable), len(np.unique(segment[~usable])))
     other, relation, as_head = other[usable], relation[usable], as_head[usable]
     source = tables.entity_matrix()[other]
+    side = as_head.astype(np.intp)  # picks the forward (entity is tail) or inverse table below
     if tables.model == ROTATE:
-        rot = np.exp(1j * tables.relation)[relation]
-        vectors = source * np.where(as_head[:, None], np.conj(rot), rot)
+        rot = np.exp(1j * tables.relation)
+        vectors = source * np.stack([rot, np.conj(rot)])[side, relation]
     else:
-        rel = tables.relation[relation]
-        vectors = source + np.where(as_head[:, None], -rel, rel)
+        vectors = source + np.stack([tables.relation, -tables.relation])[side, relation]
     keep = counts > 0
     return CandidateSet(entities[keep], np.concatenate([[0], np.cumsum(counts[keep])]),
                         vectors, other, relation, as_head)

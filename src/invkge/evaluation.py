@@ -13,13 +13,12 @@ from __future__ import annotations
 import logging
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import AS_HEAD, AS_TAIL, Triplet, TripleStore, segment_rows
+from .core import AS_HEAD, AS_TAIL, Triplet, TripletArray, TripleStore, segment_rows
 from .datasets import BenchmarkSplits
 from .estimation import cap_neighbors, estimate_candidates
 from .models import EmbeddingTables, translation_distance
@@ -173,8 +172,8 @@ def link_prediction(tables: EmbeddingTables, splits: BenchmarkSplits,
     # Train and valid triplets hold only in-graph entities and a query's known side is
     # out-of-graph, so they can never match a query; only aux and test are indexed.
     labels = splits.test_labels
-    positives = [t for i, t in enumerate(splits.test) if labels is None or labels[i] == 1]
-    findex = FilterIndex(chain(splits.aux, positives),
+    positives = np.asarray(splits.test)[slice(None) if labels is None else np.array(labels) == 1]
+    findex = FilterIndex(np.concatenate([np.asarray(splits.aux), positives]),
                          splits.vocab.num_entities, splits.vocab.num_relations)
     cids = np.array(sorted(splits.ikg_entities), dtype=np.int64)
     if cids.size == 0:
@@ -220,7 +219,7 @@ def link_prediction(tables: EmbeddingTables, splits: BenchmarkSplits,
     return report
 
 
-def tune_thresholds(tables: EmbeddingTables, valid: list[Triplet],
+def tune_thresholds(tables: EmbeddingTables, valid: TripletArray | list[Triplet],
                     labels: list[int]) -> Thresholds:
     """Relation-specific cutoffs maximizing validation accuracy.
 
@@ -229,11 +228,11 @@ def tune_thresholds(tables: EmbeddingTables, valid: list[Triplet],
     cutoff wins. The ``default`` threshold is tuned the same way on the
     pooled validation set and serves relations absent from validation.
     """
-    if not valid:
+    if not len(valid):
         raise ValueError("validation set is empty")
     if labels is None or len(labels) != len(valid):
         raise ValueError("labeled validation triplets required")
-    data = np.array(valid, dtype=np.int64)
+    data = np.asarray(valid, dtype=np.int64)
     ent = tables.entity_matrix()
     dists = translation_distance(tables.model, tables.norm_order, ent[data[:, 0]],
                                  tables.relation_vec(data[:, 1]), ent[data[:, 2]])
@@ -278,7 +277,7 @@ def triplet_classification(tables: EmbeddingTables, splits: BenchmarkSplits,
         thresholds = tune_thresholds(tables, splits.valid, splits.valid_labels)
     if not splits.test:
         raise ValueError("no evaluable test triplets")
-    data = np.array(splits.test, dtype=np.int64)
+    data = np.asarray(splits.test)
     ends = data[:, [0, 2]]  # (n, 2): head and tail ids
     rel = data[:, 1]
     is_ookg = np.isin(ends, list(splits.ookg_entities))

@@ -59,10 +59,11 @@ class EmbeddingTables:
             return self.entity.view(np.result_type(self.entity.dtype, np.complex64))
         return self.entity
 
-    def relation_vec(self, rid: int) -> np.ndarray:
-        """Relation as used by the distance: TransE row, or RotatE unit complex."""
-        if self.model == ROTATE:
-            return np.exp(1j * self.relation[rid])
+    def relation_vec(self, rid: int | np.ndarray) -> np.ndarray:
+        """Relation(s) as used by the distance: TransE row, or RotatE unit complex."""
+        if self.model == ROTATE:  # each distinct relation is realized once
+            distinct, inverse = np.unique(rid, return_inverse=True)
+            return np.exp(1j * self.relation[distinct])[inverse]
         return self.relation[rid]
 
     def copy(self) -> "EmbeddingTables":
@@ -181,8 +182,6 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise ValueError(f"{path}: {key!r} must be a list of strings")
     vocab = Vocabulary()
-    for name in payload["entities"]:
-        vocab.add_entity(name)
-    for name in payload["relations"]:
-        vocab.add_relation(name)
+    vocab.add_entities(payload["entities"])
+    vocab.add_relations(payload["relations"])
     return vocab

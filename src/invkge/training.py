@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -330,8 +329,8 @@ def train(splits: BenchmarkSplits, config: TrainConfig) -> tuple[EmbeddingTables
 
     rng_shuffle = substream(config.seed, "shuffle")
     rng_neg = substream(config.seed, "negatives")
-    data = np.fromiter(chain.from_iterable(splits.train), dtype=np.int64).reshape(-1, 3)
-    train_store = (TripleStore(splits.train, num_entities, num_relations)
+    data = np.asarray(splits.train)
+    train_store = (TripleStore(data, num_entities, num_relations)
                    if config.filter_false_negatives else None)
     surviving = 0
 

@@ -513,3 +513,30 @@ def test_bad_values_name_the_option_and_source(lp_dataset, tmp_path, capsys, mon
     assert main(args + ["--config", str(config), "--out", str(tmp_path / "file")]) == 1
     err = capsys.readouterr().err
     assert f"{config}:3: bad value 'abc' for --steps" in err and "Traceback" not in err
+
+
+def test_validate_ignores_a_byte_order_mark(lp_dataset, tmp_path, capsys):
+    root, splits, _ = lp_dataset
+    marked = tmp_path / "marked"
+    marked.mkdir()
+    for name in ("train.txt", "valid.txt", "aux.txt", "test.txt"):
+        (marked / name).write_bytes(b"\xef\xbb\xbf" + (root / name).read_bytes())
+    assert main(["validate", *_split_flags(marked)]) == 0
+    assert f"entities={splits.vocab.num_entities} " in capsys.readouterr().out
+    assert load_split_dir(marked) == splits
+
+
+@pytest.mark.parametrize("prefix, head, lineno", [(b"", b"", 1), (b"a\tr\tb\n", b"x", 2),
+                                                  (b"a\tr\tb\r\n\r", b"", 3)])
+def test_validate_names_the_line_of_an_undecodable_byte(lp_dataset, tmp_path, capsys, prefix,
+                                                        head, lineno):
+    root, _, _ = lp_dataset
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for name in ("train.txt", "valid.txt", "aux.txt", "test.txt"):
+        (broken / name).write_bytes((root / name).read_bytes())
+    bad_line = head + b"\xffy\tr\tz\n"
+    (broken / "aux.txt").write_bytes(prefix + bad_line + (root / "aux.txt").read_bytes())
+    assert main(["validate", *_split_flags(broken)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {broken / 'aux.txt'}:{lineno}: byte 0xff is not UTF-8" in err

@@ -268,3 +268,27 @@ def test_cap_draws_each_entity_from_its_own_substream():
                 else:
                     idx = np.sort(substream(seed, "capping", e).choice(n, k, replace=False))
                     assert kept.tolist() == full[idx].tolist()
+
+
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+def test_candidates_equal_the_per_side_formula_bit_for_bit(model):
+    # both sides and every relation; the reference gathers one relation row per
+    # candidate and picks the inverse or forward form per row
+    rng = np.random.default_rng(8)
+    n_ent, n_rel = 40, 5
+    tables = init_tables(9, model, 12, n_ent, n_rel)
+    triplets = [Triplet(e, int(rng.integers(n_rel)), int(rng.integers(10, n_ent)))
+                if rng.random() < 0.5 else Triplet(int(rng.integers(10, n_ent)), int(rng.integers(n_rel)), e)
+                for e in range(10) for _ in range(int(rng.integers(1, 6)))]
+    aux = TripleStore(triplets, num_entities=n_ent, num_relations=n_rel)
+    cset = estimate_candidates(tables, aux, np.arange(10), ikg_entities=set(range(10, n_ent)))
+    source = tables.entity_matrix()[cset.source_entity]
+    side = cset.as_head[:, None]
+    if model == ROTATE:
+        rot = np.exp(1j * tables.relation)[cset.source_relation]
+        expected = source * np.where(side, np.conj(rot), rot)
+    else:
+        rel = tables.relation[cset.source_relation]
+        expected = source + np.where(side, -rel, rel)
+    assert len(cset) == len(triplets) and cset.as_head.any() and not cset.as_head.all()
+    assert np.array_equal(cset.vectors, expected)

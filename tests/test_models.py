@@ -42,6 +42,20 @@ def test_rotate_relations_unit_modulus():
         assert np.max(np.abs(np.abs(r.relation_vec(rid)) - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+def test_relation_vec_of_an_id_array_equals_per_row_calls(model):
+    tables = init_tables(4, model, 24, 5, 6)
+    rids = np.array([4, 1, 4, 4, 0, 5, 1, 2, 4, 0])  # repeated and unsorted
+    rows = tables.relation_vec(rids)
+    assert rows.shape == (len(rids), 24)
+    per_row = np.stack([tables.relation_vec(int(r)) for r in rids])
+    assert np.array_equal(rows, per_row)
+    assert np.array_equal(tables.relation_vec(np.int64(4)), per_row[0])
+    if model == ROTATE:
+        assert np.array_equal(per_row, np.exp(1j * tables.relation[rids]))
+        assert np.array_equal(tables.relation_vec(rids.reshape(2, 5)), per_row.reshape(2, 5, 24))
+
+
 def test_init_validation():
     with pytest.raises(ValueError):
         init_tables(0, "transh", 4, 3, 2)

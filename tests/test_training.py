@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -422,9 +423,8 @@ def test_training_separates_train_triplets_from_random(model):
 
 def test_empty_train_split_rejected():
     splits, _ = generate_trainable_splits(1, 30, 3, 100, 0.1)
-    splits.train.clear()
     with pytest.raises(ValueError):
-        train(splits, TrainConfig(dim=4, steps=1))
+        train(replace(splits, train=[]), TrainConfig(dim=4, steps=1))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
