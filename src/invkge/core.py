@@ -91,8 +91,8 @@ class TripletArray(Sequence):
         self._rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3).view()
         self._rows.flags.writeable = False
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array(self._rows, dtype=dtype, copy=copy)
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:  # NumPy 1.x passes no copy argument
+        return self._rows.astype(np.int64 if dtype is None else dtype, copy=bool(copy))
 
     def __len__(self) -> int:
         return len(self._rows)

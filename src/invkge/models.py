@@ -63,7 +63,7 @@ class EmbeddingTables:
         """Relation(s) as used by the distance: TransE row, or RotatE unit complex."""
         if self.model == ROTATE:  # each distinct relation is realized once
             distinct, inverse = np.unique(rid, return_inverse=True)
-            return np.exp(1j * self.relation[distinct])[inverse]
+            return np.exp(1j * self.relation[distinct])[inverse.reshape(np.shape(rid))]
         return self.relation[rid]
 
     def copy(self) -> "EmbeddingTables":

@@ -165,6 +165,18 @@ def test_triplet_array_is_a_read_only_view_of_its_rows():
     assert len(TripletArray([])) == 0 and np.asarray(TripletArray([])).shape == (0, 3)
 
 
+def test_triplet_array_protocol_without_a_copy_argument():
+    # NumPy 1.x calls __array__() or __array__(dtype), never with copy=
+    rows = np.array([[0, 1, 2], [3, 0, 1]], dtype=np.int64)
+    view = TripletArray(rows)
+    assert np.shares_memory(view.__array__(), rows)
+    assert np.shares_memory(view.__array__(np.dtype(np.int64)), rows)
+    as_float = view.__array__(np.float64)
+    assert as_float.dtype == np.float64 and np.array_equal(as_float, rows)
+    fresh = view.__array__(None, True)
+    assert not np.shares_memory(fresh, rows) and fresh.flags.writeable
+
+
 def test_triplet_array_behaves_like_a_list_of_triplets():
     trips = [Triplet(0, 1, 2), Triplet(3, 0, 1), Triplet(2, 1, 0)]
     view = TripletArray(trips)

@@ -50,6 +50,7 @@ def test_relation_vec_of_an_id_array_equals_per_row_calls(model):
     assert rows.shape == (len(rids), 24)
     per_row = np.stack([tables.relation_vec(int(r)) for r in rids])
     assert np.array_equal(rows, per_row)
+    assert tables.relation_vec(4).shape == tables.relation_vec(np.int64(4)).shape == (24,)
     assert np.array_equal(tables.relation_vec(np.int64(4)), per_row[0])
     if model == ROTATE:
         assert np.array_equal(per_row, np.exp(1j * tables.relation[rids]))
