@@ -115,21 +115,36 @@ def translation_distance(model: str, norm_order: int, h: np.ndarray, r: np.ndarr
 def save_checkpoint(tables: EmbeddingTables, path: str | Path, seed: int = 0) -> None:
     """Binary checkpoint: fixed header followed by float32 little-endian tables.
 
-    The bytes go to a temporary file in the same directory, which then
-    replaces ``path`` in one step, so ``path`` is never left half-written.
+    The tables are written lazily, one at a time, through
+    :func:`_write_atomically`, so ``path`` is never left half-written.
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
     model_code = MODELS.index(tables.model)
     header = _HEADER.pack(_MAGIC, _VERSION, model_code, tables.norm_order, tables.dim,
                           tables.num_entities, tables.num_relations, seed)
+
+    def chunks():
+        yield header
+        for table in (tables.entity, tables.relation):
+            yield np.ascontiguousarray(table, dtype="<f4").data   # no bytes copy
+
+    _write_atomically(path, chunks())
+
+
+def _write_atomically(path: str | Path, chunks) -> None:
+    """Write the iterable of byte buffers ``chunks`` so ``path`` is never half-written.
+
+    The bytes go to a temporary file in the same directory, which is synced
+    and then replaces ``path`` in one step; on any error it is removed and
+    ``path`` keeps its earlier contents.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(header)
-            f.write(np.ascontiguousarray(tables.entity, dtype="<f4").tobytes())
-            f.write(np.ascontiguousarray(tables.relation, dtype="<f4").tobytes())
+            for chunk in chunks:
+                f.write(chunk)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -168,10 +183,9 @@ def load_checkpoint(path: str | Path) -> tuple[EmbeddingTables, int]:
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
+    """JSON sidecar of the entity and relation names, written atomically."""
     payload = {"entities": vocab.entity_names, "relations": vocab.relation_names}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, ensure_ascii=False)
-        f.write("\n")
+    _write_atomically(path, ((json.dumps(payload, ensure_ascii=False) + "\n").encode("utf-8"),))
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:

@@ -10,7 +10,9 @@ p_i proportional to exp(temperature * -D_i), normalized over the n negatives
 of the same positive. The p_i are treated as constants: no gradient flows
 through them. Batches are averaged; gradients are accumulated sparsely per
 touched embedding row and applied with a lazy Adam update (moments of
-untouched rows are left alone).
+untouched rows are left alone). The update walks the touched rows in blocks
+of about 256 KB of moment rows, so each block's gather, arithmetic and
+scatter stay in cache; the result is bit-identical to one whole-array update.
 
 Both models score every triplet, positive or corrupted, as the norm of one
 residual e - q (see ``_batch_loss_grads``). Dtype policy: the kernel computes
@@ -32,6 +34,8 @@ from .models import MODELS, ROTATE, TRANSE, EmbeddingTables, init_tables
 from .seeding import substream
 
 logger = logging.getLogger(__name__)
+
+_ADAM_BLOCK_BYTES = 256 * 1024  # moment-row bytes updated per block in Adam.step
 
 # Pretraining hyper-parameters used for the two benchmark families.
 REFERENCE_CONFIGS = {
@@ -86,6 +90,13 @@ class Adam:
     for rows that received a gradient this step, the usual treatment for
     embedding tables. A step with an all-zero gradient on fresh state leaves
     the parameters bit-identical.
+
+    A step walks each table's row ids in contiguous blocks of about
+    ``_ADAM_BLOCK_BYTES`` of moment rows: it gathers a block's ``m`` and
+    ``v`` rows, updates them in place, scatters them back and updates the
+    block's parameter rows. The arithmetic is elementwise and no two blocks
+    share a row, so the result is bit-identical to one pass over all the
+    rows, while the block's temporaries stay in cache.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
@@ -104,27 +115,39 @@ class Adam:
 
     def step(self, params: dict[str, np.ndarray],
              grads: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
-        """Apply one update; ``grads[name]`` is (row_ids, row_gradients)."""
+        """Apply one update; ``grads[name]`` is (row_ids, row_gradients).
+
+        Each table's row ids must be strictly increasing, as ``_scatter_sum``
+        returns them; anything else raises ValueError before any state
+        changes (a repeated id would keep only one of its updates).
+        """
+        for name, (ids, _) in grads.items():
+            ids = np.asarray(ids)
+            if (ids[1:] <= ids[:-1]).any():
+                raise ValueError(f"row ids of {name!r} must be strictly increasing")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name, (ids, g) in grads.items():
-            if len(ids) == 0:
-                continue
-            m, v = self.m[name][ids], self.v[name][ids]   # copies, updated in place
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            self.m[name][ids] = m
-            self.v[name][ids] = v
-            m /= bc1
-            m *= self.lr
-            v /= bc2
-            np.sqrt(v, out=v)
-            v += self.eps
-            m /= v
-            params[name][ids] -= m
+            m_table, v_table, table = self.m[name], self.v[name], params[name]
+            rows = max(1, _ADAM_BLOCK_BYTES // (m_table.shape[1] * m_table.itemsize))
+            for lo in range(0, len(ids), rows):
+                block = ids[lo:lo + rows]
+                m, v = m_table[block], v_table[block]    # copies, updated in place
+                g_block = g[lo:lo + rows]
+                m *= self.beta1
+                m += (1.0 - self.beta1) * g_block
+                v *= self.beta2
+                v += (1.0 - self.beta2) * (g_block * g_block)
+                m_table[block] = m
+                v_table[block] = v
+                m /= bc1
+                m *= self.lr
+                v /= bc2
+                np.sqrt(v, out=v)
+                v += self.eps
+                m /= v
+                table[block] -= m
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

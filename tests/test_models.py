@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -211,6 +214,40 @@ def test_vocabulary_sidecar_round_trip(tmp_path):
     path = tmp_path / "vocab.json"
     save_vocabulary(vocab, path)
     assert load_vocabulary(path) == vocab
+
+
+def test_vocabulary_sidecar_bytes_match_json_dump(tmp_path):
+    vocab = Vocabulary()
+    vocab.add_entities(["alpha", "Łódź", "naïve café", 'quote " and \\ back', "\u2028"])
+    vocab.add_relations(["likes", "日本語"])
+    path = tmp_path / "vocab.json"
+    save_vocabulary(vocab, path)
+    payload = {"entities": vocab.entity_names, "relations": vocab.relation_names}
+    with open(tmp_path / "reference.json", "w", encoding="utf-8") as f:
+        json.dump(payload, f, ensure_ascii=False)
+        f.write("\n")
+    assert path.read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+def test_failed_vocabulary_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "vocab.json"
+    old = Vocabulary()
+    old.add_entities(["a", "b"])
+    old.add_relation("r")
+    save_vocabulary(old, path)
+    before = path.read_bytes()
+    new = Vocabulary()
+    new.add_entities(["c" * 10_000])
+    new.add_relation("s")
+
+    def fail(fd):   # the temporary file is written in full before the sync fails
+        raise OSError("disk went away")
+
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(OSError, match="disk went away"):
+        save_vocabulary(new, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["vocab.json"]
 
 
 @pytest.mark.parametrize("payload", ['{"entities": []}', '{"relations": []}',

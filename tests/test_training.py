@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from invkge import training
 from invkge.core import Triplet, TripleStore
 from invkge.datasets import generate_trainable_splits
 from invkge.models import (ROTATE, TRANSE, EmbeddingTables, init_tables, load_checkpoint,
@@ -359,6 +360,95 @@ def test_adam_descends_and_leaves_untouched_rows_alone():
     assert np.array_equal(params["w"][2], np.zeros(2))
 
 
+class _UnblockedAdam(Adam):
+    """The lazy update as one whole-array pass per table: the blocked step's oracle."""
+
+    def step(self, params, grads):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name, (ids, g) in grads.items():
+            if len(ids) == 0:
+                continue
+            m, v = self.m[name][ids], self.v[name][ids]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            self.m[name][ids] = m
+            self.v[name][ids] = v
+            m /= bc1
+            m *= self.lr
+            v /= bc2
+            np.sqrt(v, out=v)
+            v += self.eps
+            m /= v
+            params[name][ids] -= m
+
+
+class _RowWrites(np.ndarray):
+    """Parameter table that logs the number of rows of every fancy-index write."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __setitem__(self, key, value):
+        if self.log is not None:
+            self.log.append(len(key))
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [3, 600])
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+def test_blocked_adam_equals_unblocked_update(monkeypatch, dtype, width, block_rows):
+    monkeypatch.setattr(training, "_ADAM_BLOCK_BYTES",
+                        block_rows * width * np.dtype(dtype).itemsize)
+    rng = np.random.default_rng(width + block_rows)
+    n_rows = 40
+    start = {name: rng.normal(size=(n_rows, width)).astype(dtype)
+             for name in ("w", "empty", "idle")}
+    blocked, unblocked = Adam(lr=0.05), _UnblockedAdam(lr=0.05)
+    for opt in (blocked, unblocked):
+        for name, table in start.items():
+            opt.register(name, table.shape, dtype)
+    got = {name: table.copy() for name, table in start.items()}
+    got["w"] = got["w"].view(_RowWrites)
+    got["w"].log = []
+    want = {name: table.copy() for name, table in start.items()}
+    partial = 0
+    for _ in range(5):
+        ids = np.sort(rng.choice(n_rows, size=int(rng.integers(1, n_rows + 1)), replace=False))
+        g = rng.normal(size=(len(ids), width)).astype(dtype)
+        empty = (np.array([], dtype=np.int64), np.zeros((0, width), dtype))
+        got["w"].log.clear()
+        blocked.step(got, {"w": (ids, g.copy()), "empty": empty})
+        unblocked.step(want, {"w": (ids, g.copy()), "empty": empty})
+        full, rest = divmod(len(ids), block_rows)
+        assert got["w"].log == [block_rows] * full + ([rest] if rest else [])
+        partial += rest > 0
+    assert (partial > 0) == (block_rows > 1)    # a 1-row block is never partial
+    for name in start:
+        assert np.array_equal(got[name], want[name])
+        assert np.array_equal(blocked.m[name], unblocked.m[name])
+        assert np.array_equal(blocked.v[name], unblocked.v[name])
+    assert not np.array_equal(got["w"], start["w"])
+    assert np.array_equal(got["empty"], start["empty"])
+    assert np.array_equal(got["idle"], start["idle"])
+    assert not blocked.m["idle"].any() and not blocked.v["empty"].any()
+
+
+@pytest.mark.parametrize("ids", [[0, 2, 2], [2, 0], [1, 1]])
+def test_adam_rejects_row_ids_that_are_not_strictly_increasing(ids):
+    opt = Adam(lr=0.1)
+    opt.register("w", (3, 2))
+    params = {"w": np.zeros((3, 2))}
+    with pytest.raises(ValueError, match="strictly increasing"):
+        opt.step(params, {"w": (np.array(ids), np.ones((len(ids), 2)))})
+    assert opt.t == 0
+    assert not params["w"].any() and not opt.m["w"].any() and not opt.v["w"].any()
+
+
 # ---------------------------------------------------------------------------
 # end-to-end training
 # ---------------------------------------------------------------------------
@@ -523,6 +613,20 @@ def test_false_negative_filter_leaves_no_true_triplet():
     assert _resample_true_negatives(rng, data, neg_entity, neg_is_head, n_ent, store) == 0
     assert not _true_negatives(store, data, neg_entity, neg_is_head).any()
     assert (neg_entity != np.where(neg_is_head, data[:, 0:1], data[:, 2:3])).all()
+
+
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+@pytest.mark.parametrize("norm", [1, 2])
+def test_training_is_the_same_at_any_adam_block_size(monkeypatch, model, norm):
+    splits, _ = generate_trainable_splits(2, 30, 3, 100, 0.1)
+    cfg = TrainConfig(model=model, dim=8, margin=2.0, num_negatives=4, batch_size=16,
+                      steps=30, seed=7, l2=1e-3, norm_order=norm, log_every=5)
+    default, trace = train(splits, cfg)
+    monkeypatch.setattr(training, "_ADAM_BLOCK_BYTES", 1)   # one row per block
+    one_row, one_row_trace = train(splits, cfg)
+    assert np.array_equal(default.entity, one_row.entity)
+    assert np.array_equal(default.relation, one_row.relation)
+    assert trace == one_row_trace
 
 
 @pytest.mark.parametrize("model", [TRANSE, ROTATE])
