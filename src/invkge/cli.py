@@ -23,8 +23,8 @@ from .datasets import (BenchmarkSplits, DatasetFormatError, DatasetValidationErr
 from .core import TripleStore
 from .evaluation import (ablate, embed_ookg, format_report, link_prediction,
                          triplet_classification, tune_thresholds, write_report_csv)
-from .models import (ROTATE, load_checkpoint, load_vocabulary, save_checkpoint,
-                     save_vocabulary)
+from .models import (ROTATE, _write_atomically, load_checkpoint, load_vocabulary,
+                     save_checkpoint, save_vocabulary)
 from .reduction import (CORRELATION, DEGREE, SCHEMES, build_correlation,
                         save_correlation_csv)
 from .training import TrainConfig, TrainingDivergedError, train
@@ -206,10 +206,8 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(tables, out_dir / "checkpoint.bin", seed=cfg["seed"])
     save_vocabulary(splits.vocab, out_dir / "vocab.json")
-    with open(out_dir / "loss.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("step,loss\n")
-        for step, loss in trace:
-            f.write(f"{step},{loss:.8f}\n")
+    loss_csv = "step,loss\n" + "".join(f"{step},{loss:.8f}\n" for step, loss in trace)
+    _write_atomically(out_dir / "loss.csv", (loss_csv.encode("utf-8"),))
     _echo_config("pretrain", cfg, out_dir)
     print(f"checkpoint written to {out_dir / 'checkpoint.bin'}")
     return 0

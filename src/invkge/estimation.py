@@ -83,11 +83,12 @@ def estimate_candidates(tables: EmbeddingTables, aux_store: TripleStore,
     other, relation, as_head = other[usable], relation[usable], as_head[usable]
     source = tables.entity_matrix()[other]
     side = as_head.astype(np.intp)  # picks the forward (entity is tail) or inverse table below
+    # float64 relations, so float32 source rows are promoted exactly, not the candidates rounded
+    rel = tables.relation_vec(np.arange(tables.num_relations))
     if tables.model == ROTATE:
-        rot = np.exp(1j * tables.relation)
-        vectors = source * np.stack([rot, np.conj(rot)])[side, relation]
+        vectors = source * np.stack([rel, np.conj(rel)])[side, relation]
     else:
-        vectors = source + np.stack([tables.relation, -tables.relation])[side, relation]
+        vectors = source + np.stack([rel, -rel])[side, relation]
     keep = counts > 0
     return CandidateSet(entities[keep], np.concatenate([[0], np.cumsum(counts[keep])]),
                         vectors, other, relation, as_head)

@@ -284,7 +284,7 @@ def triplet_classification(tables: EmbeddingTables, splits: BenchmarkSplits,
     vectors, found = embed_ookg(tables, splits, scheme, ends[is_ookg],
                                 np.broadcast_to(rel[:, None], ends.shape)[is_ookg],
                                 smoothing=smoothing, neighbor_cap=neighbor_cap, seed=seed)
-    rows = tables.entity_matrix()[ends]
+    rows = tables.entity_matrix()[ends].astype(vectors.dtype)  # float32 would round the estimates
     rows[is_ookg] = vectors
     usable = np.ones(ends.shape, dtype=bool)
     usable[is_ookg] = found

@@ -37,6 +37,12 @@ class EmbeddingTables:
     ``entity`` is (num_entities, dim) for TransE and (num_entities, 2*dim)
     for RotatE (interleaved re/im). ``relation`` is (num_relations, dim):
     free vectors for TransE, phase angles for RotatE.
+
+    Dtype policy: ``load_checkpoint`` and a training run return float32 tables,
+    the checkpoint's dtype, and they stay float32. Estimation and evaluation widen
+    to float64 where arithmetic would otherwise round (``relation_vec``, the
+    rows that OOKG estimates are written into), so their results equal those
+    of the tables' float64 copy bit for bit. Float64 tables work unchanged.
     """
 
     model: str
@@ -60,11 +66,17 @@ class EmbeddingTables:
         return self.entity
 
     def relation_vec(self, rid: int | np.ndarray) -> np.ndarray:
-        """Relation(s) as used by the distance: TransE row, or RotatE unit complex."""
+        """Relation(s) as used by the distance: TransE row, or RotatE unit complex.
+
+        Widened to float64 (complex128 for RotatE) before any arithmetic, so a
+        float32 table gives its float64 copy's values, and a float32 entity row
+        combined with the result is promoted exactly instead of rounded.
+        """
         if self.model == ROTATE:  # each distinct relation is realized once
             distinct, inverse = np.unique(rid, return_inverse=True)
-            return np.exp(1j * self.relation[distinct])[inverse.reshape(np.shape(rid))]
-        return self.relation[rid]
+            phases = self.relation[distinct].astype(np.float64, copy=False)
+            return np.exp(1j * phases)[inverse.reshape(np.shape(rid))]
+        return self.relation[rid].astype(np.float64, copy=False)
 
     def copy(self) -> "EmbeddingTables":
         return EmbeddingTables(self.model, self.dim, self.norm_order,
@@ -154,9 +166,14 @@ def _write_atomically(path: str | Path, chunks) -> None:
 
 
 def load_checkpoint(path: str | Path) -> tuple[EmbeddingTables, int]:
-    """Inverse of :func:`save_checkpoint`; returns the tables and the stored seed."""
+    """Inverse of :func:`save_checkpoint`; returns the tables and the stored seed.
+
+    The tables are float32, as stored, and writable: both are views of one
+    buffer the file is read into, so loading makes no copy of them.
+    """
     with open(path, "rb") as f:
-        raw = f.read()
+        raw = bytearray(os.fstat(f.fileno()).st_size)
+        del raw[f.readinto(raw):]
     if len(raw) < _HEADER.size or raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not an embedding checkpoint")
     magic, version, model_code, norm_order, dim, n_ent, n_rel, seed = _HEADER.unpack_from(raw)
@@ -175,8 +192,8 @@ def load_checkpoint(path: str | Path) -> tuple[EmbeddingTables, int]:
         raise ValueError(f"{path}: truncated checkpoint")
     entity = np.frombuffer(raw, dtype="<f4", count=n_ent * ent_width, offset=offset)
     relation = np.frombuffer(raw, dtype="<f4", count=n_rel * dim, offset=offset + ent_bytes)
-    entity = entity.reshape(n_ent, ent_width).astype(np.float64)
-    relation = relation.reshape(n_rel, dim).astype(np.float64)
+    entity = entity.reshape(n_ent, ent_width)
+    relation = relation.reshape(n_rel, dim)
     if not (np.isfinite(entity).all() and np.isfinite(relation).all()):
         raise ValueError(f"{path}: checkpoint contains non-finite values")
     return EmbeddingTables(model, dim, norm_order, entity, relation), seed

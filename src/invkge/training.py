@@ -18,7 +18,8 @@ Both models score every triplet, positive or corrupted, as the norm of one
 residual e - q (see ``_batch_loss_grads``). Dtype policy: the kernel computes
 in the dtype of the tables it is given, with float64 distances, adversarial
 weights and loss; ``train`` keeps parameters and Adam moments in float32, the
-checkpoint's dtype, and ``self_adversarial_loss`` on float64 tables is float64.
+checkpoint's dtype, and returns the float32 tables without widening them;
+``self_adversarial_loss`` on float64 tables is float64.
 """
 
 from __future__ import annotations
@@ -337,8 +338,9 @@ def train(splits: BenchmarkSplits, config: TrainConfig) -> tuple[EmbeddingTables
     ``config.steps`` counts minibatch updates, not epochs. Deterministic for
     a fixed seed (serial execution). Raises TrainingDivergedError if the loss
     leaves the finite range. Parameters and Adam moments are float32, the
-    checkpoint's dtype, so the returned float64 tables equal their checkpoint
-    round trip.
+    checkpoint's dtype, and the trained tables are returned as float32, so
+    they equal their checkpoint round trip; with zero steps the
+    initialization is returned as drawn.
     """
     if not splits.train:
         raise ValueError("training split is empty")
@@ -406,8 +408,6 @@ def train(splits: BenchmarkSplits, config: TrainConfig) -> tuple[EmbeddingTables
         logger.info("false-negative filter: %d true training triplets kept as negatives",
                     surviving)
     logger.info("training finished: %d steps, final loss %.6f", config.steps, trace[-1][1])
-    tables.entity = tables.entity.astype(np.float64)
-    tables.relation = tables.relation.astype(np.float64)
     return tables, trace
 
 

@@ -69,6 +69,27 @@ def test_pretrain_deterministic_and_config_echo_reproduces(lp_dataset, tmp_path)
     assert bytes1 == (out3 / "checkpoint.bin").read_bytes()
 
 
+def test_failed_loss_write_keeps_the_old_file(lp_dataset, tmp_path, monkeypatch):
+    root, _, _ = lp_dataset
+    out = tmp_path / "run"
+    args = ["pretrain", *_split_flags(root), "--dim", "4", "--gamma", "2.0", "--neg", "2",
+            "--batch-size", "16", "--log-every", "1", "--out", str(out)]
+    assert main(args + ["--steps", "3"]) == 0
+    before = (out / "loss.csv").read_bytes()
+    replace = os.replace
+
+    def fail_on_loss(src, dst):   # the temporary loss.csv is written in full first
+        if Path(dst).name == "loss.csv":
+            raise OSError("disk went away")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_on_loss)
+    assert main(args + ["--steps", "5"]) == 1
+    assert (out / "loss.csv").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["checkpoint.bin", "config.txt",
+                                                     "loss.csv", "vocab.json"]
+
+
 def test_pretrain_rotate_checkpoint_round_trip(lp_dataset, tmp_path):
     root, splits, _ = lp_dataset
     out = tmp_path / "rot"

@@ -12,6 +12,7 @@ from invkge.evaluation import (EvalReport, FilterIndex, LpQuery, Thresholds, abl
                                embed_ookg, filtered_rank, format_report, link_prediction,
                                triplet_classification, tune_thresholds, write_report_csv)
 from invkge.models import ROTATE, TRANSE, EmbeddingTables, init_tables, translation_distance
+from invkge.training import TrainConfig, train
 
 
 def _line_tables(values, relation=0.0):
@@ -517,6 +518,41 @@ def test_ablation_orderings_on_noisy_benchmark():
     means = {k: float(np.mean(v)) for k, v in mrr.items()}
     assert means["cap1"] <= means["full"]
     assert means["uniform"] <= means["full"]
+
+
+@pytest.mark.parametrize("norm", [1, 2])
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+def test_float32_tables_evaluate_like_their_float64_copy(monkeypatch, model, norm):
+    """Trained float32 tables give the estimates, distances, thresholds and reports
+    of the same values in float64 bit for bit, so no float32 operand rounds."""
+    splits, _ = generate_trainable_splits(4, 60, 4, 400, 0.15, task="classification")
+    cfg = TrainConfig(model=model, dim=8, margin=2.0, num_negatives=4, batch_size=32,
+                      steps=20, seed=3, norm_order=norm)
+    narrow, _ = train(splits, cfg)
+    assert narrow.entity.dtype == narrow.relation.dtype == np.float32
+    wide = EmbeddingTables(model, 8, norm, narrow.entity.astype(np.float64),
+                           narrow.relation.astype(np.float64))
+    distances = []   # every distance array evaluation computes, in order
+
+    def spy(*args):
+        distances.append(translation_distance(*args))
+        return distances[-1]
+
+    monkeypatch.setattr(evaluation, "translation_distance", spy)
+    runs = []
+    for tables in (narrow, wide):
+        distances.clear()
+        vectors, found = embed_ookg(tables, splits, "degree", sorted(splits.ookg_entities), None)
+        thresholds = tune_thresholds(tables, splits.valid, splits.valid_labels)
+        reports = [triplet_classification(tables, splits, thresholds=thresholds),
+                   link_prediction(tables, splits)]
+        runs.append((vectors, found, repr(thresholds), repr(reports), list(distances)))
+    (v32, f32, t32, r32, d32), (v64, f64, t64, r64, d64) = runs
+    assert v32.dtype == v64.dtype and np.array_equal(v32, v64)
+    assert np.array_equal(f32, f64) and f32.any()
+    assert t32 == t64 and r32 == r64
+    assert len(d32) == len(d64) > 0
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(d32, d64))
 
 
 # ---------------------------------------------------------------------------

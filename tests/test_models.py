@@ -180,6 +180,18 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(loaded.relation, tables.relation.astype("<f4").astype(np.float64))
 
 
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+def test_loaded_tables_are_writable_float32(tmp_path, model):
+    save_checkpoint(init_tables(9, model, 5, 7, 3), tmp_path / "c.bin")
+    loaded, _ = load_checkpoint(tmp_path / "c.bin")
+    assert loaded.entity.dtype == loaded.relation.dtype == np.float32
+    relation = loaded.relation.copy()
+    loaded.entity[-1] = 1.0     # in place, without a copy of the table first
+    loaded.relation[0] = 2.0
+    assert (loaded.entity[-1] == 1.0).all() and (loaded.relation[0] == 2.0).all()
+    assert np.array_equal(loaded.relation[1:], relation[1:])
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     p = tmp_path / "bad.bin"
     p.write_bytes(b"not a checkpoint at all")

@@ -637,6 +637,7 @@ def test_trained_tables_equal_their_checkpoint(model, tmp_path):
     tables, _ = train(splits, cfg)
     save_checkpoint(tables, tmp_path / "checkpoint.bin")
     loaded, _ = load_checkpoint(tmp_path / "checkpoint.bin")
-    assert tables.entity.dtype == tables.relation.dtype == np.float64
+    assert tables.entity.dtype == tables.relation.dtype == np.float32
+    assert loaded.entity.dtype == loaded.relation.dtype == np.float32
     assert np.array_equal(tables.entity, loaded.entity)
     assert np.array_equal(tables.relation, loaded.relation)
