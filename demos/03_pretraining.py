@@ -37,7 +37,7 @@ for model in (TRANSE, ROTATE):
         print(f"  step {step:5d}  loss {loss:.4f}")
 
     # trained triplets should sit much closer than random ones
-    data = np.array(splits.train, dtype=np.int64)
+    data = splits.train
     rng = np.random.default_rng(0)
     rand = data.copy()
     rand[:, 2] = rng.integers(splits.vocab.num_entities, size=len(rand))

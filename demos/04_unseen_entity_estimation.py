@@ -24,7 +24,7 @@ aux_store = TripleStore(splits.aux, num_entities=vocab.num_entities,
 train_store = TripleStore(splits.train, num_entities=vocab.num_entities,
                           num_relations=vocab.num_relations)
 
-entity = sorted(splits.ookg_entities)[0]
+entity = int(splits.ookg_entities[0])
 true_point = tables.entity[entity]
 print(f"unseen entity {vocab.entity_name(entity)} sits at {true_point} "
       f"(hidden from the estimator)")
@@ -58,8 +58,7 @@ resid = translation_distance(tables.model, tables.norm_order, h, tables.relation
 print(f"residual of the generating triplet at the candidate: {resid}")
 
 # every unseen entity at once: one gather of candidates, one reduction per segment
-everyone = estimate_candidates(tables, aux_store, sorted(splits.ookg_entities),
-                               splits.ikg_entities)
+everyone = estimate_candidates(tables, aux_store, splits.ookg_entities, splits.ikg_entities)
 reduced = reduce_candidates(everyone, candidate_weights("degree", everyone,
                                                         train_store=train_store))
 worst = np.abs(reduced - tables.entity[everyone.entities]).sum(axis=1).max()

@@ -221,7 +221,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     splits = _load_benchmark(cfg)
     _check_vocab(cfg, splits)
     tables = _load_tables(cfg["checkpoint"], splits)
-    entities = np.array(sorted(splits.ookg_entities), dtype=np.int64)
+    entities = splits.ookg_entities
     vectors, found = embed_ookg(tables, splits, cfg["scheme"], entities, None,
                                 smoothing=cfg["delta"], neighbor_cap=cfg["cap"],
                                 seed=cfg["seed"])

@@ -81,35 +81,6 @@ def _add_names(ids: defaultdict[str, int], ordered: list[str], names: list[str])
     return found
 
 
-class TripletArray(Sequence):
-    """Read-only sequence of Triplets over an (n, 3) int64 array, which ``np.asarray`` returns uncopied.
-
-    ``==`` compares with a TripletArray or a list of triplets; ``+`` concatenates like a list.
-    """
-
-    def __init__(self, rows: np.ndarray | Sequence[Triplet] = ()) -> None:
-        self._rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3).view()
-        self._rows.flags.writeable = False
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:  # NumPy 1.x passes no copy argument
-        return self._rows.astype(np.int64 if dtype is None else dtype, copy=bool(copy))
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, index):
-        return TripletArray(self._rows[index]) if isinstance(index, slice) else Triplet(*self._rows[index].tolist())
-
-    def __iter__(self) -> Iterator[Triplet]:
-        return map(Triplet._make, self._rows.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        return list(self) == list(other) if isinstance(other, (TripletArray, list)) else NotImplemented
-
-    def __add__(self, other: TripletArray | list[Triplet]) -> TripletArray:
-        return TripletArray(np.concatenate([self._rows, TripletArray(other)._rows]))
-
-
 class TripleStore:
     """Immutable, deduplicated triplet set held as arrays.
 

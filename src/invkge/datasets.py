@@ -8,7 +8,7 @@ Classification-task valid/test files carry a trailing label column.
 
 Each file is read whole and split in bulk. Names get ids in first-seen order
 (train, valid, aux, test; head before tail) from one dictionary pass, and from
-then on every split is an (n, 3) int64 id array in a TripletArray. Format checks
+then on every split is a read-only (n, 3) int64 id array. Format checks
 and split invariants run over whole columns; only a malformed file is scanned
 line by line, for the line to report.
 """
@@ -19,13 +19,13 @@ import codecs
 import logging
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .core import TripletArray, Vocabulary
+from .core import Vocabulary
 from .models import TRANSE, EmbeddingTables
 from .seeding import substream
 
@@ -60,22 +60,51 @@ class _Infeasible(Exception):
 
 @dataclass
 class BenchmarkSplits:
-    """The four splits of one benchmark (TripletArrays; lists of Triplets are converted) plus entity partitions."""
+    """The four splits of one benchmark and its entity partitions, as read-only int64 arrays.
+
+    ``train``, ``valid``, ``aux`` and ``test`` are (n, 3) (head, relation, tail)
+    id arrays; the labels are (n,) arrays of +1/-1, or None for link prediction;
+    the partitions are sorted arrays of distinct entity ids. Lists are converted.
+    """
 
     task: str
     vocab: Vocabulary
-    train: TripletArray
-    valid: TripletArray
-    aux: TripletArray
-    test: TripletArray
-    valid_labels: list[int] | None
-    test_labels: list[int] | None
-    ikg_entities: frozenset[int]
-    ookg_entities: frozenset[int]
-    dangling_ookg: frozenset[int]
+    train: np.ndarray
+    valid: np.ndarray
+    aux: np.ndarray
+    test: np.ndarray
+    valid_labels: np.ndarray | None
+    test_labels: np.ndarray | None
+    ikg_entities: np.ndarray
+    ookg_entities: np.ndarray
+    dangling_ookg: np.ndarray
 
     def __post_init__(self) -> None:
-        self.train, self.valid, self.aux, self.test = map(TripletArray, (self.train, self.valid, self.aux, self.test))
+        for name in ("train", "valid", "aux", "test"):
+            rows = np.asarray(getattr(self, name), dtype=np.int64)
+            if rows.size and (rows.ndim != 2 or rows.shape[1] != 3):
+                raise ValueError(f"{name} triplets must form an (n, 3) array, got shape {rows.shape}")
+            setattr(self, name, _read_only(rows.reshape(-1, 3)))
+        for name in ("valid_labels", "test_labels"):
+            if getattr(self, name) is not None:
+                setattr(self, name, _read_only(np.asarray(getattr(self, name), dtype=np.int64)))
+        for name in ("ikg_entities", "ookg_entities", "dangling_ookg"):
+            ids = np.asarray(getattr(self, name), dtype=np.int64)
+            if ids.ndim != 1 or np.any(ids[1:] <= ids[:-1]):
+                raise ValueError(f"{name} must be a sorted array of distinct entity ids")
+            setattr(self, name, _read_only(ids))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BenchmarkSplits):
+            return NotImplemented
+        # array_equal also compares the task, the vocabulary and None, as 0-d object arrays
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()  # a caller's own array stays writable
+    view.flags.writeable = False
+    return view
 
 
 def _normalize_task(task: str) -> str:
@@ -147,18 +176,17 @@ def _assemble(task: str, *parts: tuple[list[str], list[str], list[str], list[int
     if violations:
         raise DatasetValidationError(violations)
 
-    dangling = frozenset(np.flatnonzero(ookg & in_test & ~in_aux).tolist())
-    if dangling:
+    dangling = np.flatnonzero(ookg & in_test & ~in_aux)
+    if len(dangling):
         logger.warning("%d out-of-graph test entities have no aux neighbors and will be "
                        "scored pessimistically", len(dangling))
 
     labeled = task == TASK_CLASSIFICATION
     return BenchmarkSplits(
         task=task, vocab=vocab, train=train, valid=valid, aux=aux, test=test,
-        valid_labels=list(parts[1][3]) if labeled else None,
-        test_labels=list(parts[3][3]) if labeled else None,
-        ikg_entities=frozenset(np.flatnonzero(ikg).tolist()),
-        ookg_entities=frozenset(np.flatnonzero(ookg).tolist()), dangling_ookg=dangling)
+        valid_labels=parts[1][3] if labeled else None,
+        test_labels=parts[3][3] if labeled else None,
+        ikg_entities=np.flatnonzero(ikg), ookg_entities=np.flatnonzero(ookg), dangling_ookg=dangling)
 
 
 def _names(vocab: Vocabulary, t) -> str:
@@ -200,11 +228,11 @@ def write_splits(splits: BenchmarkSplits, directory: str | Path) -> dict[str, Pa
     return paths
 
 
-def _write_file(path: Path, vocab: Vocabulary, triplets: TripletArray,
-                labels: list[int] | None) -> None:
+def _write_file(path: Path, vocab: Vocabulary, triplets: np.ndarray,
+                labels: np.ndarray | None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for i, t in enumerate(triplets):
-            line = f"{vocab.entity_name(t.head)}\t{vocab.relation_name(t.relation)}\t{vocab.entity_name(t.tail)}"
+        for i, (h, r, t) in enumerate(triplets.tolist()):
+            line = f"{vocab.entity_name(h)}\t{vocab.relation_name(r)}\t{vocab.entity_name(t)}"
             if labels is not None:
                 line += f"\t{labels[i]}"
             f.write(line + "\n")

@@ -60,7 +60,7 @@ class CandidateSet:
 
 def estimate_candidates(tables: EmbeddingTables, aux_store: TripleStore,
                         entities: np.ndarray | Sequence[int],
-                        ikg_entities: frozenset[int] | set[int]) -> CandidateSet:
+                        ikg_entities: np.ndarray | set[int]) -> CandidateSet:
     """Candidates of every entity in ``entities``, in aux-store neighbor order.
 
     Within an entity's segment, the neighbors where it is the head come

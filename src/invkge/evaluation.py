@@ -11,14 +11,13 @@ validation split.
 from __future__ import annotations
 
 import logging
-from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import AS_HEAD, AS_TAIL, Triplet, TripletArray, TripleStore, segment_rows
+from .core import AS_HEAD, AS_TAIL, Triplet, TripleStore, segment_rows
 from .datasets import BenchmarkSplits
 from .estimation import cap_neighbors, estimate_candidates
 from .models import EmbeddingTables, translation_distance
@@ -171,37 +170,37 @@ def link_prediction(tables: EmbeddingTables, splits: BenchmarkSplits,
     """
     # Train and valid triplets hold only in-graph entities and a query's known side is
     # out-of-graph, so they can never match a query; only aux and test are indexed.
-    labels = splits.test_labels
-    positives = np.asarray(splits.test)[slice(None) if labels is None else np.array(labels) == 1]
-    findex = FilterIndex(np.concatenate([np.asarray(splits.aux), positives]),
+    test, labels = splits.test, splits.test_labels
+    positive = np.ones(len(test), dtype=bool) if labels is None else labels == 1
+    findex = FilterIndex(np.concatenate([splits.aux, test[positive]]),
                          splits.vocab.num_entities, splits.vocab.num_relations)
-    cids = np.array(sorted(splits.ikg_entities), dtype=np.int64)
+    cids = splits.ikg_entities
     if cids.size == 0:
         raise ValueError("no in-graph entities to rank over")
-    ookg = splits.ookg_entities
-    counts: dict[str, int] = defaultdict(int)
+    is_ookg = np.isin(test[:, [0, 2]], splits.ookg_entities)
+    both_ookg = positive & is_ookg.all(axis=1)
+    counts: dict[str, int] = {}
+    for key, mask in (("negatives_skipped", ~positive), ("skipped_both_ookg", both_ookg)):
+        if mask.any():
+            counts[key] = int(np.count_nonzero(mask))
 
-    queries: list[tuple[int, int, str, int]] = []  # (known OOKG side, relation, missing, answer)
-    for i, trip in enumerate(splits.test):
-        if labels is not None and labels[i] != 1:
-            counts["negatives_skipped"] += 1
-        elif trip.head in ookg and trip.tail in ookg:
-            counts["skipped_both_ookg"] += 1
-        elif trip.head in ookg:
-            queries.append((trip.head, trip.relation, AS_TAIL, trip.tail))
-        else:  # validation guarantees that every test triplet touches an OOKG entity
-            queries.append((trip.tail, trip.relation, AS_HEAD, trip.head))
-    if not queries:
+    # one query per remaining triplet: the known OOKG side, the relation, the side to rank
+    # and its answer; validation guarantees that every test triplet touches an OOKG entity
+    asked = positive & ~both_ookg
+    if not asked.any():
         raise ValueError("no evaluable test triplets")
-
-    known, relations, _, _ = zip(*queries)
-    vectors, found = embed_ookg(tables, splits, scheme, known, relations, smoothing=smoothing,
+    rows, tail_missing = test[asked], is_ookg[asked, 0]
+    known = np.where(tail_missing, rows[:, 0], rows[:, 2])
+    answers = np.where(tail_missing, rows[:, 2], rows[:, 0])
+    vectors, found = embed_ookg(tables, splits, scheme, known, rows[:, 1], smoothing=smoothing,
                                 neighbor_cap=neighbor_cap, seed=seed)
     if not found.all():
         counts["dangling"] = int(np.count_nonzero(~found))
-    ranks = np.empty(len(queries))
-    for i, (entity, relation, missing, answer) in enumerate(queries):
-        query = LpQuery(entity, vectors[i] if found[i] else None, relation, missing, answer)
+    ranks = np.empty(len(rows))
+    for i, (entity, relation, tail, answer) in enumerate(zip(
+            known.tolist(), rows[:, 1].tolist(), tail_missing.tolist(), answers.tolist())):
+        query = LpQuery(entity, vectors[i] if found[i] else None, relation,
+                        AS_TAIL if tail else AS_HEAD, answer)
         if found[i]:
             ranks[i] = filtered_rank(tables, query, findex, cids)
         else:  # dangling: the worst possible rank
@@ -212,15 +211,15 @@ def link_prediction(tables: EmbeddingTables, splits: BenchmarkSplits,
         mrr=float(np.mean(1.0 / ranks)),
         hits1=float(np.mean(ranks <= 1)),
         hits10=float(np.mean(ranks <= 10)),
-        counts=dict(counts),
+        counts=counts,
         config={"scheme": scheme, "neighbor_cap": neighbor_cap, "seed": seed,
                 "smoothing": smoothing},
     )
     return report
 
 
-def tune_thresholds(tables: EmbeddingTables, valid: TripletArray | list[Triplet],
-                    labels: list[int]) -> Thresholds:
+def tune_thresholds(tables: EmbeddingTables, valid: np.ndarray | Sequence[Triplet],
+                    labels: np.ndarray | Sequence[int]) -> Thresholds:
     """Relation-specific cutoffs maximizing validation accuracy.
 
     Candidate cutoffs are the midpoints between consecutive distinct
@@ -236,7 +235,7 @@ def tune_thresholds(tables: EmbeddingTables, valid: TripletArray | list[Triplet]
     ent = tables.entity_matrix()
     dists = translation_distance(tables.model, tables.norm_order, ent[data[:, 0]],
                                  tables.relation_vec(data[:, 1]), ent[data[:, 2]])
-    y = np.array(labels) == 1
+    y = np.asarray(labels) == 1
 
     per_relation: dict[int, float] = {}
     for rel in np.unique(data[:, 1]):
@@ -275,12 +274,11 @@ def triplet_classification(tables: EmbeddingTables, splits: BenchmarkSplits,
         raise ValueError("triplet classification needs labeled valid/test splits")
     if thresholds is None:
         thresholds = tune_thresholds(tables, splits.valid, splits.valid_labels)
-    if not splits.test:
+    if not len(splits.test):
         raise ValueError("no evaluable test triplets")
-    data = np.asarray(splits.test)
-    ends = data[:, [0, 2]]  # (n, 2): head and tail ids
-    rel = data[:, 1]
-    is_ookg = np.isin(ends, list(splits.ookg_entities))
+    ends = splits.test[:, [0, 2]]  # (n, 2): head and tail ids
+    rel = splits.test[:, 1]
+    is_ookg = np.isin(ends, splits.ookg_entities)
     vectors, found = embed_ookg(tables, splits, scheme, ends[is_ookg],
                                 np.broadcast_to(rel[:, None], ends.shape)[is_ookg],
                                 smoothing=smoothing, neighbor_cap=neighbor_cap, seed=seed)
@@ -293,7 +291,7 @@ def triplet_classification(tables: EmbeddingTables, splits: BenchmarkSplits,
                                  tables.relation_vec(rel), rows[:, 1])
     cutoffs = np.array([thresholds.for_relation(r) for r in range(splits.vocab.num_relations)])
     predicted = np.where(usable & (dists <= cutoffs[rel]), 1, -1)
-    correct = predicted == np.array(splits.test_labels)
+    correct = predicted == splits.test_labels
     counts = {"dangling": int(np.count_nonzero(~usable))} if not usable.all() else {}
     report = EvalReport(
         task="classification",

@@ -183,6 +183,8 @@ def load_checkpoint(path: str | Path) -> tuple[EmbeddingTables, int]:
         raise ValueError(f"{path}: unknown model code {model_code}")
     if norm_order not in (1, 2):
         raise ValueError(f"{path}: unsupported norm order {norm_order}")
+    if dim == 0:
+        raise ValueError(f"{path}: checkpoint has embedding width 0")
     model = MODELS[model_code]
     ent_width = 2 * dim if model == ROTATE else dim
     offset = _HEADER.size

@@ -342,7 +342,7 @@ def train(splits: BenchmarkSplits, config: TrainConfig) -> tuple[EmbeddingTables
     they equal their checkpoint round trip; with zero steps the
     initialization is returned as drawn.
     """
-    if not splits.train:
+    if not len(splits.train):
         raise ValueError("training split is empty")
     num_entities = splits.vocab.num_entities
     num_relations = splits.vocab.num_relations
@@ -354,7 +354,7 @@ def train(splits: BenchmarkSplits, config: TrainConfig) -> tuple[EmbeddingTables
 
     rng_shuffle = substream(config.seed, "shuffle")
     rng_neg = substream(config.seed, "negatives")
-    data = np.asarray(splits.train)
+    data = splits.train
     train_store = (TripleStore(data, num_entities, num_relations)
                    if config.filter_false_negatives else None)
     surviving = 0

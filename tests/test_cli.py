@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from invkge.cli import main
-from invkge.core import AS_HEAD, AS_TAIL
+from invkge.core import AS_HEAD, AS_TAIL, Triplet
 from invkge.datasets import (generate_planted_splits, generate_trainable_splits, load_split_dir,
                              write_splits)
 from invkge.evaluation import FilterIndex, LpQuery, embed_ookg, filtered_rank
-from invkge.models import TRANSE, init_tables, load_checkpoint, save_checkpoint
+from invkge.models import (MODELS, TRANSE, EmbeddingTables, init_tables, load_checkpoint,
+                           save_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -146,10 +147,27 @@ def test_estimate_dumps_every_ookg_entity(lp_dataset, tmp_path):
     manifest = (out / "ookg_manifest.tsv").read_text().splitlines()
     assert len(manifest) == len(splits.ookg_entities)  # nothing dangling here
     ids = [int(line.split("\t")[1]) for line in manifest]
-    assert sorted(ids) == sorted(splits.ookg_entities)
+    assert sorted(ids) == splits.ookg_entities.tolist()
     raw = (out / "ookg_embeddings.f32").read_bytes()
     assert len(raw) == len(manifest) * 2 * 4  # dim-2 float32 rows
     assert (out / "dangling.txt").read_text() == ""
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_zero_width_checkpoint_exits_1(lp_dataset, tc_dataset, tmp_path, capsys, model):
+    # a header-only checkpoint of width 0 passes the size check: header + 0 table bytes
+    for (root, splits, _), argv in ((lp_dataset, ["eval", "--task", "lp"]),
+                                    (tc_dataset, ["eval", "--task", "tc"]),
+                                    (lp_dataset, ["estimate"])):
+        n_ent, n_rel = splits.vocab.num_entities, splits.vocab.num_relations
+        path = tmp_path / "zero.bin"
+        save_checkpoint(EmbeddingTables(model, 0, 1, np.zeros((n_ent, 0)), np.zeros((n_rel, 0))),
+                        path)
+        rc = main([*argv, *_split_flags(root), "--checkpoint", str(path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "embedding width 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_estimate_refuses_correlation_scheme(lp_dataset, tmp_path):
@@ -296,9 +314,7 @@ def test_estimate_single_neighbor_dumps_the_lone_candidate(tmp_path):
                              train=[Triplet(a, 0, b)], valid=[Triplet(a, 0, b)],
                              aux=[Triplet(x, 0, b)], test=[Triplet(x, 0, a)],
                              valid_labels=None, test_labels=None,
-                             ikg_entities=frozenset({a, b}),
-                             ookg_entities=frozenset({x}),
-                             dangling_ookg=frozenset())
+                             ikg_entities=[a, b], ookg_entities=[x], dangling_ookg=[])
     root = tmp_path / "tiny"
     write_splits(splits, root)
     entity = np.array([[1.0, 2.0], [5.0, -3.0], [0.0, 0.0]])
@@ -451,17 +467,17 @@ def test_eval_lp_ignores_out_of_graph_table_rows(tmp_path):
     # One test triplet per OOKG entity, whose own table row is then moved to beat its
     # query's answer: only a ranking that read out-of-graph rows would see the change.
     splits, tables = generate_planted_splits(61, 150, 6, 420, 0.1, task="lp")
-    ookg, seen, test = splits.ookg_entities, set(), []
-    for t in splits.test:
+    ookg, seen, test = set(splits.ookg_entities.tolist()), set(), []
+    for t in map(Triplet._make, splits.test.tolist()):
         side = t.head if t.head in ookg else t.tail
-        if side not in seen and side not in splits.dangling_ookg \
+        if side not in seen and side not in splits.dangling_ookg.tolist() \
                 and not (t.head in ookg and t.tail in ookg):
             seen.add(side)
             test.append(t)
     root = tmp_path / "data"
     write_splits(replace(splits, test=test), root)
     loaded = load_split_dir(root)
-    assert loaded.vocab == splits.vocab and loaded.test == test
+    assert loaded.vocab == splits.vocab and np.array_equal(loaded.test, test)
     rng = np.random.default_rng(5)
     noisy = replace(tables, entity=tables.entity + rng.normal(scale=0.1, size=tables.entity.shape))
     save_checkpoint(noisy, root / "clean.bin")
@@ -482,7 +498,7 @@ def test_eval_lp_ignores_out_of_graph_table_rows(tmp_path):
             queries.append(LpQuery(entity, vec, t.relation, AS_HEAD, t.head))
     save_checkpoint(poisoned, root / "poisoned.bin")
     poisoned, _ = load_checkpoint(root / "poisoned.bin")
-    cids = np.array(sorted(loaded.ikg_entities))
+    cids = loaded.ikg_entities
     everyone = np.arange(loaded.vocab.num_entities)
     for query in queries:  # every answer is beaten once out-of-graph rows compete
         assert filtered_rank(poisoned, query, FilterIndex([]), everyone) \

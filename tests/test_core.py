@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from invkge.core import Triplet, TripletArray, TripleStore, Vocabulary
+from invkge.core import Triplet, TripleStore, Vocabulary
 
 
 def test_empty_store():
@@ -148,50 +148,3 @@ def test_vocabulary_bulk_add_numbers_new_names_in_first_seen_order():
             lookup("zz")
     assert vocab.entity_names == ["b", "c", "a", "d", "e"] and vocab.entity_id("e") == 4
 
-
-def test_triplet_array_is_a_read_only_view_of_its_rows():
-    rows = np.array([[0, 1, 2], [3, 0, 1], [2, 1, 0]], dtype=np.int64)
-    view = TripletArray(rows)
-    arr = np.asarray(view)
-    assert np.shares_memory(arr, rows) and arr.shape == (3, 3) and arr.dtype == np.int64
-    assert np.asarray(view) is arr  # no copy on every call either
-    with pytest.raises(ValueError):
-        arr[0, 0] = 9
-    rows[0, 0] = 7  # the caller's array stays writable
-    assert view[0] == Triplet(7, 1, 2)
-    copy = np.array(view)
-    copy[0, 0] = 5
-    assert view[0].head == 7
-    assert len(TripletArray([])) == 0 and np.asarray(TripletArray([])).shape == (0, 3)
-
-
-def test_triplet_array_protocol_without_a_copy_argument():
-    # NumPy 1.x calls __array__() or __array__(dtype), never with copy=
-    rows = np.array([[0, 1, 2], [3, 0, 1]], dtype=np.int64)
-    view = TripletArray(rows)
-    assert np.shares_memory(view.__array__(), rows)
-    assert np.shares_memory(view.__array__(np.dtype(np.int64)), rows)
-    as_float = view.__array__(np.float64)
-    assert as_float.dtype == np.float64 and np.array_equal(as_float, rows)
-    fresh = view.__array__(None, True)
-    assert not np.shares_memory(fresh, rows) and fresh.flags.writeable
-
-
-def test_triplet_array_behaves_like_a_list_of_triplets():
-    trips = [Triplet(0, 1, 2), Triplet(3, 0, 1), Triplet(2, 1, 0)]
-    view = TripletArray(trips)
-    assert len(view) == 3 and bool(view) and not TripletArray([])
-    assert list(view) == trips and all(type(t) is Triplet for t in view)
-    assert view[1] == trips[1] and view[-1] == trips[-1] and type(view[0].head) is int
-    assert isinstance(view[1:], TripletArray) and view[1:] == trips[1:]
-    assert view == trips and view == TripletArray(np.asarray(trips)) and view != trips[:2]
-    assert (view == [Triplet(0, 1, 2), Triplet(3, 0, 1), Triplet(2, 1, 9)]) is False
-    assert (view[:1] == [(0, 1)]) is False and (view[:1] == [0, 1, 2]) is False
-    assert view != "abc" and view != None  # noqa: E711
-    assert Triplet(3, 0, 1) in view and (9, 9, 9) not in view
-    both = view + TripletArray(trips[:1])
-    assert isinstance(both, TripletArray) and list(both) == trips + trips[:1]
-    both += [Triplet(5, 5, 5)]
-    assert list(both) == trips + trips[:1] + [Triplet(5, 5, 5)]
-    assert list(view) == trips  # + made a new sequence
-    assert TripleStore(view) == TripleStore(trips) == TripleStore(iter(trips))

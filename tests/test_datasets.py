@@ -1,9 +1,10 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from invkge.core import Triplet, Vocabulary
+from invkge.core import Triplet, TripleStore, Vocabulary
 from invkge.datasets import (BenchmarkSplits, DatasetFormatError, DatasetValidationError,
                              generate_planted_splits, generate_trainable_splits,
                              load_split_dir, load_splits, write_splits)
@@ -40,9 +41,9 @@ def test_load_minimal_lp(tmp_path):
     )
     splits = load_splits(f["train"], f["valid"], f["aux"], f["test"])
     assert splits.vocab.num_entities == 4
-    assert splits.ikg_entities == frozenset(splits.vocab.entity_id(n) for n in "abc")
-    assert splits.ookg_entities == {splits.vocab.entity_id("x")}
-    assert splits.dangling_ookg == frozenset()
+    assert splits.ikg_entities.tolist() == sorted(splits.vocab.entity_id(n) for n in "abc")
+    assert splits.ookg_entities.tolist() == [splits.vocab.entity_id("x")]
+    assert splits.dangling_ookg.tolist() == []
     assert splits.valid_labels is None
 
 
@@ -65,8 +66,8 @@ def test_classification_labels_parsed(tmp_path):
     f = _write_benchmark(tmp_path, ["a\tr\tb"], ["a\tr\tb\t1", "b\tr\ta\t-1", "a\tr\ta\t0"],
                          ["x\tr\ta"], ["x\tr\tb\t1"])
     splits = load_splits(f["train"], f["valid"], f["aux"], f["test"], task="classification")
-    assert splits.valid_labels == [1, -1, -1]  # 0 normalizes to -1
-    assert splits.test_labels == [1]
+    assert splits.valid_labels.tolist() == [1, -1, -1]  # 0 normalizes to -1
+    assert splits.test_labels.tolist() == [1]
 
 
 def test_classification_requires_labels(tmp_path):
@@ -119,7 +120,7 @@ def test_dangling_ookg_flagged_not_fatal(tmp_path):
     f = _write_benchmark(tmp_path, ["a\tr\tb"], ["a\tr\tb"], ["x\tr\ta"],
                          ["x\tr\tb", "y\tr\ta"])
     splits = load_splits(f["train"], f["valid"], f["aux"], f["test"])
-    assert splits.dangling_ookg == {splits.vocab.entity_id("y")}
+    assert splits.dangling_ookg.tolist() == [splits.vocab.entity_id("y")]
 
 
 # The filter of known-true triplets is built by link_prediction from train, aux
@@ -144,11 +145,44 @@ def _line_benchmark(test, test_labels=None):
         valid=[Triplet(0, 0, 1), Triplet(0, 0, 3)], aux=[Triplet(4, 0, 0)],
         test=[Triplet(*t) for t in test],
         valid_labels=[1, -1] if labeled else None, test_labels=test_labels,
-        ikg_entities=frozenset(range(4)), ookg_entities=frozenset({4}),
-        dangling_ookg=frozenset())
+        ikg_entities=list(range(4)), ookg_entities=[4], dangling_ookg=[])
     tables = EmbeddingTables(TRANSE, 1, 1, np.arange(5.0).reshape(-1, 1), np.zeros((1, 1)))
     return tables, splits
 
+
+def test_splits_hold_read_only_int64_arrays():
+    _, splits = _line_benchmark([(4, 0, 3), (4, 0, 1)], [1, -1])
+    rows = np.array([[0, 0, 1], [1, 0, 2]], dtype=np.int64)
+    splits = replace(splits, train=rows)
+    for name in ("train", "valid", "aux", "test"):
+        arr = getattr(splits, name)
+        assert arr.dtype == np.int64 and arr.shape == (len(arr), 3) and not arr.flags.writeable
+    assert np.shares_memory(splits.train, rows)  # converted without a copy
+    rows[0, 0] = 3  # the caller's array stays writable
+    assert splits.train[0].tolist() == [3, 0, 1]
+    with pytest.raises(ValueError):
+        splits.test[0, 0] = 0
+    assert splits.test_labels.dtype == np.int64 and splits.test_labels.tolist() == [1, -1]
+    for name in ("valid_labels", "test_labels", "ikg_entities", "ookg_entities", "dangling_ookg"):
+        assert getattr(splits, name).dtype == np.int64 and not getattr(splits, name).flags.writeable
+    assert replace(splits, aux=[]).aux.shape == (0, 3)
+    # equality is field-wise: it neither raises on the arrays nor falls back to identity
+    assert replace(splits) == splits and replace(splits) is not splits
+    assert replace(splits, aux=[]) != splits and replace(splits, test_labels=None) != splits
+    assert replace(splits, test_labels=None) == replace(splits, test_labels=None)
+    assert replace(splits, task="lp") != splits and splits != "splits"
+    trips = list(map(Triplet._make, splits.test.tolist()))
+    assert TripleStore(splits.test) == TripleStore(trips) == TripleStore(iter(trips))
+
+
+def test_splits_reject_triplet_arrays_not_n_by_3_and_unsorted_partitions():
+    _, splits = _line_benchmark([(4, 0, 3)])
+    for bad in (np.arange(12).reshape(3, 4), np.arange(6), [[0, 0], [1, 1]]):
+        with pytest.raises(ValueError, match=r"aux triplets must form an \(n, 3\) array"):
+            replace(splits, aux=bad)
+    for bad in ([1, 0, 2, 3], [0, 1, 1, 2, 3], [[0, 1], [2, 3]]):
+        with pytest.raises(ValueError, match="ikg_entities must be a sorted array of distinct"):
+            replace(splits, ikg_entities=bad)
 
 def test_filter_set_disjoint_union():
     # (x, r, a) is filtered as an aux triplet and (x, r, b) as a test triplet:
@@ -177,18 +211,19 @@ def test_filter_set_excludes_negative_labels():
 
 def test_filter_set_matches_linear_scan_oracle():
     splits, tables = generate_trainable_splits(5, 40, 3, 200, 0.15, task="classification")
-    scan = set(splits.train) | set(splits.aux)
-    scan |= {t for t, lab in zip(splits.valid, splits.valid_labels) if lab == 1}
-    scan |= {t for t, lab in zip(splits.test, splits.test_labels) if lab == 1}
+    scan = set(map(tuple, splits.train.tolist())) | set(map(tuple, splits.aux.tolist()))
+    scan |= {tuple(t) for t, lab in zip(splits.valid.tolist(), splits.valid_labels) if lab == 1}
+    scan |= {tuple(t) for t, lab in zip(splits.test.tolist(), splits.test_labels) if lab == 1}
+    ookg = set(splits.ookg_entities.tolist())
     ent = tables.entity
     ranks = []
-    for (h, r, t), lab in zip(splits.test, splits.test_labels):
-        if lab != 1 or (h in splits.ookg_entities and t in splits.ookg_entities):
+    for (h, r, t), lab in zip(splits.test.tolist(), splits.test_labels):
+        if lab != 1 or (h in ookg and t in ookg):
             continue
-        known, answer = (h, t) if h in splits.ookg_entities else (t, h)
+        known, answer = (h, t) if h in ookg else (t, h)
         vec = embed_ookg(tables, splits, "uniform", [known], None)[0][0]
         dists = {}
-        for c in sorted(splits.ikg_entities):
+        for c in splits.ikg_entities.tolist():
             trip = (known, r, c) if known == h else (c, r, known)
             if c != answer and trip in scan:
                 continue
@@ -249,14 +284,13 @@ def test_synthetic_parameter_validation():
 def test_synthetic_no_dangling_by_construction():
     for splits, _ in (generate_trainable_splits(3, 40, 3, 200, 0.2),
                       generate_planted_splits(3, 150, 6, 420, 0.2)):
-        assert splits.dangling_ookg == frozenset()
-        aux_entities = {e for t in splits.aux for e in (t.head, t.tail)}
-        assert splits.ookg_entities <= aux_entities
+        assert splits.dangling_ookg.size == 0
+        assert set(splits.ookg_entities.tolist()) <= set(splits.aux[:, [0, 2]].ravel().tolist())
 
 
 def test_planted_splits_are_exactly_translational():
     splits, tables = generate_planted_splits(13, 200, 8, 600, 0.1)
-    assert (_distances(tables, list(splits.train)[:200] + list(splits.aux)[:100]) == 0.0).all()
+    assert (_distances(tables, np.concatenate([splits.train[:200], splits.aux[:100]])) == 0.0).all()
     assert (_distances(tables, splits.valid[:50]) == 0.0).all()
 
 
@@ -287,9 +321,9 @@ def test_trainable_splits_valid_and_deterministic(tmp_path):
 
 def test_trainable_classification_has_balanced_labels():
     splits, _ = generate_trainable_splits(8, 100, 5, 600, 0.15, task="classification")
-    assert splits.test_labels.count(1) > 0
-    assert splits.test_labels.count(-1) > 0
-    assert splits.valid_labels.count(-1) > 0
+    assert np.count_nonzero(splits.test_labels == 1) > 0
+    assert np.count_nonzero(splits.test_labels == -1) > 0
+    assert np.count_nonzero(splits.valid_labels == -1) > 0
 
 
 FB15K_HEAD_10_DIR = os.environ.get("INVKGE_FB15K_HEAD_10_DIR")

@@ -314,33 +314,38 @@ def test_report_metric_ranges(planted_lp):
     assert 0.0 <= report.hits1 <= report.hits10 <= 1.0
 
 
+def _touching(triplets, entity):
+    """Mask of the triplets whose head or tail is ``entity``."""
+    return (triplets[:, [0, 2]] == entity).any(axis=1)
+
+
 def test_lp_counts_dangling_and_assigns_worst_rank():
     splits, tables = generate_planted_splits(41, 150, 6, 420, 0.1, task="lp")
     # strip one OOKG entity's aux edges to make it dangling
-    victim = sorted(splits.ookg_entities)[0]
-    aux = [t for t in splits.aux if victim not in (t.head, t.tail)]
+    victim = int(splits.ookg_entities[0])
+    aux = splits.aux[~_touching(splits.aux, victim)]
     crippled = BenchmarkSplits(task=splits.task, vocab=splits.vocab, train=splits.train,
                                valid=splits.valid, aux=aux, test=splits.test,
                                valid_labels=None, test_labels=None,
                                ikg_entities=splits.ikg_entities,
                                ookg_entities=splits.ookg_entities,
-                               dangling_ookg=frozenset({victim}))
+                               dangling_ookg=[victim])
     report = link_prediction(tables, crippled, "uniform")
-    n_victim_queries = sum(1 for t in splits.test if victim in (t.head, t.tail))
+    n_victim_queries = np.count_nonzero(_touching(splits.test, victim))
     assert report.counts.get("dangling") == n_victim_queries
     assert report.mrr < 1.0
 
 
 def test_classification_dangling_predicts_negative():
     splits, tables = generate_planted_splits(43, 150, 6, 420, 0.1, task="classification")
-    victim = sorted(splits.ookg_entities)[0]
-    aux = [t for t in splits.aux if victim not in (t.head, t.tail)]
+    victim = int(splits.ookg_entities[0])
+    aux = splits.aux[~_touching(splits.aux, victim)]
     crippled = BenchmarkSplits(task=splits.task, vocab=splits.vocab, train=splits.train,
                                valid=splits.valid, aux=aux, test=splits.test,
                                valid_labels=splits.valid_labels, test_labels=splits.test_labels,
                                ikg_entities=splits.ikg_entities,
                                ookg_entities=splits.ookg_entities,
-                               dangling_ookg=frozenset({victim}))
+                               dangling_ookg=[victim])
     report = triplet_classification(tables, crippled, "degree")
     assert report.counts.get("dangling", 0) > 0
     # dangling positives are classified negative, so accuracy dips below 1
@@ -349,8 +354,9 @@ def test_classification_dangling_predicts_negative():
 
 def _per_triplet_predictions(tables, splits, scheme, thresholds, neighbor_cap):
     """Per-triplet reference for triplet_classification: one distance call per test triplet."""
-    ookg = splits.ookg_entities
-    sides = [(entity, trip.relation) for trip in splits.test
+    ookg = set(splits.ookg_entities.tolist())
+    test = list(map(Triplet._make, splits.test.tolist()))
+    sides = [(entity, trip.relation) for trip in test
              for entity in (trip.head, trip.tail) if entity in ookg]
     vectors, found = embed_ookg(tables, splits, scheme, [e for e, _ in sides],
                                 [r for _, r in sides], neighbor_cap=neighbor_cap)
@@ -360,7 +366,7 @@ def _per_triplet_predictions(tables, splits, scheme, thresholds, neighbor_cap):
         return embedded[(entity, relation)] if entity in ookg else tables.entity_matrix()[entity]
 
     predictions = []
-    for trip in splits.test:
+    for trip in test:
         hv, tv = resolve(trip.head, trip.relation), resolve(trip.tail, trip.relation)
         if hv is None or tv is None:
             predictions.append(-1)
@@ -375,8 +381,8 @@ def _per_triplet_predictions(tables, splits, scheme, thresholds, neighbor_cap):
 @pytest.mark.parametrize("model", [TRANSE, ROTATE])
 def test_batched_classification_matches_per_triplet_loop(model, norm):
     splits, _ = generate_planted_splits(43, 150, 6, 420, 0.1, task="classification")
-    victim = sorted(splits.ookg_entities)[0]  # made dangling: its aux edges are dropped
-    splits = replace(splits, aux=[t for t in splits.aux if victim not in (t.head, t.tail)])
+    victim = int(splits.ookg_entities[0])  # made dangling: its aux edges are dropped
+    splits = replace(splits, aux=splits.aux[~_touching(splits.aux, victim)])
     n_rel = splits.vocab.num_relations
     tables = init_tables(5, model, 8, splits.vocab.num_entities, n_rel, norm_order=norm)
     tuned = tune_thresholds(tables, splits.valid, splits.valid_labels)
@@ -389,7 +395,7 @@ def test_batched_classification_matches_per_triplet_loop(model, norm):
             assert 0 < expected.count(1) < len(expected)
             report = triplet_classification(tables, splits, scheme, thresholds=thresholds,
                                             neighbor_cap=cap)
-            n_dangling = sum(victim in (t.head, t.tail) for t in splits.test)
+            n_dangling = np.count_nonzero(_touching(splits.test, victim))
             assert report.counts == {"dangling": n_dangling}
             assert report.accuracy == float(np.mean(np.array(expected) == splits.test_labels))
             for i, (trip, label) in enumerate(zip(splits.test, splits.test_labels)):
@@ -402,9 +408,78 @@ def test_batched_classification_matches_per_triplet_loop(model, norm):
 def test_lp_requires_positive_labels_only(planted_tc):
     splits, tables = planted_tc
     report = link_prediction(tables, splits, "uniform")
-    assert report.counts.get("negatives_skipped") == splits.test_labels.count(-1)
-    assert report.num_queries == splits.test_labels.count(1)
+    assert report.counts.get("negatives_skipped") == np.count_nonzero(splits.test_labels == -1)
+    assert report.num_queries == np.count_nonzero(splits.test_labels == 1)
 
+
+
+def _per_triplet_lp(tables, splits, scheme):
+    """Per-triplet reference for link_prediction's query table: its counts and
+    (known entity, relation, missing side, answer, rank) per query, in test order."""
+    labels, ookg = splits.test_labels, set(splits.ookg_entities.tolist())
+    test = list(map(Triplet._make, splits.test.tolist()))
+    positives = [t for i, t in enumerate(test) if labels is None or labels[i] == 1]
+    findex = FilterIndex(splits.aux.tolist() + positives, splits.vocab.num_entities,
+                         splits.vocab.num_relations)
+    cids = np.array(sorted(splits.ikg_entities.tolist()), dtype=np.int64)
+    counts, queries = {}, []
+    for i, trip in enumerate(test):
+        if labels is not None and labels[i] != 1:
+            counts["negatives_skipped"] = counts.get("negatives_skipped", 0) + 1
+        elif trip.head in ookg and trip.tail in ookg:
+            counts["skipped_both_ookg"] = counts.get("skipped_both_ookg", 0) + 1
+        elif trip.head in ookg:
+            queries.append((trip.head, trip.relation, AS_TAIL, trip.tail))
+        else:
+            queries.append((trip.tail, trip.relation, AS_HEAD, trip.head))
+    known, relations, _, _ = zip(*queries)
+    vectors, found = embed_ookg(tables, splits, scheme, known, relations)
+    if not found.all():
+        counts["dangling"] = int(np.count_nonzero(~found))
+    ranked = []
+    for i, (entity, relation, missing, answer) in enumerate(queries):
+        query = LpQuery(entity, vectors[i] if found[i] else None, relation, missing, answer)
+        rank = (filtered_rank(tables, query, findex, cids) if found[i]
+                else np.count_nonzero(findex.keep_mask(query, cids)))
+        ranked.append((entity, relation, missing, answer, float(rank)))
+    return counts, ranked
+
+
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+def test_lp_query_table_matches_per_triplet_loop(monkeypatch, model):
+    splits, _ = generate_planted_splits(43, 150, 6, 420, 0.1, task="classification")
+    victim, x, y = splits.ookg_entities[:3].tolist()  # victim dangles; (x, 0, y) is both-OOKG
+    labeled = replace(splits, aux=splits.aux[~_touching(splits.aux, victim)],
+                      test=np.concatenate([splits.test, [[x, 0, y]]]),
+                      test_labels=np.append(splits.test_labels, 1), dangling_ookg=[victim])
+    unlabeled = replace(labeled, task="lp", test=splits.test[splits.test_labels == 1],
+                        valid_labels=None, test_labels=None)
+    tables = init_tables(5, model, 8, splits.vocab.num_entities, splits.vocab.num_relations)
+    seen = []
+
+    def spy(tables, query, filter_index, candidate_ids):
+        seen.append((query.known_entity, query.relation, query.missing, query.answer,
+                     filtered_rank(tables, query, filter_index, candidate_ids)))
+        return seen[-1][-1]
+
+    for splits, scheme in product((labeled, unlabeled), ("correlation", "degree", "uniform")):
+        counts, ranked = _per_triplet_lp(tables, splits, scheme)
+        if splits is labeled:
+            assert counts["negatives_skipped"] > 0 and counts["skipped_both_ookg"] == 1
+        else:
+            assert set(counts) == {"dangling"}
+        positive = True if splits.test_labels is None else splits.test_labels == 1
+        assert counts["dangling"] == np.count_nonzero(_touching(splits.test, victim) & positive)
+        seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluation, "filtered_rank", spy)
+            report = link_prediction(tables, splits, scheme)
+        assert report.counts == counts and report.num_queries == len(ranked)
+        assert seen == [q for q in ranked if q[0] != victim]  # the dangling are not ranked
+        ranks = np.array([q[-1] for q in ranked])
+        assert report.mrr == float(np.mean(1.0 / ranks))
+        assert report.hits1 == float(np.mean(ranks <= 1))
+        assert report.hits10 == float(np.mean(ranks <= 10))
 
 # ---------------------------------------------------------------------------
 # ablations
@@ -468,8 +543,7 @@ def test_both_sides_ookg_estimated_independently():
         # d(y,r,x) = |0+1-1| = 0 <= 0.5 (true positive)
         # d(x,r,y) = |1+1-0| = 2 > 0.5 (true negative)
         test_labels=[1, -1],
-        ikg_entities=frozenset({a, b}), ookg_entities=frozenset({x, y}),
-        dangling_ookg=frozenset())
+        ikg_entities=[a, b], ookg_entities=[x, y], dangling_ookg=[])
     report = triplet_classification(tables, splits, "uniform")
     assert report.accuracy == 1.0
 
@@ -477,7 +551,7 @@ def test_both_sides_ookg_estimated_independently():
                          aux=splits.aux, test=[Triplet(x, 0, y), Triplet(x, 0, b)],
                          valid_labels=None, test_labels=None,
                          ikg_entities=splits.ikg_entities, ookg_entities=splits.ookg_entities,
-                         dangling_ookg=frozenset())
+                         dangling_ookg=[])
     report = link_prediction(tables, lp, "uniform")
     assert report.counts.get("skipped_both_ookg") == 1
     assert report.num_queries == 1
@@ -542,7 +616,7 @@ def test_float32_tables_evaluate_like_their_float64_copy(monkeypatch, model, nor
     runs = []
     for tables in (narrow, wide):
         distances.clear()
-        vectors, found = embed_ookg(tables, splits, "degree", sorted(splits.ookg_entities), None)
+        vectors, found = embed_ookg(tables, splits, "degree", splits.ookg_entities, None)
         thresholds = tune_thresholds(tables, splits.valid, splits.valid_labels)
         reports = [triplet_classification(tables, splits, thresholds=thresholds),
                    link_prediction(tables, splits)]

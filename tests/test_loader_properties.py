@@ -100,10 +100,11 @@ def _outcome(load, paths, task):
 
 def _load(paths, task):
     s = load_splits(*paths, task=task)
-    ids = [np.asarray(getattr(s, name)).tolist() for name in SPLITS]
+    ids = [getattr(s, name).tolist() for name in SPLITS]
+    labels = [None if x is None else x.tolist() for x in (s.valid_labels, s.test_labels)]
     return (s.vocab.entity_names, s.vocab.relation_names, [[tuple(t) for t in x] for x in ids],
-            s.valid_labels, s.test_labels, set(s.ikg_entities), set(s.ookg_entities),
-            set(s.dangling_ookg))
+            *labels, set(s.ikg_entities.tolist()), set(s.ookg_entities.tolist()),
+            set(s.dangling_ookg.tolist()))
 
 
 @st.composite
@@ -176,8 +177,6 @@ def test_write_then_load_round_trip(generator, seed, task):
         loaded = load_split_dir(tmp, task=task)
     assert loaded == splits
     assert loaded.vocab.entity_names == splits.vocab.entity_names
-    for name in SPLITS:
-        assert np.array_equal(np.asarray(getattr(loaded, name)), np.asarray(getattr(splits, name)))
-    assert (loaded.valid_labels, loaded.test_labels) == (splits.valid_labels, splits.test_labels)
-    assert loaded.ookg_entities == splits.ookg_entities
-    assert loaded.dangling_ookg == splits.dangling_ookg
+    for name in (*SPLITS, "valid_labels", "test_labels", "ookg_entities", "dangling_ookg"):
+        assert np.array_equal(getattr(loaded, name), getattr(splits, name))
+    assert (loaded.test_labels is None) == (task == "lp")
