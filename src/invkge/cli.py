@@ -166,10 +166,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
 
 
 def _echo_config(command: str, resolved: dict, out_dir: Path) -> None:
-    lines = [f"command={command}"]
-    for key in sorted(resolved):
-        value = resolved[key]
-        lines.append(f"{key}={'' if value is None else value}")
+    lines = [f"command={command}", *(f"{key}={'' if value is None else value}"
+                                     for key, value in sorted(resolved.items()))]
     (out_dir / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -364,25 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, type=cast, default=None,
                                help=f"default: {default if default is not _REQUIRED else 'required'}")
 
-    p = sub.add_parser("pretrain", help="train embeddings on the training split")
-    add_common(p, _SPECS["pretrain"])
-    p.set_defaults(func=cmd_pretrain)
-
-    p = sub.add_parser("estimate", help="dump reduced embeddings for out-of-graph entities")
-    add_common(p, _SPECS["estimate"])
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("eval", help="link prediction or triplet classification")
-    add_common(p, _SPECS["eval"])
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("ablate", help="neighbor-cap / uniform-weight / ratio ablations")
-    add_common(p, _SPECS["ablate"])
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("validate", help="check split files; exit code 0 iff valid")
-    add_common(p, _SPECS["validate"])
-    p.set_defaults(func=cmd_validate)
+    for command, func, help_text in (
+            ("pretrain", cmd_pretrain, "train embeddings on the training split"),
+            ("estimate", cmd_estimate, "dump reduced embeddings for out-of-graph entities"),
+            ("eval", cmd_eval, "link prediction or triplet classification"),
+            ("ablate", cmd_ablate, "neighbor-cap / uniform-weight / ratio ablations"),
+            ("validate", cmd_validate, "check split files; exit code 0 iff valid")):
+        p = sub.add_parser(command, help=help_text)
+        add_common(p, _SPECS[command])
+        p.set_defaults(func=func)
     return parser
 
 

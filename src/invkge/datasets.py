@@ -58,21 +58,42 @@ class _Infeasible(Exception):
     """Internal: one generation attempt could not satisfy the split invariants."""
 
 
+class SplitRows(np.ndarray):
+    """A split's (n, 3) triplet array; ``+`` with another split or a list of triplets joins rows.
+
+    Splits were lists of triplets before they were arrays, and code written for
+    them (the benchmark's lattice test) joins them with ``+``. Indexing gives
+    plain arrays, so a column or a subset of rows adds elementwise as usual.
+    """
+
+    def __add__(self, other):
+        if not isinstance(other, (SplitRows, list)):
+            return super().__add__(other)
+        return np.concatenate([self, np.asarray(other, dtype=np.int64).reshape(-1, 3)]).view(SplitRows)
+
+    __iadd__ = __add__
+
+    def __getitem__(self, key):
+        item = super().__getitem__(key)
+        return item.view(np.ndarray) if isinstance(item, np.ndarray) else item
+
+
 @dataclass
 class BenchmarkSplits:
     """The four splits of one benchmark and its entity partitions, as read-only int64 arrays.
 
     ``train``, ``valid``, ``aux`` and ``test`` are (n, 3) (head, relation, tail)
-    id arrays; the labels are (n,) arrays of +1/-1, or None for link prediction;
-    the partitions are sorted arrays of distinct entity ids. Lists are converted.
+    id arrays (``SplitRows``); the labels are (n,) arrays of +1/-1, or None for
+    link prediction; the partitions are sorted arrays of distinct entity ids.
+    Lists are converted.
     """
 
     task: str
     vocab: Vocabulary
-    train: np.ndarray
-    valid: np.ndarray
-    aux: np.ndarray
-    test: np.ndarray
+    train: SplitRows
+    valid: SplitRows
+    aux: SplitRows
+    test: SplitRows
     valid_labels: np.ndarray | None
     test_labels: np.ndarray | None
     ikg_entities: np.ndarray
@@ -84,7 +105,7 @@ class BenchmarkSplits:
             rows = np.asarray(getattr(self, name), dtype=np.int64)
             if rows.size and (rows.ndim != 2 or rows.shape[1] != 3):
                 raise ValueError(f"{name} triplets must form an (n, 3) array, got shape {rows.shape}")
-            setattr(self, name, _read_only(rows.reshape(-1, 3)))
+            setattr(self, name, _read_only(rows.reshape(-1, 3)).view(SplitRows))
         for name in ("valid_labels", "test_labels"):
             if getattr(self, name) is not None:
                 setattr(self, name, _read_only(np.asarray(getattr(self, name), dtype=np.int64)))

@@ -60,7 +60,7 @@ class CandidateSet:
 
 def estimate_candidates(tables: EmbeddingTables, aux_store: TripleStore,
                         entities: np.ndarray | Sequence[int],
-                        ikg_entities: np.ndarray | set[int]) -> CandidateSet:
+                        ikg_entities: np.ndarray | Sequence[int]) -> CandidateSet:
     """Candidates of every entity in ``entities``, in aux-store neighbor order.
 
     Within an entity's segment, the neighbors where it is the head come
@@ -71,7 +71,7 @@ def estimate_candidates(tables: EmbeddingTables, aux_store: TripleStore,
     """
     entities = np.asarray(entities, dtype=np.int64)
     other, relation, as_head, offsets = aux_store.incident(entities)
-    ikg_ids = np.fromiter(ikg_entities, dtype=np.int64, count=len(ikg_entities))
+    ikg_ids = np.asarray(ikg_entities, dtype=np.int64)
     ikg = np.zeros(aux_store.num_entities, dtype=bool)
     ikg[ikg_ids[ikg_ids < aux_store.num_entities]] = True
     usable = ikg[other] & (other < tables.num_entities)

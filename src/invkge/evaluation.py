@@ -132,10 +132,7 @@ def embed_ookg(tables: EmbeddingTables, splits: BenchmarkSplits, scheme: str,
     train_store = TripleStore(splits.train, num_entities=n_ent, num_relations=n_rel)
     correlation = build_correlation(train_store, n_rel) if scheme == CORRELATION else None
     entities = np.asarray(entities, dtype=np.int64)
-    if scheme == CORRELATION:
-        query = np.asarray(relations, dtype=np.int64)
-    else:
-        query = np.zeros_like(entities)
+    query = np.asarray(relations, dtype=np.int64) if scheme == CORRELATION else np.zeros_like(entities)
     pairs, inverse = np.unique(np.stack([entities, query], axis=1), axis=0, return_inverse=True)
     cset = estimate_candidates(tables, aux_store, np.unique(pairs[:, 0]), splits.ikg_entities)
     if neighbor_cap is not None:
@@ -205,7 +202,7 @@ def link_prediction(tables: EmbeddingTables, splits: BenchmarkSplits,
             ranks[i] = filtered_rank(tables, query, findex, cids)
         else:  # dangling: the worst possible rank
             ranks[i] = np.count_nonzero(findex.keep_mask(query, cids))
-    report = EvalReport(
+    return EvalReport(
         task="lp",
         num_queries=len(ranks),
         mrr=float(np.mean(1.0 / ranks)),
@@ -215,7 +212,6 @@ def link_prediction(tables: EmbeddingTables, splits: BenchmarkSplits,
         config={"scheme": scheme, "neighbor_cap": neighbor_cap, "seed": seed,
                 "smoothing": smoothing},
     )
-    return report
 
 
 def tune_thresholds(tables: EmbeddingTables, valid: np.ndarray | Sequence[Triplet],
@@ -293,7 +289,7 @@ def triplet_classification(tables: EmbeddingTables, splits: BenchmarkSplits,
     predicted = np.where(usable & (dists <= cutoffs[rel]), 1, -1)
     correct = predicted == splits.test_labels
     counts = {"dangling": int(np.count_nonzero(~usable))} if not usable.all() else {}
-    report = EvalReport(
+    return EvalReport(
         task="classification",
         num_queries=len(correct),
         accuracy=float(np.mean(correct)),
@@ -301,7 +297,6 @@ def triplet_classification(tables: EmbeddingTables, splits: BenchmarkSplits,
         config={"scheme": scheme, "neighbor_cap": neighbor_cap, "seed": seed,
                 "smoothing": smoothing},
     )
-    return report
 
 
 def ablate(tables: EmbeddingTables, splits: BenchmarkSplits, variants: list[str], *,
@@ -366,11 +361,7 @@ def format_report(label: str, report: EvalReport) -> str:
 
 def write_report_csv(path: str | Path, reports: list[tuple[str, EvalReport]]) -> None:
     def fmt(x) -> str:
-        if x is None:
-            return ""
-        if isinstance(x, float):
-            return f"{x:.6f}"
-        return str(x)
+        return "" if x is None else f"{x:.6f}" if isinstance(x, float) else str(x)
 
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(_CSV_COLUMNS) + "\n")

@@ -52,7 +52,7 @@ def test_criterion_1_estimator_optimality():
             as_head = bool(rng.random() < 0.5)
             trip = Triplet(0, rel, other) if as_head else Triplet(other, rel, 0)
             aux = TripleStore([trip], num_entities=n_ent, num_relations=3)
-            vec = estimate_candidates(tables, aux, [0], set(range(1, n_ent))).vectors[0]
+            vec = estimate_candidates(tables, aux, [0], range(1, n_ent)).vectors[0]
             source = tables.entity_matrix()[other]
             h, t = (vec, source) if as_head else (source, vec)
             resid = float(translation_distance(model, tables.norm_order, h,

@@ -184,6 +184,24 @@ def test_splits_reject_triplet_arrays_not_n_by_3_and_unsorted_partitions():
         with pytest.raises(ValueError, match="ikg_entities must be a sorted array of distinct"):
             replace(splits, ikg_entities=bad)
 
+
+def test_plus_joins_whole_splits_and_adds_elementwise_on_indexed_arrays():
+    # as on the lists splits once were, + joins a split with a split or a list of triplets
+    _, splits = _line_benchmark([(4, 0, 3), (4, 0, 1)], [1, -1])
+    train, aux, test = (getattr(splits, name).tolist() for name in ("train", "aux", "test"))
+    joined = splits.train + splits.aux
+    assert np.array_equal(joined, np.concatenate([splits.train, splits.aux]))
+    joined += [t for t, lab in zip(splits.test, splits.test_labels) if lab == 1]
+    joined += [Triplet(0, 0, 1)]
+    assert joined.dtype == np.int64 and joined.tolist() == train + aux + test[:1] + [[0, 0, 1]]
+    assert (splits.aux + []).tolist() == aux and splits.aux.tolist() == aux
+    # anything else adds elementwise: a scalar, and any rows or columns taken by indexing
+    assert (splits.train + 1).tolist() == [[x + 1 for x in row] for row in train]
+    assert type(splits.train[:, 0]) is np.ndarray and type(splits.train[0]) is np.ndarray
+    assert (splits.train[:, 0] + splits.train[:, 2]).tolist() == [h + t for h, _, t in train]
+    assert (splits.train[:1] + splits.train[:1]).tolist() == [[2 * x for x in train[0]]]
+
+
 def test_filter_set_disjoint_union():
     # (x, r, a) is filtered as an aux triplet and (x, r, b) as a test triplet:
     # the answer d ranks behind c only (rank 2), and b behind nothing (rank 1)

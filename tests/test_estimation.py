@@ -24,7 +24,7 @@ def _transe_fixture():
 def test_invtranse_head_case():
     tables = _transe_fixture()
     aux = TripleStore([Triplet(0, 0, 1)], num_entities=3, num_relations=2)
-    cset = estimate_candidates(tables, aux, [0], ikg_entities={1, 2})
+    cset = estimate_candidates(tables, aux, [0], ikg_entities=[1, 2])
     assert len(cset) == 1
     assert cset.entities.tolist() == [0] and cset.offsets.tolist() == [0, 1]
     assert np.array_equal(cset.vectors[0], np.array([1.0, 2.0]))  # t - r
@@ -36,7 +36,7 @@ def test_invtranse_head_case():
 def test_invtranse_tail_case():
     tables = _transe_fixture()
     aux = TripleStore([Triplet(2, 1, 0)], num_entities=3, num_relations=2)
-    cset = estimate_candidates(tables, aux, [0], ikg_entities={1, 2})
+    cset = estimate_candidates(tables, aux, [0], ikg_entities=[1, 2])
     assert np.array_equal(cset.vectors[0], np.array([3.0, 1.0]))  # h + r
     assert not cset.as_head[0]
 
@@ -47,7 +47,7 @@ def test_invrotate_quarter_turn_inverse():
     relation = np.array([[np.pi / 2]])
     tables = EmbeddingTables(ROTATE, 1, 1, entity, relation)
     aux = TripleStore([Triplet(0, 0, 1)], num_entities=2, num_relations=1)
-    cset = estimate_candidates(tables, aux, [0], ikg_entities={1})
+    cset = estimate_candidates(tables, aux, [0], ikg_entities=[1])
     assert np.allclose(cset.vectors[0], np.array([1.0 + 0.0j]), atol=1e-12)
 
 
@@ -55,7 +55,7 @@ def test_invrotate_tail_case_applies_rotation():
     rng = np.random.default_rng(0)
     tables = init_tables(1, ROTATE, 4, 5, 3)
     aux = TripleStore([Triplet(2, 1, 0)], num_entities=5, num_relations=3)
-    cset = estimate_candidates(tables, aux, [0], ikg_entities={1, 2, 3, 4})
+    cset = estimate_candidates(tables, aux, [0], ikg_entities=[1, 2, 3, 4])
     expected = tables.entity_matrix()[2] * np.exp(1j * tables.relation[1])
     assert np.allclose(cset.vectors[0], expected, atol=1e-15)
 
@@ -64,7 +64,7 @@ def test_candidates_follow_aux_store_order():
     tables = init_tables(2, TRANSE, 4, 6, 3)
     aux = TripleStore([Triplet(0, 1, 3), Triplet(0, 0, 2), Triplet(4, 2, 0)],
                       num_entities=6, num_relations=3)
-    cset = estimate_candidates(tables, aux, [0], ikg_entities={1, 2, 3, 4, 5})
+    cset = estimate_candidates(tables, aux, [0], ikg_entities=[1, 2, 3, 4, 5])
     got = list(zip(cset.source_entity.tolist(), cset.source_relation.tolist(),
                    cset.as_head.tolist()))
     assert got == [(3, 1, True), (2, 0, True), (4, 2, False)]
@@ -73,7 +73,7 @@ def test_candidates_follow_aux_store_order():
 def test_no_usable_neighbor_leaves_the_entity_out():
     tables = init_tables(0, TRANSE, 4, 4, 2)
     aux = TripleStore([Triplet(1, 0, 2)], num_entities=4, num_relations=2)
-    cset = estimate_candidates(tables, aux, [3, 0], ikg_entities={1, 2})
+    cset = estimate_candidates(tables, aux, [3, 0], ikg_entities=[1, 2])
     assert cset.entities.size == 0 and cset.offsets.tolist() == [0] and len(cset) == 0
 
 
@@ -82,7 +82,7 @@ def test_ookg_neighbor_skipped_with_warning(caplog):
     # neighbor 4 is itself out-of-graph: skipped, not fatal
     aux = TripleStore([Triplet(0, 0, 1), Triplet(0, 1, 4)], num_entities=5, num_relations=2)
     with caplog.at_level(logging.WARNING):
-        cset = estimate_candidates(tables, aux, [0], ikg_entities={1, 2, 3})
+        cset = estimate_candidates(tables, aux, [0], ikg_entities=[1, 2, 3])
     assert len(cset) == 1
     assert "skipped" in caplog.text
 
@@ -93,7 +93,7 @@ def test_skipped_neighbors_warn_once_per_call(caplog):
     aux = TripleStore([t for e in range(5) for t in (Triplet(e, 0, 5 + e), Triplet(10, 1, e))],
                       num_entities=12, num_relations=2)
     with caplog.at_level(logging.WARNING):
-        cset = estimate_candidates(tables, aux, range(5), ikg_entities=set(range(5, 10)))
+        cset = estimate_candidates(tables, aux, range(5), ikg_entities=range(5, 10))
     assert cset.counts.tolist() == [1] * 5
     skipped = [r for r in caplog.records if "skipped" in r.getMessage()]
     assert len(skipped) == 1
@@ -113,7 +113,7 @@ def test_candidates_zero_their_generating_triplet(model):
         as_head = bool(rng.random() < 0.5)
         trip = Triplet(e, rel, other) if as_head else Triplet(other, rel, e)
         aux = TripleStore([trip], num_entities=n_ent, num_relations=4)
-        cset = estimate_candidates(tables, aux, [e], ikg_entities=set(range(1, n_ent)))
+        cset = estimate_candidates(tables, aux, [e], ikg_entities=range(1, n_ent))
         vec = cset.vectors[0]
         if as_head:
             assert _distance(tables, vec, rel, tables.entity_matrix()[other]) < 1e-6
@@ -124,7 +124,7 @@ def test_candidates_zero_their_generating_triplet(model):
 def test_invrotate_preserves_source_moduli():
     tables = init_tables(3, ROTATE, 6, 5, 3)
     aux = TripleStore([Triplet(0, 0, 1), Triplet(2, 1, 0)], num_entities=5, num_relations=3)
-    cset = estimate_candidates(tables, aux, [0], ikg_entities={1, 2, 3, 4})
+    cset = estimate_candidates(tables, aux, [0], ikg_entities=[1, 2, 3, 4])
     assert len(cset) == 2
     for vec, source in zip(cset.vectors, cset.source_entity):
         source_mod = np.abs(tables.entity_matrix()[source])
@@ -137,7 +137,7 @@ def test_invtranse_forward_reproduces_source_exactly():
     relation = np.array([[5.0, 7.0]])
     tables = EmbeddingTables(TRANSE, 2, 1, entity, relation)
     aux = TripleStore([Triplet(0, 0, 1)], num_entities=2, num_relations=1)
-    vec = estimate_candidates(tables, aux, [0], {1}).vectors[0]
+    vec = estimate_candidates(tables, aux, [0], [1]).vectors[0]
     assert np.array_equal(vec + relation[0], entity[1])
 
 
@@ -146,7 +146,7 @@ def test_any_other_vector_has_positive_residual(model):
     rng = np.random.default_rng(9)
     tables = init_tables(4, model, 5, 6, 2, margin=3.0)
     aux = TripleStore([Triplet(0, 1, 3)], num_entities=6, num_relations=2)
-    cand = estimate_candidates(tables, aux, [0], set(range(1, 6))).vectors[0]
+    cand = estimate_candidates(tables, aux, [0], range(1, 6)).vectors[0]
     for _ in range(20):
         if model == ROTATE:
             noise = rng.normal(size=5) + 1j * rng.normal(size=5)
@@ -159,7 +159,7 @@ def test_any_other_vector_has_positive_residual(model):
 def test_cap_noop_when_k_exceeds_count():
     tables = init_tables(0, TRANSE, 4, 8, 2)
     aux = TripleStore([Triplet(0, 0, i) for i in range(1, 6)], num_entities=8, num_relations=2)
-    cset = estimate_candidates(tables, aux, [0], set(range(1, 8)))
+    cset = estimate_candidates(tables, aux, [0], range(1, 8))
     capped = cap_neighbors(cset, 8, seed=0)
     assert len(capped) == 5
     assert capped.source_entity.tolist() == cset.source_entity.tolist()
@@ -168,7 +168,7 @@ def test_cap_noop_when_k_exceeds_count():
 def test_cap_selects_exactly_k():
     tables = init_tables(0, TRANSE, 4, 8, 2)
     aux = TripleStore([Triplet(0, 0, i) for i in range(1, 6)], num_entities=8, num_relations=2)
-    cset = estimate_candidates(tables, aux, [0], set(range(1, 8)))
+    cset = estimate_candidates(tables, aux, [0], range(1, 8))
     capped = cap_neighbors(cset, 1, seed=0)
     assert len(capped) == 1
     with pytest.raises(ValueError):
@@ -178,7 +178,7 @@ def test_cap_selects_exactly_k():
 def test_cap_deterministic_and_order_preserving():
     tables = init_tables(1, TRANSE, 4, 50, 2)
     aux = TripleStore([Triplet(0, 0, i) for i in range(1, 41)], num_entities=50, num_relations=2)
-    cset = estimate_candidates(tables, aux, [0], set(range(1, 50)))
+    cset = estimate_candidates(tables, aux, [0], range(1, 50))
     a = cap_neighbors(cset, 32, seed=7)
     b = cap_neighbors(cset, 32, seed=7)
     assert a.source_entity.tolist() == b.source_entity.tolist()
@@ -227,12 +227,13 @@ def test_batched_candidates_match_scalar_oracle(model):
         tables = init_tables(int(rng.integers(1 << 30)), model, int(rng.integers(1, 6)),
                              n_ent, n_rel)
         ookg = rng.choice(n_ent, size=int(rng.integers(1, n_ent // 2 + 1)), replace=False)
-        ikg = set(range(n_ent)) - set(ookg.tolist())
+        ikg = np.setdiff1d(np.arange(n_ent), ookg)
         triplets = _random_aux(rng, n_ent, n_rel, ookg)
         aux = TripleStore(triplets, num_entities=n_ent, num_relations=n_rel)
         requested = rng.permutation(ookg)
         cset = estimate_candidates(tables, aux, requested, ikg)
-        expected = {int(e): _scalar_candidates(tables, triplets, int(e), ikg) for e in requested}
+        expected = {int(e): _scalar_candidates(tables, triplets, int(e), set(ikg.tolist()))
+                    for e in requested}
         assert cset.entities.tolist() == [int(e) for e in requested if expected[int(e)]]
         for i, e in enumerate(cset.entities.tolist()):
             seg = slice(cset.offsets[i], cset.offsets[i + 1])
@@ -254,7 +255,7 @@ def test_cap_draws_each_entity_from_its_own_substream():
     triplets = [Triplet(int(e), int(rng.integers(3)), int(rng.integers(10, 60)))
                 for e in ookg for _ in range(int(rng.integers(1, 12)))]
     aux = TripleStore(triplets, num_entities=60, num_relations=3)
-    cset = estimate_candidates(tables, aux, ookg, set(range(10, 60)))
+    cset = estimate_candidates(tables, aux, ookg, range(10, 60))
     for seed in (0, 5):
         for k in (1, 2, 4):
             capped = cap_neighbors(cset, k, seed)
@@ -281,7 +282,7 @@ def test_candidates_equal_the_per_side_formula_bit_for_bit(model):
                 if rng.random() < 0.5 else Triplet(int(rng.integers(10, n_ent)), int(rng.integers(n_rel)), e)
                 for e in range(10) for _ in range(int(rng.integers(1, 6)))]
     aux = TripleStore(triplets, num_entities=n_ent, num_relations=n_rel)
-    cset = estimate_candidates(tables, aux, np.arange(10), ikg_entities=set(range(10, n_ent)))
+    cset = estimate_candidates(tables, aux, np.arange(10), ikg_entities=range(10, n_ent))
     source = tables.entity_matrix()[cset.source_entity]
     side = cset.as_head[:, None]
     if model == ROTATE:
