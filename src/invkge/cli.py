@@ -165,10 +165,14 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     return resolved
 
 
+def _write_text(path: Path, text: str) -> None:
+    _write_atomically(path, (text.encode("utf-8"),))
+
+
 def _echo_config(command: str, resolved: dict, out_dir: Path) -> None:
     lines = [f"command={command}", *(f"{key}={'' if value is None else value}"
                                      for key, value in sorted(resolved.items()))]
-    (out_dir / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(out_dir / "config.txt", "\n".join(lines) + "\n")
 
 
 def _load_benchmark(cfg: dict) -> BenchmarkSplits:
@@ -204,8 +208,8 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(tables, out_dir / "checkpoint.bin", seed=cfg["seed"])
     save_vocabulary(splits.vocab, out_dir / "vocab.json")
-    loss_csv = "step,loss\n" + "".join(f"{step},{loss:.8f}\n" for step, loss in trace)
-    _write_atomically(out_dir / "loss.csv", (loss_csv.encode("utf-8"),))
+    _write_text(out_dir / "loss.csv",
+                "step,loss\n" + "".join(f"{step},{loss:.8f}\n" for step, loss in trace))
     _echo_config("pretrain", cfg, out_dir)
     print(f"checkpoint written to {out_dir / 'checkpoint.bin'}")
     return 0
@@ -231,14 +235,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     matrix = vectors[found]
     if tables.model == ROTATE:
         matrix = np.ascontiguousarray(matrix).view(np.float64)  # interleave re/im
-    with open(out_dir / "ookg_embeddings.f32", "wb") as f:
-        f.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
-    with open(out_dir / "ookg_manifest.tsv", "w", encoding="utf-8", newline="\n") as f:
-        for row, entity in enumerate(manifest):
-            f.write(f"{row}\t{entity}\t{splits.vocab.entity_name(entity)}\n")
-    with open(out_dir / "dangling.txt", "w", encoding="utf-8", newline="\n") as f:
-        for entity in dangling:
-            f.write(f"{entity}\t{splits.vocab.entity_name(entity)}\n")
+    _write_atomically(out_dir / "ookg_embeddings.f32",
+                      (np.ascontiguousarray(matrix, dtype="<f4").data,))
+    _write_text(out_dir / "ookg_manifest.tsv",
+                "".join(f"{row}\t{entity}\t{splits.vocab.entity_name(entity)}\n"
+                        for row, entity in enumerate(manifest)))
+    _write_text(out_dir / "dangling.txt",
+                "".join(f"{entity}\t{splits.vocab.entity_name(entity)}\n" for entity in dangling))
     _echo_config("estimate", cfg, out_dir)
     print(f"estimated {len(manifest)} entities ({len(dangling)} dangling) into {out_dir}")
     return 0
@@ -249,10 +252,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     splits = _load_benchmark(cfg)
     _check_vocab(cfg, splits)
     tables = _load_tables(cfg["checkpoint"], splits)
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     scheme = cfg["scheme"]
+    thresholds = None
     if cfg["task"] == "lp":
         scheme = scheme or CORRELATION
         report = link_prediction(tables, splits, scheme, smoothing=cfg["delta"],
@@ -261,24 +263,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         scheme = scheme or DEGREE
         thresholds = tune_thresholds(tables, splits.valid, splits.valid_labels)
-        with open(out_dir / "thresholds.csv", "w", encoding="utf-8", newline="\n") as f:
-            f.write("relation,threshold\n")
-            for rel in sorted(thresholds.per_relation):
-                f.write(f"{splits.vocab.relation_name(rel)},{thresholds.per_relation[rel]!r}\n")
-            f.write(f"__default__,{thresholds.default!r}\n")
         report = triplet_classification(tables, splits, scheme, thresholds=thresholds,
                                         smoothing=cfg["delta"], neighbor_cap=cfg["cap"],
                                         seed=cfg["seed"])
         label = f"tc-{scheme}"
-
+    correlation = None
     if cfg["dump_correlation"]:
         train_store = TripleStore(splits.train, num_entities=splits.vocab.num_entities,
                                   num_relations=splits.vocab.num_relations)
-        save_correlation_csv(build_correlation(train_store, splits.vocab.num_relations),
-                             splits.vocab, out_dir / "correlation.csv")
+        correlation = build_correlation(train_store, splits.vocab.num_relations)
 
+    out_dir = Path(cfg["out"])  # written only once every result is in hand
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if thresholds is not None:
+        _write_text(out_dir / "thresholds.csv", "relation,threshold\n" + "".join(
+            f"{splits.vocab.relation_name(rel)},{thresholds.per_relation[rel]!r}\n"
+            for rel in sorted(thresholds.per_relation)) + f"__default__,{thresholds.default!r}\n")
+    if correlation is not None:
+        save_correlation_csv(correlation, splits.vocab, out_dir / "correlation.csv")
     write_report_csv(out_dir / "report.csv", [(label, report)])
-    (out_dir / "report.txt").write_text(format_report(label, report), encoding="utf-8")
+    _write_text(out_dir / "report.txt", format_report(label, report))
     _echo_config("eval", cfg, out_dir)
     print(format_report(label, report), end="")
     return 0
@@ -325,8 +329,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     for label, report in results:
         safe = label.replace(":", "_")
         write_report_csv(out_dir / f"report_{safe}.csv", [(label, report)])
-        (out_dir / f"report_{safe}.txt").write_text(format_report(label, report),
-                                                    encoding="utf-8")
+        _write_text(out_dir / f"report_{safe}.txt", format_report(label, report))
     write_report_csv(out_dir / "summary.csv", results)
     _echo_config("ablate", cfg, out_dir)
     for label, report in results:

@@ -3,7 +3,10 @@
 Ranking is over the in-graph entity set with the filtered protocol: every
 candidate that forms a known-true triplet with the query (other than the
 ground truth itself) is removed before the rank is computed. Ties are broken
-by the mean of the best and worst tied positions. Classification applies
+by the mean of the best and worst tied positions. A query scores every row in
+float32 first and re-computes in float64 only the rows whose float32 distance
+lies within a proven error bound of the answer's, so its rank is exactly that
+of the float64 distances (see :func:`filtered_rank`). Classification applies
 relation-specific distance thresholds tuned for accuracy on the labeled
 validation split.
 """
@@ -20,7 +23,7 @@ import numpy as np
 from .core import AS_HEAD, AS_TAIL, Triplet, TripleStore, segment_rows
 from .datasets import BenchmarkSplits
 from .estimation import cap_neighbors, estimate_candidates
-from .models import EmbeddingTables, translation_distance
+from .models import ROTATE, EmbeddingTables, _write_atomically, translation_distance
 from .reduction import (CORRELATION, DEGREE, DEFAULT_SMOOTHING, build_correlation,
                         candidate_weights, reduce_candidates)
 
@@ -87,29 +90,87 @@ def filtered_rank(tables: EmbeddingTables, query: LpQuery, filter_index: FilterI
 
     Candidates other than the answer that form a known-true triplet with the
     query are dropped; ties are resolved to the mean of the optimistic and
-    pessimistic positions. Distances are taken against every row of the
-    entity table in place, one contiguous block of rows at a time so that a
-    block's temporaries stay in cache; each row gets the same arithmetic as a
-    whole-table call, so the distances are bit-identical to one. The kept
-    candidates are selected from them by a mask.
+    pessimistic positions. The rank is that of the float64 distances exactly,
+    found in two passes:
+
+    * Screen: every row of the entity table is scored in float32 (complex64
+      for RotatE) against the query vector and relation rounded once to
+      float32, one contiguous block of rows at a time so that a block's
+      temporaries stay in cache. Each block is cast with ``copy=False``, so a
+      float64 table and its float32 copy give the same screen.
+    * Re-check: the answer's distance ``gt`` is computed in float64, float32
+      rows promoted exactly, as is any kept row unless its screened distance
+      ``d32`` satisfies ``|d32 - gt| > c * (A + max(d32, gt))``. That proves the
+      row's float64 distance lies on the same side of ``gt`` as ``d32``, so the
+      screen decides it; the others are re-computed in blocks of the same size.
+      A NaN or inf screen (float32 overflow) fails the test and is re-computed.
+      Each re-check block holds the answer's row first, and its rows are
+      compared with that copy: NumPy may round a one-element complex product
+      (RotatE of width 1) differently from a longer one, so a row is only ever
+      compared with the answer computed in the same call, as in a whole-table
+      call.
+
+    The band bounds ``|d32 - d64|`` by the standard rounding-error analysis
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., §3-4).
+    Let ``u = 2**-24``, ``n`` the row width, ``q`` the known vector, ``r`` the
+    relation, ``v`` the exact residual (``h + r - t`` or ``h∘r - t``) and ``D``
+    its exact norm. For both models and both sides a row ``e`` has
+    ``|e_i| <= |q_i| + |r_i| + |v_i|`` (``|r_i| = 1`` for RotatE), so with
+    ``a_i = 2(|q_i| + |r_i|)``:
+
+    * rounding ``q``, ``r`` and ``e`` to float32 and forming ``v`` (an add and
+      a subtract, or a complex product, ``|δ| <= √2·γ₂``, and a subtract) errs
+      by at most ``6u(a_i + |v_i|)`` in element ``i``;
+    * the modulus is exact for TransE and within ``4u`` for RotatE (``hypotf``
+      or NumPy's scaled ``max·sqrt(1 + ratio²)``);
+    * summing the ``n`` moduli in any order adds ``γ_{n-1}`` of their sum (L1);
+      the squares, their sum and the square root add ``(n/2 + 1)u`` (L2).
+
+    With ``A = Σ a_i = 2(‖q‖₁ + ‖r‖₁)`` this gives, to first order and for both
+    norms, ``|d32 - D| <= (n + 12)u·(A + D)``. Bounding ``D`` by
+    ``d32 + |d32 - D|`` at most doubles the constant while ``(n + 12)u <= 1/4``;
+    ``c = 2(n + 16)u`` adds ``8u`` for the second-order terms, the float64
+    distance's own error (the same bound with ``2**-53``) and the float64
+    arithmetic of the test. ``A`` also carries ``2**-50``, which covers float32
+    underflow, where relative bounds fail: subnormal rounding adds at most
+    ``√n·2**-74`` to an L2 distance and less to an L1 one. For widths of
+    ``2**20`` or more ``c`` is infinite and every kept row is re-computed.
     """
     cids = np.asarray(candidate_ids)
     if not np.any(cids == query.answer):
         raise ValueError(f"ground truth {query.answer} is not among the candidates")
     ent = tables.entity_matrix()
     rel = tables.relation_vec(query.relation)
-    dists = np.empty(len(ent))
+    low = np.complex64 if tables.model == ROTATE else np.float32
+
+    def distances(rows, known, relation):
+        h, t = (known, rows) if query.missing == AS_TAIL else (rows, known)
+        return translation_distance(tables.model, tables.norm_order, h, relation, t)
+
     step = max(1, _RANK_BLOCK_BYTES // (ent.shape[1] * ent.itemsize))
-    for lo in range(0, len(ent), step):
-        block = ent[lo:lo + step]
-        h, t = (query.known_vec, block) if query.missing == AS_TAIL else (block, query.known_vec)
-        dists[lo:lo + step] = translation_distance(tables.model, tables.norm_order, h, rel, t)
+    gt = distances(ent[query.answer:query.answer + 1], query.known_vec, rel)[0]
     keep = np.zeros(len(ent), dtype=bool)
     keep[cids] = filter_index.keep_mask(query, cids)
-    gt_d = dists[query.answer]
-    kept = dists[keep]
-    better = int(np.count_nonzero(kept < gt_d))
-    tied = int(np.count_nonzero(kept == gt_d))  # includes the ground truth
+    keep[query.answer] = False  # the answer is counted below, not re-computed
+    width = ent.shape[1]
+    c = 2 * (width + 16) * 2.0 ** -24 if width < 2 ** 20 else np.inf
+    a = 2 * (np.abs(query.known_vec).sum() + np.abs(rel).sum()) + 2.0 ** -50
+    screen = np.empty(len(ent))  # float64, so the test never rounds gt to float32
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing screen is re-computed
+        known32, rel32 = query.known_vec.astype(low), rel.astype(low)
+        for lo in range(0, len(ent), step):
+            block = ent[lo:lo + step].astype(low, copy=False)
+            screen[lo:lo + step] = distances(block, known32, rel32)
+        kept = screen[keep]
+        sure = np.abs(kept - gt) > c * (a + np.maximum(kept, gt))
+    better = int(np.count_nonzero(sure & (kept < gt)))
+    tied = int(gt == gt)  # the answer ties with itself, unless its distance is NaN
+    unsure = np.flatnonzero(keep)[~sure]
+    per = max(1, step - 1)  # rows per re-check block, after the answer's
+    for lo in range(0, len(unsure), per):
+        d = distances(ent[np.append(query.answer, unsure[lo:lo + per])], query.known_vec, rel)
+        better += int(np.count_nonzero(d[1:] < d[0]))
+        tied += int(np.count_nonzero(d[1:] == d[0]))
     return better + (1 + tied) / 2.0
 
 
@@ -363,10 +424,9 @@ def write_report_csv(path: str | Path, reports: list[tuple[str, EvalReport]]) ->
     def fmt(x) -> str:
         return "" if x is None else f"{x:.6f}" if isinstance(x, float) else str(x)
 
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(_CSV_COLUMNS) + "\n")
-        for label, rep in reports:
-            row = [label, rep.task, rep.num_queries, rep.mrr, rep.hits1, rep.hits10,
-                   rep.accuracy, rep.counts.get("dangling", 0),
-                   rep.counts.get("skipped_both_ookg", 0)]
-            f.write(",".join(fmt(x) for x in row) + "\n")
+    lines = [",".join(_CSV_COLUMNS)]
+    for label, rep in reports:
+        row = [label, rep.task, rep.num_queries, rep.mrr, rep.hits1, rep.hits10,
+               rep.accuracy, rep.counts.get("dangling", 0), rep.counts.get("skipped_both_ookg", 0)]
+        lines.append(",".join(fmt(x) for x in row))
+    _write_atomically(path, (("\n".join(lines) + "\n").encode("utf-8"),))

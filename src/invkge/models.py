@@ -43,6 +43,9 @@ class EmbeddingTables:
     to float64 where arithmetic would otherwise round (``relation_vec``, the
     rows that OOKG estimates are written into), so their results equal those
     of the tables' float64 copy bit for bit. Float64 tables work unchanged.
+    Only the ranking screen in ``evaluation.filtered_rank`` computes in
+    float32; it casts each block the same way from either dtype, and its
+    float64 re-check keeps the ranks exact.
     """
 
     model: str

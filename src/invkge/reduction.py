@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import TripleStore, Vocabulary
 from .estimation import CandidateSet
+from .models import _write_atomically
 
 logger = logging.getLogger(__name__)
 
@@ -78,8 +79,8 @@ def candidate_weights(scheme: str, candidate_set: CandidateSet, *,
     elif scheme == DEGREE:
         if train_store is None:
             raise ValueError("degree weights need the training store")
-        if smoothing <= 0:
-            raise ValueError("smoothing must be positive")
+        if not (np.isfinite(smoothing) and smoothing > 0):
+            raise ValueError(f"smoothing must be finite and positive, got {smoothing}")
         raw = np.log(train_store.degrees[candidate_set.source_entity] + smoothing)
     elif scheme == CORRELATION:
         if correlation is None or query_relation is None:
@@ -116,8 +117,7 @@ def save_correlation_csv(correlation: RelationCorrelation, vocab: Vocabulary,
                          path: str | Path) -> None:
     """Inspection dump: one row per r1 with P(r2|r1) columns."""
     names = vocab.relation_names
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("relation," + ",".join(names) + "\n")
-        for i, name in enumerate(names):
-            row = ",".join(f"{v:.6g}" for v in correlation.conditional[i])
-            f.write(f"{name},{row}\n")
+    lines = ["relation," + ",".join(names)]
+    lines += [f"{name}," + ",".join(f"{v:.6g}" for v in correlation.conditional[i])
+              for i, name in enumerate(names)]
+    _write_atomically(path, (("\n".join(lines) + "\n").encode("utf-8"),))

@@ -70,6 +70,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
+        for name in ("margin", "temperature", "l2", "learning_rate"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dim <= 0 or self.batch_size <= 0 or self.learning_rate <= 0:
             raise ValueError("dim, batch_size and learning_rate must be positive")
         if self.num_negatives < 1:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from invkge import models
 from invkge.cli import main
 from invkge.core import AS_HEAD, AS_TAIL, Triplet
 from invkge.datasets import (generate_planted_splits, generate_trainable_splits, load_split_dir,
@@ -89,6 +90,68 @@ def test_failed_loss_write_keeps_the_old_file(lp_dataset, tmp_path, monkeypatch)
     assert (out / "loss.csv").read_bytes() == before
     assert sorted(p.name for p in out.iterdir()) == ["checkpoint.bin", "config.txt",
                                                      "loss.csv", "vocab.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--gamma", "nan"], ["pretrain", "--gamma", "inf"],
+    ["pretrain", "--lr", "nan"], ["pretrain", "--lr", "inf"],
+    ["pretrain", "--l2", "nan"], ["pretrain", "--l2", "inf"],
+    ["pretrain", "--alpha", "nan"], ["pretrain", "--alpha", "inf"],
+    ["eval", "--task", "tc", "--delta", "nan"], ["eval", "--task", "tc", "--delta", "inf"],
+    ["estimate", "--task", "tc", "--delta", "nan"]], ids=" ".join)
+def test_non_finite_hyper_parameters_exit_1_and_write_nothing(tc_dataset, tmp_path, capsys,
+                                                              argv):
+    root, _, _ = tc_dataset
+    out = tmp_path / "run"
+    rest = (["--task", "tc", "--dim", "4", "--neg", "2", "--batch-size", "16", "--steps", "1"]
+            if argv[0] == "pretrain" else ["--checkpoint", str(root / "gt.bin")])
+    assert main([*argv, *_split_flags(root), *rest, "--out", str(out)]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _half_writing_open(name):
+    """``open`` whose temporary file for ``name`` fails halfway through its first write."""
+    def opener(path, mode="r", *args, **kwargs):
+        f = open(path, mode, *args, **kwargs)
+        if not Path(path).name.startswith(f".{name}."):
+            return f
+
+        class HalfWriter:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                f.close()
+
+            def write(self, chunk):
+                data = bytes(chunk)
+                f.write(data[:len(data) // 2])
+                f.flush()
+                raise OSError("no space left on device")
+
+        return HalfWriter()
+    return opener
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("estimate", "ookg_embeddings.f32"), ("estimate", "ookg_manifest.tsv"),
+    ("estimate", "dangling.txt"), ("estimate", "config.txt"),
+    ("eval", "thresholds.csv"), ("eval", "correlation.csv"), ("eval", "report.csv"),
+    ("eval", "report.txt"), ("ablate", "report_cap1.csv"), ("ablate", "report_cap1.txt"),
+    ("ablate", "summary.csv")])
+def test_failed_artifact_write_keeps_the_earlier_file(tc_dataset, tmp_path, monkeypatch,
+                                                      command, artifact):
+    root, _, _ = tc_dataset
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / artifact).write_bytes(b"earlier\n")
+    extra = {"estimate": [], "eval": ["--dump-correlation"], "ablate": ["--variants", "cap1"]}
+    monkeypatch.setattr(models, "open", _half_writing_open(artifact), raising=False)
+    assert main([command, *_split_flags(root), "--task", "tc", "--checkpoint",
+                 str(root / "gt.bin"), *extra[command], "--out", str(out)]) == 1
+    assert (out / artifact).read_bytes() == b"earlier\n"
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
 def test_pretrain_rotate_checkpoint_round_trip(lp_dataset, tmp_path):

@@ -140,6 +140,7 @@ def test_blocked_distances_equal_whole_table_call(monkeypatch, model, norm, miss
     dim = 5
     probe = init_tables(0, model, dim, 1, 1, norm_order=norm).entity_matrix()
     step = evaluation._RANK_BLOCK_BYTES // (probe.shape[1] * probe.itemsize)
+    low = np.complex64 if model == ROTATE else np.float32
     blocks = []
 
     def recording_distance(*args):
@@ -147,23 +148,110 @@ def test_blocked_distances_equal_whole_table_call(monkeypatch, model, norm, miss
         blocks.append(out)
         return out
 
+    def rank_and_screen(tables, known):
+        blocks.clear()
+        n = tables.num_entities
+        query = LpQuery(known_entity=0, known_vec=known, relation=1, missing=missing,
+                        answer=n - 1)
+        rank = filtered_rank(tables, query, FilterIndex([]), np.arange(n))
+        assert max(len(b) for b in blocks) <= step  # no table-sized temporaries
+        return rank, [b for b in blocks if b.dtype == np.float32]
+
+    def ends(known, ent):
+        return (known, ent) if missing == AS_TAIL else (ent, known)
+
     monkeypatch.setattr(evaluation, "translation_distance", recording_distance)
     for n in (1, step - 1, step, step + 1, 3 * step + 2):
         tables = init_tables(int(rng.integers(1 << 30)), model, dim, n, 2, norm_order=norm)
         ent = tables.entity_matrix()
         known = ent[0] * 1.5
-        query = LpQuery(known_entity=0, known_vec=known, relation=1, missing=missing,
-                        answer=n - 1)
-        blocks.clear()
-        rank = filtered_rank(tables, query, FilterIndex([]), np.arange(n))
+        rank, screen = rank_and_screen(tables, known)
         rel = tables.relation_vec(1)
-        h, t = (known, ent) if missing == AS_TAIL else (ent, known)
-        whole = translation_distance(model, norm, h, rel, t)
-        assert len(blocks) == -(-n // step)
-        assert max(len(b) for b in blocks) <= step  # no table-sized temporaries
-        assert np.array_equal(np.concatenate(blocks), whole)
+        assert len(screen) == -(-n // step)
+        h32, t32 = ends(known.astype(low), ent.astype(low))
+        whole32 = translation_distance(model, norm, h32, rel.astype(low), t32)
+        assert np.array_equal(np.concatenate(screen), whole32)  # the screen's blocks
+        h, t = ends(known, ent)
+        whole = translation_distance(model, norm, h, rel, t)  # the float64 ranking
         better = np.count_nonzero(whole < whole[-1])
         assert rank == better + (1 + np.count_nonzero(whole == whole[-1])) / 2.0
+
+    # every row ties with the answer, so every row is re-computed, still block by block
+    tables.entity[:] = tables.entity[0]
+    rank, _ = rank_and_screen(tables, known)
+    assert rank == (1 + tables.num_entities) / 2.0
+    assert sum(len(b) for b in blocks if b.dtype == np.float64) > tables.num_entities
+
+
+_BIG = 3.45e38  # beyond float32's largest finite value, so the screen overflows
+
+
+def _screen_case(rng, model, norm, kind):
+    """(tables, known vector) for one ranking case of the given kind."""
+    dim = int(rng.integers(1, 6))
+    width = 2 * dim if model == ROTATE else dim
+    n = int(rng.integers(2, 40))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    relation = rng.normal(size=(2, dim)) * (1.0 if model == ROTATE else scale)
+    dtype = np.float32 if rng.random() < 0.5 else np.float64
+    known = rng.normal(size=width) * scale
+    if kind == "grid":  # exact ties: coarse half-grid values, a power-of-two scale
+        pow2 = 2.0 ** int(rng.integers(-10, 11))
+        entity = np.round(rng.normal(size=(n, width)) * 2) / 2 * pow2
+        relation = np.round(relation * 2) / 2 * (1.0 if model == ROTATE else pow2 / scale)
+        known = entity[int(rng.integers(n))] * rng.choice([1.0, 1.5])
+    elif kind == "wide":  # float64 values that float32 cannot represent
+        entity, dtype = rng.normal(size=(n, width)) * scale, np.float64
+    elif kind == "tiny":  # float32 underflows: its squares of 1e-30 are 0
+        known, dtype = known / scale * 1e-30, np.float64
+        entity = rng.normal(size=(n, width)) * 1e-30
+        relation = relation / scale * (1.0 if model == ROTATE else 1e-30)
+    elif kind in ("tie", "near"):  # one row repeated; "near" moves copies by a few float32 ulps
+        entity = np.tile(rng.normal(size=width) * scale, (n, 1)).astype(dtype)
+        if kind == "near":
+            col = rng.integers(width, size=n)
+            moved = entity[np.arange(n), col]
+            ulp = np.spacing(moved.astype(np.float32)).astype(dtype)
+            shift = rng.integers(-3, 4, size=n) * (ulp if dtype == np.float32 else ulp / 97.0)
+            entity[np.arange(n), col] = moved + shift
+    else:  # "overflow": entries beyond float32, half the rows near the known vector
+        known = rng.choice([-_BIG, _BIG], size=width) * rng.uniform(0.98, 1.0, size=width)
+        entity, dtype = rng.normal(size=(n, width)), np.float64
+        entity[rng.random(n) < 0.5] += known
+    tables = EmbeddingTables(model, dim, norm, entity.astype(dtype), relation.astype(dtype))
+    return tables, known.view(np.complex128) if model == ROTATE else known
+
+
+@pytest.mark.parametrize("norm", [1, 2])
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+@pytest.mark.parametrize("missing", [AS_TAIL, AS_HEAD])
+def test_screened_rank_equals_float64_whole_table_rank(monkeypatch, model, norm, missing):
+    """The float32 screen with its float64 re-check ranks exactly as float64 distances do:
+    on exact ties, near-ties a few float32 ulps apart, values float32 cannot hold,
+    entries whose float32 screen overflows to inf or NaN, and entries it underflows."""
+    rng = np.random.default_rng(31)
+    kinds = ("grid", "wide", "tie", "near", "overflow", "tiny")
+    for i, (kind, step) in enumerate(product(kinds * 12, (1, 3, 7))):
+        tables, known = _screen_case(rng, model, norm, kind)
+        ent = tables.entity_matrix()
+        n = len(ent)
+        monkeypatch.setattr(evaluation, "_RANK_BLOCK_BYTES", step * ent.shape[1] * ent.itemsize)
+        filter_triplets = [Triplet(int(rng.integers(n)), int(rng.integers(2)),
+                                   int(rng.integers(n))) for _ in range(n // 3)]
+        cids = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        query = LpQuery(known_entity=int(rng.integers(n)), known_vec=known,
+                        relation=int(rng.integers(2)), missing=missing,
+                        answer=int(rng.choice(cids)))
+        findex = FilterIndex(filter_triplets)
+        got = filtered_rank(tables, query, findex, cids)
+
+        rel = tables.relation_vec(query.relation)
+        h, t = (known, ent) if missing == AS_TAIL else (ent, known)
+        whole = translation_distance(model, norm, h, rel, t)
+        kept = whole[cids[findex.keep_mask(query, cids)]]
+        gt = whole[query.answer]
+        assert got == np.count_nonzero(kept < gt) + (1 + np.count_nonzero(kept == gt)) / 2.0, \
+            (i, kind, step)
 
 
 def test_filtered_rank_never_worse_than_raw():
