@@ -11,6 +11,7 @@ complex matrix without copying.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ MODELS = (TRANSE, ROTATE)
 _MAGIC = b"IKGE"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHBBIIIQ")  # magic, version, model, norm, dim, n_ent, n_rel, seed
+_CHECK_BLOCK_BYTES = 256 * 1024  # table bytes checked for finiteness per block in load_checkpoint
 
 
 @dataclass
@@ -39,10 +41,12 @@ class EmbeddingTables:
     free vectors for TransE, phase angles for RotatE.
 
     Dtype policy: ``load_checkpoint`` and a training run return float32 tables,
-    the checkpoint's dtype, and they stay float32. Estimation and evaluation widen
-    to float64 where arithmetic would otherwise round (``relation_vec``, the
-    rows that OOKG estimates are written into), so their results equal those
-    of the tables' float64 copy bit for bit. Float64 tables work unchanged.
+    the checkpoint's dtype, and they stay float32; a loaded checkpoint's tables
+    are writable views of a copy-on-write mapping of the file, not copies.
+    Estimation and evaluation widen to float64 where arithmetic would
+    otherwise round (``relation_vec``, the rows that OOKG estimates are
+    written into), so their results equal those of the tables' float64 copy
+    bit for bit. Float64 tables work unchanged.
     Only the ranking screen in ``evaluation.filtered_rank`` computes in
     float32; it casts each block the same way from either dtype, and its
     float64 re-check keeps the ranks exact.
@@ -171,13 +175,24 @@ def _write_atomically(path: str | Path, chunks) -> None:
 def load_checkpoint(path: str | Path) -> tuple[EmbeddingTables, int]:
     """Inverse of :func:`save_checkpoint`; returns the tables and the stored seed.
 
-    The tables are float32, as stored, and writable: both are views of one
-    buffer the file is read into, so loading makes no copy of them.
+    The file is mapped copy-on-write (``mmap.ACCESS_COPY``) rather than read,
+    and both tables are float32 views of the mapping, so loading copies
+    neither. They are writable: a write lands in private pages of this
+    process and never reaches the file. The finiteness check walks the
+    tables in blocks of about ``_CHECK_BLOCK_BYTES``, so it makes no
+    table-sized temporary either.
+
+    :func:`save_checkpoint` replaces a file by rename, so tables loaded
+    before a save keep the old contents. A file truncated in place by another
+    process while it is mapped can raise SIGBUS when the lost pages are
+    touched. CPython holds one duplicated file descriptor per mapping, until
+    the last view of it is freed.
     """
     with open(path, "rb") as f:
-        raw = bytearray(os.fstat(f.fileno()).st_size)
-        del raw[f.readinto(raw):]
-    if len(raw) < _HEADER.size or raw[:4] != _MAGIC:
+        if os.fstat(f.fileno()).st_size < _HEADER.size:  # mmap refuses an empty file
+            raise ValueError(f"{path}: not an embedding checkpoint")
+        raw = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+    if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not an embedding checkpoint")
     magic, version, model_code, norm_order, dim, n_ent, n_rel, seed = _HEADER.unpack_from(raw)
     if version != _VERSION:
@@ -199,8 +214,10 @@ def load_checkpoint(path: str | Path) -> tuple[EmbeddingTables, int]:
     relation = np.frombuffer(raw, dtype="<f4", count=n_rel * dim, offset=offset + ent_bytes)
     entity = entity.reshape(n_ent, ent_width)
     relation = relation.reshape(n_rel, dim)
-    if not (np.isfinite(entity).all() and np.isfinite(relation).all()):
-        raise ValueError(f"{path}: checkpoint contains non-finite values")
+    for table in (entity, relation):
+        step = max(1, _CHECK_BLOCK_BYTES // (table.shape[1] * table.itemsize))
+        if not all(np.isfinite(table[lo:lo + step]).all() for lo in range(0, len(table), step)):
+            raise ValueError(f"{path}: checkpoint contains non-finite values")
     return EmbeddingTables(model, dim, norm_order, entity, relation), seed
 
 

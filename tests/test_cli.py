@@ -233,6 +233,25 @@ def test_zero_width_checkpoint_exits_1(lp_dataset, tc_dataset, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("checkpoint", ["empty", "shorter than the header", "directory"])
+def test_unreadable_checkpoint_exits_1_naming_it(lp_dataset, tmp_path, capsys, checkpoint):
+    root, _, _ = lp_dataset
+    path = tmp_path / "ck.bin"
+    if checkpoint == "directory":
+        path.mkdir()
+    else:
+        size = 0 if checkpoint == "empty" else models._HEADER.size - 1
+        path.write_bytes((root / "gt.bin").read_bytes()[:size])
+    rc = main(["eval", *_split_flags(root), "--task", "lp", "--checkpoint", str(path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+    if checkpoint != "directory":   # mmap's own error on an empty file names no path
+        assert "not an embedding checkpoint" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_estimate_refuses_correlation_scheme(lp_dataset, tmp_path):
     root, _, _ = lp_dataset
     rc = main(["estimate", *_split_flags(root), "--checkpoint", str(root / "gt.bin"),

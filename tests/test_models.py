@@ -1,9 +1,11 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from invkge import models
 from invkge.core import Vocabulary
 from invkge.models import (ROTATE, TRANSE, EmbeddingTables, init_tables, load_checkpoint,
                            load_vocabulary, save_checkpoint, save_vocabulary,
@@ -190,6 +192,80 @@ def test_loaded_tables_are_writable_float32(tmp_path, model):
     loaded.relation[0] = 2.0
     assert (loaded.entity[-1] == 1.0).all() and (loaded.relation[0] == 2.0).all()
     assert np.array_equal(loaded.relation[1:], relation[1:])
+
+
+def test_loading_copies_no_table(tmp_path):
+    path = tmp_path / "c.bin"
+    save_checkpoint(init_tables(0, ROTATE, 64, 2000, 3), path)
+    tracemalloc.start()
+    try:
+        loaded, _ = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # neither a buffer of the file nor a table-sized temporary for the finiteness check
+    assert peak < loaded.entity.nbytes / 8
+
+
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+def test_writes_into_loaded_tables_never_reach_the_file(tmp_path, model):
+    path = tmp_path / "c.bin"
+    save_checkpoint(init_tables(9, model, 5, 7, 3), path)
+    before = path.read_bytes()
+    loaded, _ = load_checkpoint(path)
+    loaded.entity[:] = 1.0
+    loaded.relation[:] = 2.0
+    assert path.read_bytes() == before
+
+
+def test_saving_over_a_loaded_checkpoint_keeps_the_loaded_tables(tmp_path):
+    path = tmp_path / "c.bin"
+    old = init_tables(1, ROTATE, 4, 6, 2)
+    save_checkpoint(old, path, seed=1)
+    loaded, _ = load_checkpoint(path)
+    new = init_tables(2, ROTATE, 4, 6, 2)
+    save_checkpoint(new, path, seed=2)
+    assert np.array_equal(loaded.entity, old.entity.astype(np.float32))
+    assert np.array_equal(loaded.relation, old.relation.astype(np.float32))
+    reloaded, seed = load_checkpoint(path)
+    assert seed == 2
+    assert np.array_equal(reloaded.entity, new.entity.astype(np.float32))
+    assert np.array_equal(reloaded.relation, new.relation.astype(np.float32))
+
+
+@pytest.mark.parametrize("where", ["relation nan", "last entity row -inf",
+                                   "rotate imaginary part +inf"])
+def test_non_finite_values_anywhere_rejected(tmp_path, where):
+    tables = init_tables(3, ROTATE if "rotate" in where else TRANSE, 6, 50, 4)
+    if where == "relation nan":
+        tables.relation[2, 3] = np.nan
+    elif where == "last entity row -inf":
+        tables.entity[-1, -1] = -np.inf
+    else:
+        tables.entity[20, 2 * 4 + 1] = np.inf   # interleaved re/im: element 4's imaginary part
+    save_checkpoint(tables, tmp_path / "c.bin")
+    with pytest.raises(ValueError, match="non-finite"):
+        load_checkpoint(tmp_path / "c.bin")
+
+
+@pytest.mark.parametrize("row", [0, 2, 3, 5, 6, 9])
+def test_nan_in_a_block_boundary_row_rejected(tmp_path, monkeypatch, row):
+    tables = init_tables(4, TRANSE, 5, 10, 2)
+    # blocks of 3 rows: 0-2, 3-5, 6-8 and 9 alone
+    monkeypatch.setattr(models, "_CHECK_BLOCK_BYTES", 3 * 5 * 4)
+    save_checkpoint(tables, tmp_path / "ok.bin")
+    load_checkpoint(tmp_path / "ok.bin")
+    tables.entity[row, 4 if row % 2 else 0] = np.nan
+    save_checkpoint(tables, tmp_path / "c.bin")
+    with pytest.raises(ValueError, match="non-finite"):
+        load_checkpoint(tmp_path / "c.bin")
+
+
+def test_zero_row_tables_load(tmp_path):
+    save_checkpoint(EmbeddingTables(ROTATE, 3, 1, np.zeros((0, 6)), np.zeros((0, 3))),
+                    tmp_path / "c.bin")
+    loaded, _ = load_checkpoint(tmp_path / "c.bin")
+    assert loaded.entity.shape == (0, 6) and loaded.relation.shape == (0, 3)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
