@@ -7,7 +7,9 @@ the other endpoint, the relation and whether the focal entity is the head,
 which is exactly what the unseen-entity estimator needs later.
 """
 
-from invkge import Triplet, TripleStore, Vocabulary
+import numpy as np
+
+from invkge import TripleStore, Vocabulary
 
 # a small movie-ish graph, built by name
 vocab = Vocabulary()
@@ -19,8 +21,10 @@ triples_by_name = [
     ("inception", "genre", "action"),
     ("tenet", "directed_by", "nolan"),  # duplicate: stored once
 ]
-triplets = [Triplet(vocab.add_entity(h), vocab.add_relation(r), vocab.add_entity(t))
-            for h, r, t in triples_by_name]
+# names get ids in first-seen order, head before tail, in one bulk call per kind
+names = np.array(triples_by_name)
+ends = vocab.add_entities(names[:, [0, 2]].ravel().tolist()).reshape(-1, 2)
+triplets = np.column_stack([ends[:, 0], vocab.add_relations(names[:, 1].tolist()), ends[:, 1]])
 
 store = TripleStore(triplets, num_entities=vocab.num_entities,
                     num_relations=vocab.num_relations)
@@ -30,7 +34,7 @@ print(f"duplicates collapsed: {len(triples_by_name)} lines -> {len(store)} tripl
 nolan = vocab.entity_id("nolan")
 tenet = vocab.entity_id("tenet")
 other, relation, as_head, offsets = store.incident([nolan, tenet])
-print(f"\ndegree('nolan') = {store.degree(nolan)}")
+print(f"\ndegree('nolan') = {store.degrees[nolan]}")
 for i in range(offsets[0], offsets[1]):
     rel = vocab.relation_name(relation[i])
     print(f"  ({vocab.entity_name(other[i])}, {rel}, nolan)" if not as_head[i]

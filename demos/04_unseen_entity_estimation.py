@@ -34,7 +34,7 @@ print(f"\n{len(cset)} candidates, one per auxiliary neighbor:")
 for vec, source, rel, as_head in zip(cset.vectors, cset.source_entity, cset.source_relation,
                                      cset.as_head):
     print(f"  via ({vocab.entity_name(source)}, {vocab.relation_name(rel)}) as "
-          f"{'head' if as_head else 'tail'}: {vec}  train-degree={train_store.degree(source)}")
+          f"{'head' if as_head else 'tail'}: {vec}  train-degree={train_store.degrees[source]}")
 
 correlation = build_correlation(train_store, vocab.num_relations)
 for scheme, kwargs in [("uniform", {}),

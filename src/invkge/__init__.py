@@ -8,7 +8,7 @@ filtered ranking / threshold-classification evaluation harness and the
 neighbor-cap, uniform-weight and OOKG-ratio ablations.
 """
 
-from .core import AS_HEAD, AS_TAIL, Triplet, TripleStore, Vocabulary
+from .core import AS_HEAD, AS_TAIL, TripleStore, Vocabulary
 from .datasets import (BenchmarkSplits, DatasetFormatError, DatasetValidationError,
                        generate_planted_splits, generate_trainable_splits, load_split_dir,
                        load_splits, write_splits)
@@ -21,7 +21,6 @@ from .models import (MODELS, ROTATE, TRANSE, EmbeddingTables, init_tables, load_
 from .reduction import (CORRELATION, DEGREE, UNIFORM, RelationCorrelation,
                         build_correlation, candidate_weights, reduce_candidates)
 from .seeding import substream
-from .training import (REFERENCE_CONFIGS, Adam, TrainConfig, TrainingDivergedError,
-                       sample_negatives, self_adversarial_loss, train)
+from .training import REFERENCE_CONFIGS, Adam, TrainConfig, TrainingDivergedError, train
 
 __version__ = "0.1.0"

@@ -1,22 +1,14 @@
-"""Vocabulary, triplets, and the indexed triple store shared by every stage."""
+"""Vocabulary and the indexed triple store shared by every stage."""
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Sequence
 from itertools import count, islice
-from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 AS_HEAD = "head"
 AS_TAIL = "tail"
-
-
-class Triplet(NamedTuple):
-    head: int
-    relation: int
-    tail: int
 
 
 class Vocabulary:
@@ -27,12 +19,6 @@ class Vocabulary:
         self.relation_names: list[str] = []
         self._entity_ids: defaultdict[str, int] = defaultdict(None)  # factory set only in _add_names
         self._relation_ids: defaultdict[str, int] = defaultdict(None)
-
-    def add_entity(self, name: str) -> int:
-        return int(self.add_entities([name])[0])
-
-    def add_relation(self, name: str) -> int:
-        return int(self.add_relations([name])[0])
 
     def add_entities(self, names: list[str]) -> np.ndarray:
         """Ids of ``names``; names not seen before get the next ids, in first-seen order."""
@@ -75,7 +61,7 @@ def _add_names(ids: defaultdict[str, int], ordered: list[str], names: list[str])
     ids.default_factory = count(len(ordered)).__next__  # numbers a new name at its first lookup
     try:
         found = np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=len(names))
-    finally:  # names added before a failure stay added, as with add_entity one by one
+    finally:  # names looked up before a failure stay added, in first-seen order
         ids.default_factory = None
         ordered += islice(ids, len(ordered), None)
     return found
@@ -91,11 +77,8 @@ class TripleStore:
     sorted int64 keys of the triplets.
     """
 
-    def __init__(self, triplets: np.ndarray | Iterable[Triplet],
-                 num_entities: int | None = None,
+    def __init__(self, triplets: np.ndarray, num_entities: int | None = None,
                  num_relations: int | None = None) -> None:
-        if not isinstance(triplets, (np.ndarray, Sequence)):
-            triplets = list(triplets)  # an iterator
         arr = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
         ends = arr[:, [0, 2]]
         self.num_entities = int(ends.max(initial=-1)) + 1 if num_entities is None else num_entities
@@ -104,7 +87,7 @@ class TripleStore:
         bad = (arr < 0).any(axis=1) | (ends >= self.num_entities).any(axis=1) \
             | (arr[:, 1] >= self.num_relations)
         if bad.any():
-            raise ValueError(f"id out of range in triplet {Triplet(*arr[np.argmax(bad)].tolist())} "
+            raise ValueError(f"id out of range in triplet {tuple(arr[np.argmax(bad)].tolist())} "
                              f"(num_entities={self.num_entities}, "
                              f"num_relations={self.num_relations})")
         self._keys, first = np.unique(self._encode(*arr.T), return_index=True)
@@ -130,12 +113,6 @@ class TripleStore:
         hit[ok] = self._keys[pos[ok]] == keys[ok]
         return hit
 
-    def __contains__(self, triplet: Triplet) -> bool:
-        return bool(self.contains(*triplet))
-
-    def degree(self, entity: int) -> int:
-        return int(self.degrees[entity]) if 0 <= entity < self.num_entities else 0
-
     def incident(self, entities) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Incident triplets of each of ``entities``, grouped per entity.
 
@@ -158,9 +135,6 @@ class TripleStore:
 
     def __len__(self) -> int:
         return len(self.triplets)
-
-    def __iter__(self) -> Iterator[Triplet]:
-        return map(Triplet._make, self.triplets.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripleStore):

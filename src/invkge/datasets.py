@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Vocabulary
-from .models import TRANSE, EmbeddingTables
+from .models import TRANSE, EmbeddingTables, _write_atomically
 from .seeding import substream
 
 logger = logging.getLogger(__name__)
@@ -238,7 +238,7 @@ def load_split_dir(directory: str | Path, task: str = TASK_LP) -> BenchmarkSplit
 
 
 def write_splits(splits: BenchmarkSplits, directory: str | Path) -> dict[str, Path]:
-    """Write the four TSV files; byte-deterministic for identical splits."""
+    """Write the four TSV files, each atomically; byte-deterministic for identical splits."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     paths = {name: d / fname for name, fname in SPLIT_FILENAMES.items()}
@@ -251,12 +251,11 @@ def write_splits(splits: BenchmarkSplits, directory: str | Path) -> dict[str, Pa
 
 def _write_file(path: Path, vocab: Vocabulary, triplets: np.ndarray,
                 labels: np.ndarray | None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for i, (h, r, t) in enumerate(triplets.tolist()):
-            line = f"{vocab.entity_name(h)}\t{vocab.relation_name(r)}\t{vocab.entity_name(t)}"
-            if labels is not None:
-                line += f"\t{labels[i]}"
-            f.write(line + "\n")
+    ent, rel = vocab.entity_names, vocab.relation_names
+    lines = (f"{ent[h]}\t{rel[r]}\t{ent[t]}" for h, r, t in triplets.tolist())
+    if labels is not None:
+        lines = (f"{line}\t{label}" for line, label in zip(lines, labels.tolist()))
+    _write_atomically(path, (f"{line}\n".encode("utf-8") for line in lines))
 
 
 # ---------------------------------------------------------------------------

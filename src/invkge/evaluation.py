@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AS_HEAD, AS_TAIL, Triplet, TripleStore, segment_rows
+from .core import AS_HEAD, AS_TAIL, TripleStore, segment_rows
 from .datasets import BenchmarkSplits
 from .estimation import cap_neighbors, estimate_candidates
 from .models import ROTATE, EmbeddingTables, _write_atomically, translation_distance
@@ -28,8 +28,6 @@ from .reduction import (CORRELATION, DEGREE, DEFAULT_SMOOTHING, build_correlatio
                         candidate_weights, reduce_candidates)
 
 logger = logging.getLogger(__name__)
-
-ABLATION_VARIANTS = ("cap1", "cap8", "cap32", "uniform", "ratio")
 
 _RANK_BLOCK_BYTES = 256 * 1024  # entity-table bytes scored per block in filtered_rank
 
@@ -275,7 +273,7 @@ def link_prediction(tables: EmbeddingTables, splits: BenchmarkSplits,
     )
 
 
-def tune_thresholds(tables: EmbeddingTables, valid: np.ndarray | Sequence[Triplet],
+def tune_thresholds(tables: EmbeddingTables, valid: np.ndarray,
                     labels: np.ndarray | Sequence[int]) -> Thresholds:
     """Relation-specific cutoffs maximizing validation accuracy.
 

@@ -18,8 +18,7 @@ Both models score every triplet, positive or corrupted, as the norm of one
 residual e - q (see ``_batch_loss_grads``). Dtype policy: the kernel computes
 in the dtype of the tables it is given, with float64 distances, adversarial
 weights and loss; ``train`` keeps parameters and Adam moments in float32, the
-checkpoint's dtype, and returns the float32 tables without widening them;
-``self_adversarial_loss`` on float64 tables is float64.
+checkpoint's dtype, and returns the float32 tables without widening them.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Triplet, TripleStore
+from .core import TripleStore
 from .datasets import BenchmarkSplits
 from .models import MODELS, ROTATE, TRANSE, EmbeddingTables, init_tables
 from .seeding import substream
@@ -103,12 +102,10 @@ class Adam:
     rows, while the block's temporaries stay in cache.
     """
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -182,35 +179,12 @@ def _scatter_sum(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     return sorted_ids[starts], rows[order[starts]]
 
 
-def sample_negatives(rng: np.random.Generator, triplet: Triplet, n: int,
-                     num_entities: int) -> list[Triplet]:
-    """n corruptions of ``triplet``, each replacing exactly one entity slot.
-
-    The slot (head or tail) is chosen uniformly per negative and the
-    replacement is uniform over the other num_entities - 1 entities, so a
-    negative never equals the positive.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if num_entities < 2:
-        raise ValueError("corruption needs at least two entities")
-    out = []
-    for _ in range(n):
-        corrupt_head = rng.random() < 0.5
-        original = triplet.head if corrupt_head else triplet.tail
-        repl = int(rng.integers(num_entities - 1))
-        if repl >= original:
-            repl += 1
-        if corrupt_head:
-            out.append(Triplet(repl, triplet.relation, triplet.tail))
-        else:
-            out.append(Triplet(triplet.head, triplet.relation, repl))
-    return out
-
-
 def _sample_negative_batch(rng: np.random.Generator, batch: np.ndarray, n: int,
                            num_entities: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized corruption: returns (replacement ids, head-corrupted mask), both (B, n)."""
+    """n corruptions per row of ``batch``: (replacement ids, head-corrupted mask), both (B, n).
+
+    Head or tail, with equal odds, becomes one of the other entities, drawn uniformly.
+    """
     bsz = batch.shape[0]
     is_head = rng.random((bsz, n)) < 0.5
     original = np.where(is_head, batch[:, 0:1], batch[:, 2:3])
@@ -300,40 +274,6 @@ def _batch_loss_grads(tables: EmbeddingTables, pos: np.ndarray, neg_entity: np.n
     return loss, ent_ids, ent_grads, rel_ids, rel_grads, weights
 
 
-def self_adversarial_loss(tables: EmbeddingTables, positive: Triplet,
-                          negatives: list[Triplet], margin: float, temperature: float,
-                          weights: np.ndarray | None = None):
-    """Loss and sparse gradients for one positive and its negative samples.
-
-    Each negative must share the relation and differ from the positive in
-    exactly one entity slot. Returns (loss, grads, weights) where grads maps
-    ("entity", id) / ("relation", id) to the gradient of the loss w.r.t. that
-    stored row (interleaved re/im for RotatE entities, phases for RotatE
-    relations). ``weights`` echoes the adversarial weights used, so callers
-    can re-evaluate the loss with them frozen.
-    """
-    neg_entity = np.empty((1, len(negatives)), dtype=np.int64)
-    neg_is_head = np.empty((1, len(negatives)), dtype=bool)
-    for i, neg in enumerate(negatives):
-        if neg.relation != positive.relation:
-            raise ValueError(f"negative {neg} changes the relation")
-        head_differs = neg.head != positive.head
-        tail_differs = neg.tail != positive.tail
-        if head_differs == tail_differs:
-            raise ValueError(f"negative {neg} must differ from {positive} in exactly one slot")
-        neg_is_head[0, i] = head_differs
-        neg_entity[0, i] = neg.head if head_differs else neg.tail
-    pos = np.array([positive], dtype=np.int64)
-    w = None if weights is None else np.asarray(weights, dtype=np.float64).reshape(1, -1)
-    loss, ent_ids, ent_grads, rel_ids, rel_grads, w_out = _batch_loss_grads(
-        tables, pos, neg_entity, neg_is_head, margin, temperature, w)
-    if not np.isfinite(loss):
-        raise ValueError("non-finite loss (check inputs)")
-    grads = {("entity", int(e)): ent_grads[i] for i, e in enumerate(ent_ids)}
-    grads.update({("relation", int(r)): rel_grads[i] for i, r in enumerate(rel_ids)})
-    return loss, grads, w_out[0]
-
-
 def train(splits: BenchmarkSplits, config: TrainConfig) -> tuple[EmbeddingTables, list[tuple[int, float]]]:
     """Pretrain tables on the training split; returns tables and a loss trace.
 
@@ -348,6 +288,8 @@ def train(splits: BenchmarkSplits, config: TrainConfig) -> tuple[EmbeddingTables
     if not len(splits.train):
         raise ValueError("training split is empty")
     num_entities = splits.vocab.num_entities
+    if num_entities < 2:
+        raise ValueError("corruption needs at least two entities")
     num_relations = splits.vocab.num_relations
     tables = init_tables(config.seed, config.model, config.dim, num_entities, num_relations,
                          norm_order=config.norm_order, margin=config.margin)

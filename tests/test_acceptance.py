@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from invkge.core import Triplet, TripleStore
+from invkge.core import TripleStore
 from invkge.datasets import (generate_planted_splits, generate_trainable_splits,
                              load_split_dir)
 from invkge.estimation import CandidateSet, estimate_candidates
@@ -20,8 +20,8 @@ from invkge.evaluation import (FilterIndex, LpQuery, filtered_rank, link_predict
                                triplet_classification, tune_thresholds)
 from invkge.models import (ROTATE, TRANSE, EmbeddingTables, init_tables, translation_distance)
 from invkge.reduction import (build_correlation, candidate_weights, reduce_candidates)
-from invkge.training import (REFERENCE_CONFIGS, TrainConfig, sample_negatives,
-                             self_adversarial_loss, train)
+from invkge.training import (REFERENCE_CONFIGS, TrainConfig, _batch_loss_grads,
+                             _sample_negative_batch, train)
 
 AS_HEAD = "head"
 AS_TAIL = "tail"
@@ -50,7 +50,7 @@ def test_criterion_1_estimator_optimality():
             other = int(rng.integers(1, n_ent))
             rel = int(rng.integers(3))
             as_head = bool(rng.random() < 0.5)
-            trip = Triplet(0, rel, other) if as_head else Triplet(other, rel, 0)
+            trip = (0, rel, other) if as_head else (other, rel, 0)
             aux = TripleStore([trip], num_entities=n_ent, num_relations=3)
             vec = estimate_candidates(tables, aux, [0], range(1, n_ent)).vectors[0]
             source = tables.entity_matrix()[other]
@@ -69,7 +69,7 @@ def test_criterion_1_estimator_optimality():
 # ---------------------------------------------------------------------------
 
 def _micro_instance(rng, model, norm):
-    """Random micro-instance with residual elements away from the |.| kinks."""
+    """Random one-positive batch with residual elements away from the |.| kinks."""
     dim = int(rng.integers(2, 9))
     n_neg = int(rng.integers(1, 5))
     n_ent = 6
@@ -81,17 +81,15 @@ def _micro_instance(rng, model, norm):
         else:
             relation = rng.normal(0.0, 1.0, (3, dim))
         tables = EmbeddingTables(model, dim, norm, entity, relation)
-        pos = Triplet(int(rng.integers(n_ent)), int(rng.integers(3)), int(rng.integers(n_ent)))
-        negs = sample_negatives(rng, pos, n_neg, n_ent)
-        smallest = np.inf
-        for trip in [pos] + negs:
-            h = tables.entity_matrix()[trip.head]
-            t = tables.entity_matrix()[trip.tail]
-            r = tables.relation_vec(trip.relation)
-            u = h * r - t if model == ROTATE else h + r - t
-            smallest = min(smallest, float(np.abs(u).min()))
-        if smallest > 1e-2:
-            return tables, pos, negs
+        pos = np.array([[rng.integers(n_ent), rng.integers(3), rng.integers(n_ent)]])
+        neg_entity, neg_is_head = _sample_negative_batch(rng, pos, n_neg, n_ent)
+        heads = np.concatenate([pos[:, 0], np.where(neg_is_head[0], neg_entity[0], pos[0, 0])])
+        tails = np.concatenate([pos[:, 2], np.where(neg_is_head[0], pos[0, 2], neg_entity[0])])
+        h, t = tables.entity_matrix()[heads], tables.entity_matrix()[tails]
+        r = tables.relation_vec(pos[0, 1])
+        u = h * r - t if model == ROTATE else h + r - t
+        if np.abs(u).min() > 1e-2:
+            return tables, pos, neg_entity, neg_is_head
 
 
 def test_criterion_2_gradient_correctness():
@@ -104,24 +102,26 @@ def test_criterion_2_gradient_correctness():
     for i in range(100):
         model = TRANSE if i % 2 == 0 else ROTATE
         norm = 1 if (i // 2) % 2 == 0 else 2
-        tables, pos, negs = _micro_instance(rng, model, norm)
+        tables, pos, neg_entity, neg_is_head = _micro_instance(rng, model, norm)
         margin = float(rng.uniform(0.5, 3.0))
         alpha = float(rng.uniform(0.0, 2.0))
-        _, grads, weights = self_adversarial_loss(tables, pos, negs, margin, alpha)
+        _, ent_ids, ent_grads, rel_ids, rel_grads, weights = _batch_loss_grads(
+            tables, pos, neg_entity, neg_is_head, margin, alpha)
         fd_all, an_all = [], []
-        for (kind, idx), grad in grads.items():
-            table = tables.entity if kind == "entity" else tables.relation
-            for k in range(table.shape[1]):
-                orig = table[idx, k]
-                table[idx, k] = orig + eps
-                up, _, _ = self_adversarial_loss(tables, pos, negs, margin, alpha,
-                                                 weights=weights)
-                table[idx, k] = orig - eps
-                down, _, _ = self_adversarial_loss(tables, pos, negs, margin, alpha,
-                                                   weights=weights)
-                table[idx, k] = orig
-                fd_all.append((up - down) / (2.0 * eps))
-                an_all.append(grad[k])
+        for table, ids, grads in ((tables.entity, ent_ids, ent_grads),
+                                  (tables.relation, rel_ids, rel_grads)):
+            for idx, grad in zip(ids, grads):
+                for k in range(table.shape[1]):
+                    orig = table[idx, k]
+                    table[idx, k] = orig + eps
+                    up = _batch_loss_grads(tables, pos, neg_entity, neg_is_head, margin, alpha,
+                                           weights)[0]
+                    table[idx, k] = orig - eps
+                    down = _batch_loss_grads(tables, pos, neg_entity, neg_is_head, margin,
+                                             alpha, weights)[0]
+                    table[idx, k] = orig
+                    fd_all.append((up - down) / (2.0 * eps))
+                    an_all.append(grad[k])
         fd = np.array(fd_all)
         an = np.array(an_all)
         err = float(np.linalg.norm(fd - an) / max(np.linalg.norm(fd), np.linalg.norm(an), 1e-12))
@@ -200,8 +200,8 @@ def test_criterion_3_oracle_equivalence():
         entity = np.round(rng.normal(size=(n_ent, dim)) * 2) / 2
         relation = np.round(rng.normal(size=(n_rel, dim)) * 2) / 2
         tables = EmbeddingTables(TRANSE, dim, 1, entity, relation)
-        triplets = [Triplet(int(rng.integers(n_ent)), int(rng.integers(n_rel)),
-                            int(rng.integers(n_ent)))
+        triplets = [(int(rng.integers(n_ent)), int(rng.integers(n_rel)),
+                     int(rng.integers(n_ent)))
                     for _ in range(int(rng.integers(5, 120)))]
 
         # filtered ranks
@@ -229,7 +229,7 @@ def test_criterion_3_oracle_equivalence():
         labels = [1 if rng.random() < 0.5 else -1 for _ in range(n_val)]
         ent = np.concatenate([[0.0], dists]).reshape(-1, 1)
         th_tables = EmbeddingTables(TRANSE, 1, 1, ent, np.zeros((1, 1)))
-        valid = [Triplet(0, 0, i + 1) for i in range(n_val)]
+        valid = [(0, 0, i + 1) for i in range(n_val)]
         got_th = tune_thresholds(th_tables, valid, labels)
         assert got_th.per_relation[0] == _oracle_threshold(dists, labels)
         n_thresh_checks += 1
@@ -247,7 +247,7 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_weight_contracts():
     rng = np.random.default_rng(404)
-    triplets = [Triplet(int(rng.integers(30)), int(rng.integers(5)), int(rng.integers(30)))
+    triplets = [(int(rng.integers(30)), int(rng.integers(5)), int(rng.integers(30)))
                 for _ in range(150)]
     store = TripleStore(triplets, num_entities=30, num_relations=5)
     corr = build_correlation(store)

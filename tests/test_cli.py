@@ -9,7 +9,7 @@ import pytest
 
 from invkge import models
 from invkge.cli import main
-from invkge.core import AS_HEAD, AS_TAIL, Triplet
+from invkge.core import AS_HEAD, AS_TAIL
 from invkge.datasets import (generate_planted_splits, generate_trainable_splits, load_split_dir,
                              write_splits)
 from invkge.evaluation import FilterIndex, LpQuery, embed_ookg, filtered_rank
@@ -152,6 +152,30 @@ def test_failed_artifact_write_keeps_the_earlier_file(tc_dataset, tmp_path, monk
                  str(root / "gt.bin"), *extra[command], "--out", str(out)]) == 1
     assert (out / artifact).read_bytes() == b"earlier\n"
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("split", ["train", "valid", "aux", "test"])
+def test_failed_split_write_keeps_the_earlier_file(tc_dataset, tmp_path, monkeypatch, split):
+    _, splits, _ = tc_dataset
+    (tmp_path / f"{split}.txt").write_bytes(b"earlier\n")
+    monkeypatch.setattr(models, "open", _half_writing_open(f"{split}.txt"), raising=False)
+    with pytest.raises(OSError, match="no space left on device"):
+        write_splits(splits, tmp_path)
+    assert (tmp_path / f"{split}.txt").read_bytes() == b"earlier\n"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_pretrain_on_one_entity_exits_1_and_writes_nothing(tmp_path, capsys):
+    root = tmp_path / "data"
+    root.mkdir()
+    (root / "train.txt").write_text("a\tr\ta\n")
+    for name in ("valid", "aux", "test"):
+        (root / f"{name}.txt").write_text("")
+    out = tmp_path / "run"
+    assert main(["pretrain", *_split_flags(root), "--dim", "4", "--steps", "2",
+                 "--out", str(out)]) == 1
+    assert "error: corruption needs at least two entities" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pretrain_rotate_checkpoint_round_trip(lp_dataset, tmp_path):
@@ -384,17 +408,16 @@ def test_trained_checkpoint_evaluates_end_to_end(tmp_path):
 
 def test_estimate_single_neighbor_dumps_the_lone_candidate(tmp_path):
     # one OOKG entity with one aux edge: the dump must equal t - r exactly
-    from invkge.core import Triplet, Vocabulary
+    from invkge.core import Vocabulary
     from invkge.datasets import BenchmarkSplits, write_splits
     from invkge.models import EmbeddingTables
     vocab = Vocabulary()
-    for name in ("a", "b", "x"):
-        vocab.add_entity(name)
-    vocab.add_relation("r")
+    vocab.add_entities(["a", "b", "x"])
+    vocab.add_relations(["r"])
     a, b, x = (vocab.entity_id(n) for n in "abx")
     splits = BenchmarkSplits(task="lp", vocab=vocab,
-                             train=[Triplet(a, 0, b)], valid=[Triplet(a, 0, b)],
-                             aux=[Triplet(x, 0, b)], test=[Triplet(x, 0, a)],
+                             train=[(a, 0, b)], valid=[(a, 0, b)],
+                             aux=[(x, 0, b)], test=[(x, 0, a)],
                              valid_labels=None, test_labels=None,
                              ikg_entities=[a, b], ookg_entities=[x], dangling_ookg=[])
     root = tmp_path / "tiny"
@@ -550,12 +573,12 @@ def test_eval_lp_ignores_out_of_graph_table_rows(tmp_path):
     # query's answer: only a ranking that read out-of-graph rows would see the change.
     splits, tables = generate_planted_splits(61, 150, 6, 420, 0.1, task="lp")
     ookg, seen, test = set(splits.ookg_entities.tolist()), set(), []
-    for t in map(Triplet._make, splits.test.tolist()):
-        side = t.head if t.head in ookg else t.tail
+    for h, r, t in splits.test.tolist():
+        side = h if h in ookg else t
         if side not in seen and side not in splits.dangling_ookg.tolist() \
-                and not (t.head in ookg and t.tail in ookg):
+                and not (h in ookg and t in ookg):
             seen.add(side)
-            test.append(t)
+            test.append((h, r, t))
     root = tmp_path / "data"
     write_splits(replace(splits, test=test), root)
     loaded = load_split_dir(root)
@@ -565,19 +588,19 @@ def test_eval_lp_ignores_out_of_graph_table_rows(tmp_path):
     save_checkpoint(noisy, root / "clean.bin")
     clean, _ = load_checkpoint(root / "clean.bin")
 
-    known = [t.head if t.head in ookg else t.tail for t in test]
+    known = [h if h in ookg else t for h, _, t in test]
     vectors, found = embed_ookg(clean, loaded, "degree", known, None)
     assert found.all()
     poisoned = clean.copy()
     queries = []
-    for t, entity, vec in zip(test, known, vectors):
-        rel = clean.relation[t.relation]
-        if entity == t.head:  # tail candidates e score |vec + r - e|
+    for (h, r, t), entity, vec in zip(test, known, vectors):
+        rel = clean.relation[r]
+        if entity == h:  # tail candidates e score |vec + r - e|
             poisoned.entity[entity] = vec + rel
-            queries.append(LpQuery(entity, vec, t.relation, AS_TAIL, t.tail))
+            queries.append(LpQuery(entity, vec, r, AS_TAIL, t))
         else:  # head candidates e score |e + r - vec|
             poisoned.entity[entity] = vec - rel
-            queries.append(LpQuery(entity, vec, t.relation, AS_HEAD, t.head))
+            queries.append(LpQuery(entity, vec, r, AS_HEAD, h))
     save_checkpoint(poisoned, root / "poisoned.bin")
     poisoned, _ = load_checkpoint(root / "poisoned.bin")
     cids = loaded.ikg_entities

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from invkge.core import Triplet, TripleStore, Vocabulary
+from invkge.core import TripleStore, Vocabulary
 from invkge.datasets import (BenchmarkSplits, DatasetFormatError, DatasetValidationError,
                              generate_planted_splits, generate_trainable_splits,
                              load_split_dir, load_splits, write_splits)
@@ -135,15 +135,14 @@ def _line_benchmark(test, test_labels=None):
     so a tail query (x, r, ?) ranks a, b, c, d in that order before filtering.
     """
     vocab = Vocabulary()
-    for name in "abcdx":
-        vocab.add_entity(name)
-    vocab.add_relation("r")
+    vocab.add_entities(list("abcdx"))
+    vocab.add_relations(["r"])
     labeled = test_labels is not None
     splits = BenchmarkSplits(
         task="classification" if labeled else "lp", vocab=vocab,
-        train=[Triplet(0, 0, 1), Triplet(1, 0, 2), Triplet(2, 0, 3)],
-        valid=[Triplet(0, 0, 1), Triplet(0, 0, 3)], aux=[Triplet(4, 0, 0)],
-        test=[Triplet(*t) for t in test],
+        train=[(0, 0, 1), (1, 0, 2), (2, 0, 3)],
+        valid=[(0, 0, 1), (0, 0, 3)], aux=[(4, 0, 0)],
+        test=[tuple(t) for t in test],
         valid_labels=[1, -1] if labeled else None, test_labels=test_labels,
         ikg_entities=list(range(4)), ookg_entities=[4], dangling_ookg=[])
     tables = EmbeddingTables(TRANSE, 1, 1, np.arange(5.0).reshape(-1, 1), np.zeros((1, 1)))
@@ -171,8 +170,7 @@ def test_splits_hold_read_only_int64_arrays():
     assert replace(splits, aux=[]) != splits and replace(splits, test_labels=None) != splits
     assert replace(splits, test_labels=None) == replace(splits, test_labels=None)
     assert replace(splits, task="lp") != splits and splits != "splits"
-    trips = list(map(Triplet._make, splits.test.tolist()))
-    assert TripleStore(splits.test) == TripleStore(trips) == TripleStore(iter(trips))
+    assert TripleStore(splits.test) == TripleStore(splits.test.tolist())
 
 
 def test_splits_reject_triplet_arrays_not_n_by_3_and_unsorted_partitions():
@@ -192,7 +190,7 @@ def test_plus_joins_whole_splits_and_adds_elementwise_on_indexed_arrays():
     joined = splits.train + splits.aux
     assert np.array_equal(joined, np.concatenate([splits.train, splits.aux]))
     joined += [t for t, lab in zip(splits.test, splits.test_labels) if lab == 1]
-    joined += [Triplet(0, 0, 1)]
+    joined += [(0, 0, 1)]
     assert joined.dtype == np.int64 and joined.tolist() == train + aux + test[:1] + [[0, 0, 1]]
     assert (splits.aux + []).tolist() == aux and splits.aux.tolist() == aux
     # anything else adds elementwise: a scalar, and any rows or columns taken by indexing

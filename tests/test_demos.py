@@ -1,4 +1,7 @@
-"""The demos that exercise the public API still run (demo 05 trains for long and is left out)."""
+"""The demos that exercise the public API still run, with warnings as errors as under pytest.
+
+Demo 05 trains for long and is left out.
+"""
 
 import os
 import subprocess
@@ -16,6 +19,6 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / demo)], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

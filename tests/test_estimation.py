@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from invkge.core import Triplet, TripleStore
+from invkge.core import TripleStore
 from invkge.estimation import cap_neighbors, estimate_candidates
 from invkge.models import ROTATE, TRANSE, EmbeddingTables, init_tables, translation_distance
 from invkge.seeding import substream
@@ -23,7 +23,7 @@ def _transe_fixture():
 
 def test_invtranse_head_case():
     tables = _transe_fixture()
-    aux = TripleStore([Triplet(0, 0, 1)], num_entities=3, num_relations=2)
+    aux = TripleStore([(0, 0, 1)], num_entities=3, num_relations=2)
     cset = estimate_candidates(tables, aux, [0], ikg_entities=[1, 2])
     assert len(cset) == 1
     assert cset.entities.tolist() == [0] and cset.offsets.tolist() == [0, 1]
@@ -35,7 +35,7 @@ def test_invtranse_head_case():
 
 def test_invtranse_tail_case():
     tables = _transe_fixture()
-    aux = TripleStore([Triplet(2, 1, 0)], num_entities=3, num_relations=2)
+    aux = TripleStore([(2, 1, 0)], num_entities=3, num_relations=2)
     cset = estimate_candidates(tables, aux, [0], ikg_entities=[1, 2])
     assert np.array_equal(cset.vectors[0], np.array([3.0, 1.0]))  # h + r
     assert not cset.as_head[0]
@@ -46,7 +46,7 @@ def test_invrotate_quarter_turn_inverse():
     entity[1] = [0.0, 1.0]  # complex 0+1j interleaved
     relation = np.array([[np.pi / 2]])
     tables = EmbeddingTables(ROTATE, 1, 1, entity, relation)
-    aux = TripleStore([Triplet(0, 0, 1)], num_entities=2, num_relations=1)
+    aux = TripleStore([(0, 0, 1)], num_entities=2, num_relations=1)
     cset = estimate_candidates(tables, aux, [0], ikg_entities=[1])
     assert np.allclose(cset.vectors[0], np.array([1.0 + 0.0j]), atol=1e-12)
 
@@ -54,7 +54,7 @@ def test_invrotate_quarter_turn_inverse():
 def test_invrotate_tail_case_applies_rotation():
     rng = np.random.default_rng(0)
     tables = init_tables(1, ROTATE, 4, 5, 3)
-    aux = TripleStore([Triplet(2, 1, 0)], num_entities=5, num_relations=3)
+    aux = TripleStore([(2, 1, 0)], num_entities=5, num_relations=3)
     cset = estimate_candidates(tables, aux, [0], ikg_entities=[1, 2, 3, 4])
     expected = tables.entity_matrix()[2] * np.exp(1j * tables.relation[1])
     assert np.allclose(cset.vectors[0], expected, atol=1e-15)
@@ -62,7 +62,7 @@ def test_invrotate_tail_case_applies_rotation():
 
 def test_candidates_follow_aux_store_order():
     tables = init_tables(2, TRANSE, 4, 6, 3)
-    aux = TripleStore([Triplet(0, 1, 3), Triplet(0, 0, 2), Triplet(4, 2, 0)],
+    aux = TripleStore([(0, 1, 3), (0, 0, 2), (4, 2, 0)],
                       num_entities=6, num_relations=3)
     cset = estimate_candidates(tables, aux, [0], ikg_entities=[1, 2, 3, 4, 5])
     got = list(zip(cset.source_entity.tolist(), cset.source_relation.tolist(),
@@ -72,7 +72,7 @@ def test_candidates_follow_aux_store_order():
 
 def test_no_usable_neighbor_leaves_the_entity_out():
     tables = init_tables(0, TRANSE, 4, 4, 2)
-    aux = TripleStore([Triplet(1, 0, 2)], num_entities=4, num_relations=2)
+    aux = TripleStore([(1, 0, 2)], num_entities=4, num_relations=2)
     cset = estimate_candidates(tables, aux, [3, 0], ikg_entities=[1, 2])
     assert cset.entities.size == 0 and cset.offsets.tolist() == [0] and len(cset) == 0
 
@@ -80,7 +80,7 @@ def test_no_usable_neighbor_leaves_the_entity_out():
 def test_ookg_neighbor_skipped_with_warning(caplog):
     tables = init_tables(0, TRANSE, 4, 5, 2)
     # neighbor 4 is itself out-of-graph: skipped, not fatal
-    aux = TripleStore([Triplet(0, 0, 1), Triplet(0, 1, 4)], num_entities=5, num_relations=2)
+    aux = TripleStore([(0, 0, 1), (0, 1, 4)], num_entities=5, num_relations=2)
     with caplog.at_level(logging.WARNING):
         cset = estimate_candidates(tables, aux, [0], ikg_entities=[1, 2, 3])
     assert len(cset) == 1
@@ -90,7 +90,7 @@ def test_ookg_neighbor_skipped_with_warning(caplog):
 def test_skipped_neighbors_warn_once_per_call(caplog):
     tables = init_tables(0, TRANSE, 4, 12, 2)
     # entities 0..4 each have one clean and one dirty neighbor (10 is out of graph)
-    aux = TripleStore([t for e in range(5) for t in (Triplet(e, 0, 5 + e), Triplet(10, 1, e))],
+    aux = TripleStore([t for e in range(5) for t in ((e, 0, 5 + e), (10, 1, e))],
                       num_entities=12, num_relations=2)
     with caplog.at_level(logging.WARNING):
         cset = estimate_candidates(tables, aux, range(5), ikg_entities=range(5, 10))
@@ -111,7 +111,7 @@ def test_candidates_zero_their_generating_triplet(model):
         other = int(rng.integers(1, n_ent))
         rel = int(rng.integers(4))
         as_head = bool(rng.random() < 0.5)
-        trip = Triplet(e, rel, other) if as_head else Triplet(other, rel, e)
+        trip = (e, rel, other) if as_head else (other, rel, e)
         aux = TripleStore([trip], num_entities=n_ent, num_relations=4)
         cset = estimate_candidates(tables, aux, [e], ikg_entities=range(1, n_ent))
         vec = cset.vectors[0]
@@ -123,7 +123,7 @@ def test_candidates_zero_their_generating_triplet(model):
 
 def test_invrotate_preserves_source_moduli():
     tables = init_tables(3, ROTATE, 6, 5, 3)
-    aux = TripleStore([Triplet(0, 0, 1), Triplet(2, 1, 0)], num_entities=5, num_relations=3)
+    aux = TripleStore([(0, 0, 1), (2, 1, 0)], num_entities=5, num_relations=3)
     cset = estimate_candidates(tables, aux, [0], ikg_entities=[1, 2, 3, 4])
     assert len(cset) == 2
     for vec, source in zip(cset.vectors, cset.source_entity):
@@ -136,7 +136,7 @@ def test_invtranse_forward_reproduces_source_exactly():
     entity = np.array([[0.0, 0.0], [3.0, -2.0]])
     relation = np.array([[5.0, 7.0]])
     tables = EmbeddingTables(TRANSE, 2, 1, entity, relation)
-    aux = TripleStore([Triplet(0, 0, 1)], num_entities=2, num_relations=1)
+    aux = TripleStore([(0, 0, 1)], num_entities=2, num_relations=1)
     vec = estimate_candidates(tables, aux, [0], [1]).vectors[0]
     assert np.array_equal(vec + relation[0], entity[1])
 
@@ -145,7 +145,7 @@ def test_invtranse_forward_reproduces_source_exactly():
 def test_any_other_vector_has_positive_residual(model):
     rng = np.random.default_rng(9)
     tables = init_tables(4, model, 5, 6, 2, margin=3.0)
-    aux = TripleStore([Triplet(0, 1, 3)], num_entities=6, num_relations=2)
+    aux = TripleStore([(0, 1, 3)], num_entities=6, num_relations=2)
     cand = estimate_candidates(tables, aux, [0], range(1, 6)).vectors[0]
     for _ in range(20):
         if model == ROTATE:
@@ -158,7 +158,7 @@ def test_any_other_vector_has_positive_residual(model):
 
 def test_cap_noop_when_k_exceeds_count():
     tables = init_tables(0, TRANSE, 4, 8, 2)
-    aux = TripleStore([Triplet(0, 0, i) for i in range(1, 6)], num_entities=8, num_relations=2)
+    aux = TripleStore([(0, 0, i) for i in range(1, 6)], num_entities=8, num_relations=2)
     cset = estimate_candidates(tables, aux, [0], range(1, 8))
     capped = cap_neighbors(cset, 8, seed=0)
     assert len(capped) == 5
@@ -167,7 +167,7 @@ def test_cap_noop_when_k_exceeds_count():
 
 def test_cap_selects_exactly_k():
     tables = init_tables(0, TRANSE, 4, 8, 2)
-    aux = TripleStore([Triplet(0, 0, i) for i in range(1, 6)], num_entities=8, num_relations=2)
+    aux = TripleStore([(0, 0, i) for i in range(1, 6)], num_entities=8, num_relations=2)
     cset = estimate_candidates(tables, aux, [0], range(1, 8))
     capped = cap_neighbors(cset, 1, seed=0)
     assert len(capped) == 1
@@ -177,7 +177,7 @@ def test_cap_selects_exactly_k():
 
 def test_cap_deterministic_and_order_preserving():
     tables = init_tables(1, TRANSE, 4, 50, 2)
-    aux = TripleStore([Triplet(0, 0, i) for i in range(1, 41)], num_entities=50, num_relations=2)
+    aux = TripleStore([(0, 0, i) for i in range(1, 41)], num_entities=50, num_relations=2)
     cset = estimate_candidates(tables, aux, [0], range(1, 50))
     a = cap_neighbors(cset, 32, seed=7)
     b = cap_neighbors(cset, 32, seed=7)
@@ -194,7 +194,7 @@ def _random_aux(rng, n_ent, n_rel, ookg):
         e = int(rng.choice(ookg))
         other = int(rng.integers(n_ent))  # may itself be out of graph: dirty
         rel = int(rng.integers(n_rel))
-        triplets.append(Triplet(e, rel, other) if rng.random() < 0.5 else Triplet(other, rel, e))
+        triplets.append((e, rel, other) if rng.random() < 0.5 else (other, rel, e))
     return triplets
 
 
@@ -252,7 +252,7 @@ def test_cap_draws_each_entity_from_its_own_substream():
     rng = np.random.default_rng(67)
     tables = init_tables(2, TRANSE, 3, 60, 3)
     ookg = np.arange(10)
-    triplets = [Triplet(int(e), int(rng.integers(3)), int(rng.integers(10, 60)))
+    triplets = [(int(e), int(rng.integers(3)), int(rng.integers(10, 60)))
                 for e in ookg for _ in range(int(rng.integers(1, 12)))]
     aux = TripleStore(triplets, num_entities=60, num_relations=3)
     cset = estimate_candidates(tables, aux, ookg, range(10, 60))
@@ -278,8 +278,8 @@ def test_candidates_equal_the_per_side_formula_bit_for_bit(model):
     rng = np.random.default_rng(8)
     n_ent, n_rel = 40, 5
     tables = init_tables(9, model, 12, n_ent, n_rel)
-    triplets = [Triplet(e, int(rng.integers(n_rel)), int(rng.integers(10, n_ent)))
-                if rng.random() < 0.5 else Triplet(int(rng.integers(10, n_ent)), int(rng.integers(n_rel)), e)
+    triplets = [(e, int(rng.integers(n_rel)), int(rng.integers(10, n_ent)))
+                if rng.random() < 0.5 else (int(rng.integers(10, n_ent)), int(rng.integers(n_rel)), e)
                 for e in range(10) for _ in range(int(rng.integers(1, 6)))]
     aux = TripleStore(triplets, num_entities=n_ent, num_relations=n_rel)
     cset = estimate_candidates(tables, aux, np.arange(10), ikg_entities=range(10, n_ent))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from invkge import evaluation
-from invkge.core import AS_HEAD, AS_TAIL, Triplet
+from invkge.core import AS_HEAD, AS_TAIL
 from invkge.datasets import (BenchmarkSplits, generate_planted_splits,
                              generate_trainable_splits)
 from invkge.evaluation import (EvalReport, FilterIndex, LpQuery, Thresholds, ablate,
@@ -49,7 +49,7 @@ def test_filtering_removes_known_true_candidates():
                     missing=AS_TAIL, answer=2)
     unfiltered = filtered_rank(tables, query, FilterIndex([]), np.arange(4))
     assert unfiltered == 3.0
-    findex = FilterIndex([Triplet(3, 0, 0), Triplet(3, 0, 1)])
+    findex = FilterIndex([(3, 0, 0), (3, 0, 1)])
     assert filtered_rank(tables, query, findex, np.arange(4)) == 1.0
 
 
@@ -112,8 +112,8 @@ def test_filtered_rank_matches_oracle_on_random_instances(monkeypatch):
         relation = np.round(rng.normal(size=(2, dim)) * 2) / 2
         tables = EmbeddingTables(model, dim, norm, entity, relation)
         ent = tables.entity_matrix()
-        filter_triplets = [Triplet(int(rng.integers(n)), int(rng.integers(2)),
-                                   int(rng.integers(n))) for _ in range(30)]
+        filter_triplets = [(int(rng.integers(n)), int(rng.integers(2)),
+                            int(rng.integers(n))) for _ in range(30)]
         # a random strict subset holding the answer: rows outside it must be ignored
         cids = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
         answer = int(rng.choice(cids))
@@ -236,8 +236,8 @@ def test_screened_rank_equals_float64_whole_table_rank(monkeypatch, model, norm,
         ent = tables.entity_matrix()
         n = len(ent)
         monkeypatch.setattr(evaluation, "_RANK_BLOCK_BYTES", step * ent.shape[1] * ent.itemsize)
-        filter_triplets = [Triplet(int(rng.integers(n)), int(rng.integers(2)),
-                                   int(rng.integers(n))) for _ in range(n // 3)]
+        filter_triplets = [(int(rng.integers(n)), int(rng.integers(2)),
+                            int(rng.integers(n))) for _ in range(n // 3)]
         cids = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
         query = LpQuery(known_entity=int(rng.integers(n)), known_vec=known,
                         relation=int(rng.integers(2)), missing=missing,
@@ -260,7 +260,7 @@ def test_filtered_rank_never_worse_than_raw():
         n = 15
         entity = rng.normal(size=(n, 2))
         tables = EmbeddingTables(TRANSE, 2, 1, entity, rng.normal(size=(1, 2)))
-        filter_triplets = [Triplet(int(rng.integers(n)), 0, int(rng.integers(n)))
+        filter_triplets = [(int(rng.integers(n)), 0, int(rng.integers(n)))
                            for _ in range(25)]
         query = LpQuery(int(rng.integers(n)), entity[int(rng.integers(n))], 0,
                         AS_TAIL, int(rng.integers(n)))
@@ -278,7 +278,7 @@ def _threshold_fixture(distances, labels):
     """Validation triplets with controlled distances: h=0, r=+0, tails at distances."""
     entity = np.concatenate([[0.0], np.asarray(distances, dtype=float)]).reshape(-1, 1)
     tables = EmbeddingTables(TRANSE, 1, 1, entity, np.zeros((1, 1)))
-    valid = [Triplet(0, 0, i + 1) for i in range(len(distances))]
+    valid = [(0, 0, i + 1) for i in range(len(distances))]
     return tables, valid, list(labels)
 
 
@@ -443,9 +443,8 @@ def test_classification_dangling_predicts_negative():
 def _per_triplet_predictions(tables, splits, scheme, thresholds, neighbor_cap):
     """Per-triplet reference for triplet_classification: one distance call per test triplet."""
     ookg = set(splits.ookg_entities.tolist())
-    test = list(map(Triplet._make, splits.test.tolist()))
-    sides = [(entity, trip.relation) for trip in test
-             for entity in (trip.head, trip.tail) if entity in ookg]
+    test = splits.test.tolist()
+    sides = [(entity, r) for h, r, t in test for entity in (h, t) if entity in ookg]
     vectors, found = embed_ookg(tables, splits, scheme, [e for e, _ in sides],
                                 [r for _, r in sides], neighbor_cap=neighbor_cap)
     embedded = {side: vec if ok else None for side, vec, ok in zip(sides, vectors, found)}
@@ -454,14 +453,14 @@ def _per_triplet_predictions(tables, splits, scheme, thresholds, neighbor_cap):
         return embedded[(entity, relation)] if entity in ookg else tables.entity_matrix()[entity]
 
     predictions = []
-    for trip in test:
-        hv, tv = resolve(trip.head, trip.relation), resolve(trip.tail, trip.relation)
+    for h, r, t in test:
+        hv, tv = resolve(h, r), resolve(t, r)
         if hv is None or tv is None:
             predictions.append(-1)
             continue
         d = float(translation_distance(tables.model, tables.norm_order, hv,
-                                       tables.relation_vec(trip.relation), tv))
-        predictions.append(1 if d <= thresholds.for_relation(trip.relation) else -1)
+                                       tables.relation_vec(r), tv))
+        predictions.append(1 if d <= thresholds.for_relation(r) else -1)
     return predictions
 
 
@@ -505,21 +504,21 @@ def _per_triplet_lp(tables, splits, scheme):
     """Per-triplet reference for link_prediction's query table: its counts and
     (known entity, relation, missing side, answer, rank) per query, in test order."""
     labels, ookg = splits.test_labels, set(splits.ookg_entities.tolist())
-    test = list(map(Triplet._make, splits.test.tolist()))
+    test = splits.test.tolist()
     positives = [t for i, t in enumerate(test) if labels is None or labels[i] == 1]
     findex = FilterIndex(splits.aux.tolist() + positives, splits.vocab.num_entities,
                          splits.vocab.num_relations)
     cids = np.array(sorted(splits.ikg_entities.tolist()), dtype=np.int64)
     counts, queries = {}, []
-    for i, trip in enumerate(test):
+    for i, (h, r, t) in enumerate(test):
         if labels is not None and labels[i] != 1:
             counts["negatives_skipped"] = counts.get("negatives_skipped", 0) + 1
-        elif trip.head in ookg and trip.tail in ookg:
+        elif h in ookg and t in ookg:
             counts["skipped_both_ookg"] = counts.get("skipped_both_ookg", 0) + 1
-        elif trip.head in ookg:
-            queries.append((trip.head, trip.relation, AS_TAIL, trip.tail))
+        elif h in ookg:
+            queries.append((h, r, AS_TAIL, t))
         else:
-            queries.append((trip.tail, trip.relation, AS_HEAD, trip.head))
+            queries.append((t, r, AS_HEAD, h))
     known, relations, _, _ = zip(*queries)
     vectors, found = embed_ookg(tables, splits, scheme, known, relations)
     if not found.all():
@@ -616,17 +615,16 @@ def test_both_sides_ookg_estimated_independently():
     tables = EmbeddingTables(TRANSE, 1, 1, entity, relation)
     from invkge.core import Vocabulary
     vocab = Vocabulary()
-    for name in ("a", "b", "x", "y"):
-        vocab.add_entity(name)
-    vocab.add_relation("r")
+    vocab.add_entities(["a", "b", "x", "y"])
+    vocab.add_relations(["r"])
     a, b, x, y = range(4)
     splits = BenchmarkSplits(
         task="classification", vocab=vocab,
-        train=[Triplet(a, 0, b)],
+        train=[(a, 0, b)],
         # positive at distance |0+1-1| = 0, negative at |0+1-0| = 1: cutoff 0.5
-        valid=[Triplet(a, 0, b), Triplet(a, 0, a)],
-        aux=[Triplet(a, 0, x), Triplet(y, 0, b)],  # x estimated as a+r=1, y as b-r=0
-        test=[Triplet(y, 0, x), Triplet(x, 0, y)],
+        valid=[(a, 0, b), (a, 0, a)],
+        aux=[(a, 0, x), (y, 0, b)],  # x estimated as a+r=1, y as b-r=0
+        test=[(y, 0, x), (x, 0, y)],
         valid_labels=[1, -1],
         # d(y,r,x) = |0+1-1| = 0 <= 0.5 (true positive)
         # d(x,r,y) = |1+1-0| = 2 > 0.5 (true negative)
@@ -636,7 +634,7 @@ def test_both_sides_ookg_estimated_independently():
     assert report.accuracy == 1.0
 
     lp = BenchmarkSplits(task="lp", vocab=vocab, train=splits.train, valid=[splits.valid[0]],
-                         aux=splits.aux, test=[Triplet(x, 0, y), Triplet(x, 0, b)],
+                         aux=splits.aux, test=[(x, 0, y), (x, 0, b)],
                          valid_labels=None, test_labels=None,
                          ikg_entities=splits.ikg_entities, ookg_entities=splits.ookg_entities,
                          dangling_ookg=[])

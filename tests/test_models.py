@@ -296,9 +296,8 @@ def test_failed_checkpoint_write_keeps_the_old_file(tmp_path):
 
 def test_vocabulary_sidecar_round_trip(tmp_path):
     vocab = Vocabulary()
-    for name in ["alpha", "beta", "gamma"]:
-        vocab.add_entity(name)
-    vocab.add_relation("likes")
+    vocab.add_entities(["alpha", "beta", "gamma"])
+    vocab.add_relations(["likes"])
     path = tmp_path / "vocab.json"
     save_vocabulary(vocab, path)
     assert load_vocabulary(path) == vocab
@@ -321,12 +320,12 @@ def test_failed_vocabulary_write_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "vocab.json"
     old = Vocabulary()
     old.add_entities(["a", "b"])
-    old.add_relation("r")
+    old.add_relations(["r"])
     save_vocabulary(old, path)
     before = path.read_bytes()
     new = Vocabulary()
     new.add_entities(["c" * 10_000])
-    new.add_relation("s")
+    new.add_relations(["s"])
 
     def fail(fd):   # the temporary file is written in full before the sync fails
         raise OSError("disk went away")

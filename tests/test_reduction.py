@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from invkge.core import Triplet, TripleStore
+from invkge.core import TripleStore
 from invkge.estimation import CandidateSet
 from invkge.reduction import (CORRELATION, DEGREE, UNIFORM, RelationCorrelation,
                               build_correlation, candidate_weights, reduce_candidates,
@@ -24,7 +24,7 @@ def _cands(vectors, sources=None, relations=None):
 # ---------------------------------------------------------------------------
 
 def test_self_conditional_is_one():
-    store = TripleStore([Triplet(0, 0, 1)], num_entities=2, num_relations=1)
+    store = TripleStore([(0, 0, 1)], num_entities=2, num_relations=1)
     corr = build_correlation(store)
     assert corr.conditional[0, 0] == 1.0
     assert corr.support[0] == 2  # both endpoints carry r0
@@ -32,7 +32,7 @@ def test_self_conditional_is_one():
 
 def test_two_relation_hand_enumeration():
     # neighbor sets: e0 {r0, r1}, e1 {r0}, e2 {r1}
-    store = TripleStore([Triplet(0, 0, 1), Triplet(0, 1, 2)], num_entities=3, num_relations=2)
+    store = TripleStore([(0, 0, 1), (0, 1, 2)], num_entities=3, num_relations=2)
     corr = build_correlation(store)
     assert corr.conditional[0, 1] == 0.5  # P(r1 | r0): of {e0, e1} only e0 has r1
     assert corr.conditional[1, 0] == 0.5  # P(r0 | r1): of {e0, e2} only e0 has r0
@@ -41,7 +41,7 @@ def test_two_relation_hand_enumeration():
 
 
 def test_unused_relation_rows_and_columns_zero():
-    store = TripleStore([Triplet(0, 0, 1)], num_entities=2, num_relations=3)
+    store = TripleStore([(0, 0, 1)], num_entities=2, num_relations=3)
     corr = build_correlation(store)
     assert np.all(corr.conditional[1] == 0.0)
     assert np.all(corr.conditional[:, 2] == 0.0)
@@ -74,8 +74,8 @@ def test_correlation_matches_brute_force_on_random_graphs():
     for _ in range(15):
         n_ent = int(rng.integers(3, 50))
         n_rel = int(rng.integers(1, 8))
-        triplets = [Triplet(int(rng.integers(n_ent)), int(rng.integers(n_rel)),
-                            int(rng.integers(n_ent)))
+        triplets = [(int(rng.integers(n_ent)), int(rng.integers(n_rel)),
+                     int(rng.integers(n_ent)))
                     for _ in range(int(rng.integers(1, 120)))]
         store = TripleStore(triplets, num_entities=n_ent, num_relations=n_rel)
         got = build_correlation(store).conditional
@@ -94,7 +94,7 @@ def test_uniform_weights():
 
 def test_degree_weights_hand_arithmetic():
     # degrees: entity 0 -> 1, entity 1 -> 2; delta = 0.1
-    store = TripleStore([Triplet(0, 0, 1), Triplet(2, 0, 1)], num_entities=3, num_relations=1)
+    store = TripleStore([(0, 0, 1), (2, 0, 1)], num_entities=3, num_relations=1)
     cset = _cands([[1.0], [2.0]], sources=[0, 1])
     w = candidate_weights(DEGREE, cset, train_store=store, smoothing=0.1)
     raw = np.array([np.log(1.1), np.log(2.1)])
@@ -102,7 +102,7 @@ def test_degree_weights_hand_arithmetic():
 
 
 def test_degree_weights_reject_bad_smoothing():
-    store = TripleStore([Triplet(0, 0, 1)], num_entities=2, num_relations=1)
+    store = TripleStore([(0, 0, 1)], num_entities=2, num_relations=1)
     with pytest.raises(ValueError):
         candidate_weights(DEGREE, _cands([[1.0]]), train_store=store, smoothing=0.0)
 
@@ -137,7 +137,7 @@ def test_degenerate_weights_fall_back_to_uniform(caplog):
 
 
 def test_weights_dispatcher():
-    store = TripleStore([Triplet(0, 0, 1)], num_entities=2, num_relations=1)
+    store = TripleStore([(0, 0, 1)], num_entities=2, num_relations=1)
     corr = build_correlation(store)
     cset = _cands([[1.0], [2.0]], sources=[0, 1], relations=[0, 0])
     for scheme, kwargs in [(UNIFORM, {}),
@@ -156,7 +156,7 @@ def test_weights_dispatcher():
 
 def test_weight_properties_random_candidate_sets():
     rng = np.random.default_rng(31)
-    triplets = [Triplet(int(rng.integers(20)), int(rng.integers(4)), int(rng.integers(20)))
+    triplets = [(int(rng.integers(20)), int(rng.integers(4)), int(rng.integers(20)))
                 for _ in range(80)]
     store = TripleStore(triplets, num_entities=20, num_relations=4)
     corr = build_correlation(store)
@@ -176,7 +176,7 @@ def test_weight_properties_random_candidate_sets():
 
 def test_degree_weights_permutation_invariant():
     rng = np.random.default_rng(5)
-    triplets = [Triplet(int(rng.integers(10)), 0, int(rng.integers(10))) for _ in range(40)]
+    triplets = [(int(rng.integers(10)), 0, int(rng.integers(10))) for _ in range(40)]
     store = TripleStore(triplets, num_entities=10, num_relations=1)
     sources = [1, 4, 7, 2, 9]
     cset = _cands([[float(i)] for i in range(5)], sources=sources)
@@ -248,12 +248,10 @@ def test_reduce_validates_weights():
 
 def test_correlation_csv_dump(tmp_path):
     from invkge.core import Vocabulary
-    store = TripleStore([Triplet(0, 0, 1), Triplet(1, 1, 2)], num_entities=3, num_relations=2)
+    store = TripleStore([(0, 0, 1), (1, 1, 2)], num_entities=3, num_relations=2)
     vocab = Vocabulary()
-    for name in ("a", "b", "c"):
-        vocab.add_entity(name)
-    vocab.add_relation("r0")
-    vocab.add_relation("r1")
+    vocab.add_entities(["a", "b", "c"])
+    vocab.add_relations(["r0", "r1"])
     corr = build_correlation(store)
     path = tmp_path / "correlation.csv"
     save_correlation_csv(corr, vocab, path)

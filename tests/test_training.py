@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from invkge import training
-from invkge.core import Triplet, TripleStore
-from invkge.datasets import generate_trainable_splits
+from invkge.core import TripleStore, Vocabulary
+from invkge.datasets import BenchmarkSplits, generate_trainable_splits
 from invkge.models import (ROTATE, TRANSE, EmbeddingTables, init_tables, load_checkpoint,
                            save_checkpoint, translation_distance)
 from invkge.training import (REFERENCE_CONFIGS, Adam, TrainConfig, TrainingDivergedError,
                              _batch_loss_grads, _resample_true_negatives,
-                             _sample_negative_batch, sample_negatives, self_adversarial_loss,
-                             train)
+                             _sample_negative_batch, train)
 
 
 def test_config_validation():
@@ -41,35 +40,50 @@ def test_reference_configs_for_benchmark_families():
 # negative sampling
 # ---------------------------------------------------------------------------
 
+def _corrupted(pos, neg_entity, neg_is_head):
+    """The (B, n, 3) negative triplets a sampled batch stands for."""
+    heads = np.where(neg_is_head, neg_entity, pos[:, 0:1])
+    tails = np.where(neg_is_head, pos[:, 2:3], neg_entity)
+    return np.stack([heads, np.broadcast_to(pos[:, 1:2], heads.shape), tails], axis=2)
+
+
 def test_negatives_two_entity_outcome_set():
     rng = np.random.default_rng(0)
-    negs = sample_negatives(rng, Triplet(0, 0, 1), 40, num_entities=2)
-    assert set(negs) <= {Triplet(1, 0, 1), Triplet(0, 0, 0)}
-    assert len(negs) == 40
+    pos = np.array([[0, 0, 1]])
+    negs = _corrupted(pos, *_sample_negative_batch(rng, pos, 40, num_entities=2))
+    assert negs.shape == (1, 40, 3)
+    assert {tuple(t) for t in negs[0].tolist()} <= {(1, 0, 1), (0, 0, 0)}
 
 
 def test_negatives_differ_in_exactly_one_slot():
     rng = np.random.default_rng(1)
-    pos = Triplet(3, 2, 7)
-    negs = sample_negatives(rng, pos, 256, num_entities=10)
-    assert len(negs) == 256
-    for neg in negs:
-        assert neg.relation == pos.relation
-        assert (neg.head != pos.head) != (neg.tail != pos.tail)
+    pos = np.array([[3, 2, 7], [5, 0, 5], [0, 1, 9]])
+    neg_entity, neg_is_head = _sample_negative_batch(rng, pos, 256, num_entities=10)
+    assert neg_entity.shape == neg_is_head.shape == (3, 256)
+    assert neg_is_head.any() and not neg_is_head.all()
+    negs = _corrupted(pos, neg_entity, neg_is_head)
+    differs = negs != pos[:, None, :]
+    assert not differs[:, :, 1].any()
+    assert (differs[:, :, 0] != differs[:, :, 2]).all()    # never the original id
+    assert ((neg_entity >= 0) & (neg_entity < 10)).all()
 
 
 def test_negatives_reproducible():
-    a = sample_negatives(np.random.default_rng(42), Triplet(0, 1, 2), 16, 5)
-    b = sample_negatives(np.random.default_rng(42), Triplet(0, 1, 2), 16, 5)
-    assert a == b
+    pos = np.array([[0, 1, 2], [4, 0, 3]])
+    a = _sample_negative_batch(np.random.default_rng(42), pos, 16, 5)
+    b = _sample_negative_batch(np.random.default_rng(42), pos, 16, 5)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_negatives_validation():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_negatives(rng, Triplet(0, 0, 0), 0, 5)
-    with pytest.raises(ValueError):
-        sample_negatives(rng, Triplet(0, 0, 0), 1, 1)
+    vocab = Vocabulary()
+    vocab.add_entities(["a"])
+    vocab.add_relations(["r"])
+    splits = BenchmarkSplits("lp", vocab, train=[(0, 0, 0)], valid=[], aux=[], test=[],
+                             valid_labels=None, test_labels=None, ikg_entities=[0],
+                             ookg_entities=[], dangling_ookg=[])
+    with pytest.raises(ValueError, match="corruption needs at least two entities"):
+        train(splits, TrainConfig(dim=4, steps=1))
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +103,11 @@ def _micro_tables(model, norm, rng, dim=4, n_ent=6, n_rel=3):
 def test_zero_temperature_gives_uniform_weights():
     rng = np.random.default_rng(2)
     tables = _micro_tables(TRANSE, 1, rng)
-    pos = Triplet(0, 0, 1)
-    negs = sample_negatives(rng, pos, 5, 6)
-    _, _, weights = self_adversarial_loss(tables, pos, negs, margin=1.0, temperature=0.0)
+    pos = np.array([[0, 0, 1]])
+    neg_entity, neg_is_head = _sample_negative_batch(rng, pos, 5, 6)
+    *_, weights = _batch_loss_grads(tables, pos, neg_entity, neg_is_head, margin=1.0,
+                                    temperature=0.0)
+    assert weights.shape == (1, 5)
     assert np.allclose(weights, 0.2)
 
 
@@ -101,26 +117,33 @@ def test_loss_at_margin_is_two_log_two():
     entity = np.array([[0.0], [2.0 * margin]])
     relation = np.array([[margin]])
     tables = EmbeddingTables(TRANSE, 1, 1, entity, relation)
-    pos = Triplet(0, 0, 0)      # |0 + margin - 0| = margin
-    neg = Triplet(0, 0, 1)      # |0 + margin - 2*margin| = margin
-    loss, _, _ = self_adversarial_loss(tables, pos, [neg], margin, temperature=1.0)
+    pos = np.array([[0, 0, 0]])      # |0 + margin - 0| = margin
+    neg_entity = np.array([[1]])     # tail replaced: |0 + margin - 2*margin| = margin
+    loss, *_ = _batch_loss_grads(tables, pos, neg_entity, np.array([[False]]), margin,
+                                 temperature=1.0)
     assert loss == pytest.approx(2.0 * np.log(2.0), rel=1e-12)
+
+
+def _negative_distances(tables, pos, neg_entity, neg_is_head):
+    rel = int(pos[0, 1])
+    return np.array([translation_distance(TRANSE, 1, tables.entity[h], tables.relation[rel],
+                                          tables.entity[t])
+                     for h, _, t in _corrupted(pos, neg_entity, neg_is_head)[0].tolist()])
 
 
 def test_zero_temperature_equals_uniform_weight_loss():
     rng = np.random.default_rng(3)
     tables = _micro_tables(TRANSE, 1, rng)
-    pos = Triplet(1, 0, 2)
-    negs = sample_negatives(rng, pos, 4, 6)
-    loss, _, _ = self_adversarial_loss(tables, pos, negs, 1.0, temperature=0.0)
+    pos = np.array([[1, 0, 2]])
+    neg_entity, neg_is_head = _sample_negative_batch(rng, pos, 4, 6)
+    loss, *_ = _batch_loss_grads(tables, pos, neg_entity, neg_is_head, 1.0, temperature=0.0)
 
     def logsig(x):
         return -np.logaddexp(0.0, -x)
 
     d_pos = translation_distance(TRANSE, 1, tables.entity[1], tables.relation[0],
                                  tables.entity[2])
-    d_negs = [translation_distance(TRANSE, 1, tables.entity[n.head], tables.relation[0],
-                                   tables.entity[n.tail]) for n in negs]
+    d_negs = _negative_distances(tables, pos, neg_entity, neg_is_head)
     expected = -logsig(1.0 - d_pos) - np.mean([logsig(d - 1.0) for d in d_negs])
     assert loss == pytest.approx(float(expected), rel=1e-12)
 
@@ -128,16 +151,14 @@ def test_zero_temperature_equals_uniform_weight_loss():
 def test_adversarial_weights_match_softmax_of_scores():
     rng = np.random.default_rng(4)
     tables = _micro_tables(TRANSE, 1, rng)
-    pos = Triplet(0, 1, 3)
-    negs = sample_negatives(rng, pos, 6, 6)
+    pos = np.array([[0, 1, 3]])
+    neg_entity, neg_is_head = _sample_negative_batch(rng, pos, 6, 6)
     alpha = 0.8
-    _, _, weights = self_adversarial_loss(tables, pos, negs, 1.0, alpha)
-    d = np.array([translation_distance(TRANSE, 1, tables.entity[n.head],
-                                       tables.relation[1], tables.entity[n.tail])
-                  for n in negs])
+    *_, weights = _batch_loss_grads(tables, pos, neg_entity, neg_is_head, 1.0, alpha)
+    d = _negative_distances(tables, pos, neg_entity, neg_is_head)
     expected = np.exp(-alpha * d)
     expected /= expected.sum()
-    assert np.allclose(weights, expected, atol=1e-12)
+    assert np.allclose(weights[0], expected, atol=1e-12)
 
 
 def test_adversarial_weights_survive_extreme_scores():
@@ -145,59 +166,50 @@ def test_adversarial_weights_survive_extreme_scores():
     entity = np.array([[0.0], [1e6], [5.0]])
     relation = np.array([[0.0]])
     tables = EmbeddingTables(TRANSE, 1, 1, entity, relation)
-    pos = Triplet(0, 0, 0)
-    negs = [Triplet(0, 0, 1), Triplet(0, 0, 2)]
-    loss, _, weights = self_adversarial_loss(tables, pos, negs, 1.0, temperature=1.0)
+    pos = np.array([[0, 0, 0]])
+    neg_entity, neg_is_head = np.array([[1, 2]]), np.array([[False, False]])
+    loss, *_, weights = _batch_loss_grads(tables, pos, neg_entity, neg_is_head, 1.0,
+                                          temperature=1.0)
+    weights = weights[0]
     assert np.isfinite(loss)
     assert np.all(np.isfinite(weights))
     assert weights.sum() == pytest.approx(1.0)
     assert weights[1] > weights[0]  # the closer negative dominates
 
 
-def test_invalid_negatives_rejected():
-    rng = np.random.default_rng(5)
-    tables = _micro_tables(TRANSE, 1, rng)
-    pos = Triplet(0, 0, 1)
-    with pytest.raises(ValueError):
-        self_adversarial_loss(tables, pos, [Triplet(0, 1, 2)], 1.0, 1.0)  # relation changed
-    with pytest.raises(ValueError):
-        self_adversarial_loss(tables, pos, [pos], 1.0, 1.0)               # equals positive
-    with pytest.raises(ValueError):
-        self_adversarial_loss(tables, pos, [Triplet(2, 0, 3)], 1.0, 1.0)  # both slots changed
-
-
 def _kink_free_instance(model, norm, rng, dim, n_neg):
-    """Random micro-instance whose residual elements sit away from the |.| kinks."""
+    """Random one-positive batch whose residual elements sit away from the |.| kinks."""
     n_ent = 6
     while True:
         tables = _micro_tables(model, norm, rng, dim=dim, n_ent=n_ent)
-        pos = Triplet(int(rng.integers(n_ent)), int(rng.integers(3)), int(rng.integers(n_ent)))
-        negs = sample_negatives(rng, pos, n_neg, n_ent)
-        smallest = np.inf
-        for trip in [pos] + negs:
-            h = tables.entity_matrix()[trip.head]
-            t = tables.entity_matrix()[trip.tail]
-            r = tables.relation_vec(trip.relation)
-            u = h * r - t if model == ROTATE else h + r - t
-            smallest = min(smallest, float(np.abs(u).min()))
-        if smallest > 1e-2:
-            return tables, pos, negs
+        pos = np.array([[rng.integers(n_ent), rng.integers(3), rng.integers(n_ent)]])
+        neg_entity, neg_is_head = _sample_negative_batch(rng, pos, n_neg, n_ent)
+        trips = np.concatenate([pos, _corrupted(pos, neg_entity, neg_is_head)[0]])
+        ent = tables.entity_matrix()
+        h, r, t = ent[trips[:, 0]], tables.relation_vec(trips[:, 1]), ent[trips[:, 2]]
+        u = h * r - t if model == ROTATE else h + r - t
+        if np.abs(u).min() > 1e-2:
+            return tables, pos, neg_entity, neg_is_head
 
 
-def _fd_relative_error(tables, pos, negs, margin, alpha, eps=1e-5):
-    loss, grads, weights = self_adversarial_loss(tables, pos, negs, margin, alpha)
+def _fd_relative_error(tables, pos, neg_entity, neg_is_head, margin, alpha, eps=1e-5):
+    _, ent_ids, ent_grads, rel_ids, rel_grads, weights = _batch_loss_grads(
+        tables, pos, neg_entity, neg_is_head, margin, alpha)
     fd_all, an_all = [], []
-    for (kind, idx), grad in grads.items():
-        table = tables.entity if kind == "entity" else tables.relation
-        for k in range(table.shape[1]):
-            orig = table[idx, k]
-            table[idx, k] = orig + eps
-            up, _, _ = self_adversarial_loss(tables, pos, negs, margin, alpha, weights=weights)
-            table[idx, k] = orig - eps
-            down, _, _ = self_adversarial_loss(tables, pos, negs, margin, alpha, weights=weights)
-            table[idx, k] = orig
-            fd_all.append((up - down) / (2.0 * eps))
-            an_all.append(grad[k])
+    for table, ids, grads in ((tables.entity, ent_ids, ent_grads),
+                              (tables.relation, rel_ids, rel_grads)):
+        for idx, grad in zip(ids, grads):
+            for k in range(table.shape[1]):
+                orig = table[idx, k]
+                table[idx, k] = orig + eps
+                up = _batch_loss_grads(tables, pos, neg_entity, neg_is_head, margin, alpha,
+                                       weights)[0]
+                table[idx, k] = orig - eps
+                down = _batch_loss_grads(tables, pos, neg_entity, neg_is_head, margin, alpha,
+                                         weights)[0]
+                table[idx, k] = orig
+                fd_all.append((up - down) / (2.0 * eps))
+                an_all.append(grad[k])
     fd = np.array(fd_all)
     an = np.array(an_all)
     return float(np.linalg.norm(fd - an) / max(np.linalg.norm(fd), np.linalg.norm(an), 1e-12))
@@ -210,8 +222,8 @@ def test_gradients_match_finite_differences(model, norm):
     for trial in range(5):
         dim = int(rng.integers(2, 9))
         n_neg = int(rng.integers(1, 5))
-        tables, pos, negs = _kink_free_instance(model, norm, rng, dim, n_neg)
-        err = _fd_relative_error(tables, pos, negs, margin=1.5, alpha=0.7)
+        instance = _kink_free_instance(model, norm, rng, dim, n_neg)
+        err = _fd_relative_error(*instance, margin=1.5, alpha=0.7)
         assert err < 1e-4, f"trial {trial}: relative gradient error {err}"
 
 
@@ -506,8 +518,8 @@ def test_training_separates_train_triplets_from_random(model):
 
     rng = np.random.default_rng(0)
     n_ent = splits.vocab.num_entities
-    random_triplets = [Triplet(int(rng.integers(n_ent)), int(rng.integers(4)),
-                               int(rng.integers(n_ent))) for _ in range(500)]
+    random_triplets = [(int(rng.integers(n_ent)), int(rng.integers(4)),
+                        int(rng.integers(n_ent))) for _ in range(500)]
     assert mean_distance(splits.train) < mean_distance(random_triplets)
 
 
@@ -560,7 +572,7 @@ def _resample_loop(rng, batch, neg_entity, neg_is_head, num_entities, train_set)
             for j in range(neg_entity.shape[1]):
                 e = neg_entity[b, j]
                 trip = (e, r, t) if neg_is_head[b, j] else (h, r, e)
-                if Triplet(*map(int, trip)) in train_set:
+                if tuple(map(int, trip)) in train_set:
                     dirty.append((b, j))
         if not dirty:
             return
@@ -584,7 +596,7 @@ def test_vectorized_false_negative_filter_matches_loop(num_entities, num_train):
     n_ent = num_entities
     keys = np.random.default_rng(6).choice(n_ent * 3 * n_ent, size=num_train, replace=False)
     data = np.stack(np.unravel_index(keys, (n_ent, 3, n_ent)), axis=1).astype(np.int64)
-    store = TripleStore(map(Triplet._make, data.tolist()), n_ent, 3)
+    store = TripleStore(data, n_ent, 3)
     survived = 0
     for seed in range(6):
         rng = np.random.default_rng(seed)
@@ -592,7 +604,7 @@ def test_vectorized_false_negative_filter_matches_loop(num_entities, num_train):
         neg_entity, neg_is_head = _sample_negative_batch(rng, batch, 16, n_ent)
         expected = neg_entity.copy()
         rng_loop, rng_vec = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
-        _resample_loop(rng_loop, batch, expected, neg_is_head, n_ent, frozenset(store))
+        _resample_loop(rng_loop, batch, expected, neg_is_head, n_ent, frozenset(map(tuple, store.triplets.tolist())))
         count = _resample_true_negatives(rng_vec, batch, neg_entity, neg_is_head, n_ent, store)
         assert np.array_equal(neg_entity, expected)
         assert rng_loop.integers(1 << 30) == rng_vec.integers(1 << 30)
