@@ -30,6 +30,7 @@ _MAGIC = b"IKGE"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHBBIIIQ")  # magic, version, model, norm, dim, n_ent, n_rel, seed
 _CHECK_BLOCK_BYTES = 256 * 1024  # table bytes checked for finiteness per block in load_checkpoint
+_INIT_BLOCK_BYTES = 256 * 1024   # float64 bytes drawn per block in init_tables
 
 
 @dataclass
@@ -40,9 +41,10 @@ class EmbeddingTables:
     for RotatE (interleaved re/im). ``relation`` is (num_relations, dim):
     free vectors for TransE, phase angles for RotatE.
 
-    Dtype policy: ``load_checkpoint`` and a training run return float32 tables,
-    the checkpoint's dtype, and they stay float32; a loaded checkpoint's tables
-    are writable views of a copy-on-write mapping of the file, not copies.
+    Dtype policy: ``init_tables``, ``load_checkpoint`` and a training run
+    return float32 tables, the checkpoint's dtype, and they stay float32; a
+    loaded checkpoint's tables are writable views of a copy-on-write mapping
+    of the file, not copies.
     Estimation and evaluation widen to float64 where arithmetic would
     otherwise round (``relation_vec``, the rows that OOKG estimates are
     written into), so their results equal those of the tables' float64 copy
@@ -92,10 +94,14 @@ class EmbeddingTables:
 
 def init_tables(seed: int, model: str, dim: int, num_entities: int, num_relations: int,
                 *, norm_order: int = 1, margin: float = 1.0) -> EmbeddingTables:
-    """Uniformly initialized tables, deterministic for a given seed.
+    """Uniformly initialized float32 tables, deterministic for a given seed.
 
     Real parameters (and RotatE re/im parts) are drawn from
-    [-margin/dim, margin/dim); RotatE phases from [-pi, pi).
+    [-margin/dim, margin/dim); RotatE phases from [-pi, pi). The draws are
+    float64, made in row blocks of about ``_INIT_BLOCK_BYTES`` and rounded
+    into the float32 table block by block, so the tables equal one
+    whole-array float64 draw from the same stream, rounded, without ever
+    holding it.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
@@ -106,12 +112,19 @@ def init_tables(seed: int, model: str, dim: int, num_entities: int, num_relation
     rng = substream(seed, "init")
     bound = margin / dim
     ent_width = 2 * dim if model == ROTATE else dim
-    entity = rng.uniform(-bound, bound, size=(num_entities, ent_width))
-    if model == ROTATE:
-        relation = rng.uniform(-np.pi, np.pi, size=(num_relations, dim))
-    else:
-        relation = rng.uniform(-bound, bound, size=(num_relations, dim))
+    entity = _uniform_float32(rng, bound, (num_entities, ent_width))
+    relation = _uniform_float32(rng, np.pi if model == ROTATE else bound, (num_relations, dim))
     return EmbeddingTables(model, dim, norm_order, entity, relation)
+
+
+def _uniform_float32(rng: np.random.Generator, bound: float, shape: tuple[int, int]) -> np.ndarray:
+    """``rng.uniform(-bound, bound, shape)`` rounded to float32, drawn in row blocks."""
+    table = np.empty(shape, dtype=np.float32)
+    step = max(1, _INIT_BLOCK_BYTES // (8 * shape[1]))
+    for lo in range(0, shape[0], step):
+        block = table[lo:lo + step]
+        block[...] = rng.uniform(-bound, bound, size=block.shape)
+    return table
 
 
 def translation_distance(model: str, norm_order: int, h: np.ndarray, r: np.ndarray,

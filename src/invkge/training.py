@@ -15,10 +15,17 @@ of about 256 KB of moment rows, so each block's gather, arithmetic and
 scatter stay in cache; the result is bit-identical to one whole-array update.
 
 Both models score every triplet, positive or corrupted, as the norm of one
-residual e - q (see ``_batch_loss_grads``). Dtype policy: the kernel computes
-in the dtype of the tables it is given, with float64 distances, adversarial
-weights and loss; ``train`` keeps parameters and Adam moments in float32, the
-checkpoint's dtype, and returns the float32 tables without widening them.
+residual e - q (see ``_batch_loss_grads``). The kernel streams the batch in
+chunks of positives holding about 1 MB of residual rows, so each chunk's
+residuals, moduli and scaled rows stay in cache and no batch-sized
+temporary beside the shared row buffer is made; the result is bit-identical
+to one whole-batch pass. The L2 penalty reuses one buffer of the touched
+rows for its sum and its gradient.
+
+Dtype policy: the kernel computes in the dtype of the tables it is given,
+with float64 distances, adversarial weights and loss; ``init_tables`` draws
+float32 tables, the checkpoint's dtype, and ``train`` keeps parameters and
+Adam moments in float32 and returns the float32 tables without widening them.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .seeding import substream
 logger = logging.getLogger(__name__)
 
 _ADAM_BLOCK_BYTES = 256 * 1024  # moment-row bytes updated per block in Adam.step
+_LOSS_BLOCK_BYTES = 1024 * 1024  # residual-row bytes per chunk of positives in _batch_loss_grads
 
 # Pretraining hyper-parameters used for the two benchmark families.
 REFERENCE_CONFIGS = {
@@ -210,6 +218,14 @@ def _batch_loss_grads(tables: EmbeddingTables, pos: np.ndarray, neg_entity: np.n
     e for both models, and the gradients w.r.t. the shared entity and the
     relation are linear in it, so they are summed per (positive, side) before
     the chain rule through q.
+
+    The batch is streamed in chunks of positives holding about
+    ``_LOSS_BLOCK_BYTES`` of residual rows (at least one positive). Each chunk
+    runs gather, residual, distances, adversarial weights (normalized per
+    positive), coefficients, scaling and side sums while its rows are in
+    cache; only the float64 distances and weights are kept whole, and the
+    loss is computed from them after the loop. Every step reduces within one
+    positive's rows, so the result is bit-identical at any chunk size.
     """
     bsz, n = neg_entity.shape
     heads, rels, tails = pos[:, 0], pos[:, 1], pos[:, 2]
@@ -223,42 +239,53 @@ def _batch_loss_grads(tables: EmbeddingTables, pos: np.ndarray, neg_entity: np.n
         q = np.stack([t - r, h + r], axis=1)
     ids = np.concatenate([heads[:, None], neg_entity], axis=1)        # (B, n + 1)
     head_side = np.concatenate([np.ones((bsz, 1), dtype=bool), neg_is_head], axis=1)
+    tail_side = ~head_side
+    real = tables.entity.dtype
+    sides = np.stack([head_side, tail_side], axis=1).astype(real)    # (B, 2, n + 1)
 
     # corrupted-entity rows, then the shared tails (head side) and heads (tail side)
     rows = np.empty((bsz * (n + 3), ent.shape[1]), dtype=ent.dtype)
     w = rows[:bsz * (n + 1)].reshape(bsz, n + 1, -1)
     if neg_entity.min() < 0 or neg_entity.max() >= len(ent):
         raise IndexError("negative entity id out of range")
-    np.take(ent, ids, axis=0, out=w, mode="clip")                    # unbuffered, ids checked
-    np.subtract(w, q[:, None, 0], out=w, where=head_side[:, :, None])
-    np.subtract(w, q[:, None, 1], out=w, where=~head_side[:, :, None])
-    real = tables.entity.dtype
-    if tables.norm_order == 1:
-        scale = np.abs(w)                                             # element moduli
-        dist = scale.sum(axis=2)
-    else:
-        w_real = w.view(real)
-        dist = np.sqrt(np.einsum("bjk,bjk->bj", w_real, w_real))
-        scale = dist[:, :, None]
-    d_pos, d_neg = dist[:, 0].astype(np.float64), dist[:, 1:].astype(np.float64)
-
-    if weights is None:
-        logits = -temperature * d_neg
-        logits = logits - logits.max(axis=1, keepdims=True)
-        weights = np.exp(logits)
-        weights = weights / weights.sum(axis=1, keepdims=True)
+    d_pos, d_neg = np.empty(bsz), np.empty((bsz, n))
+    frozen = weights is not None
+    if not frozen:
+        weights = np.empty((bsz, n))
+    side_sums = np.empty((bsz, 2, tables.entity.shape[1]), dtype=real)
+    chunk = max(1, _LOSS_BLOCK_BYTES // ((n + 1) * ent.shape[1] * ent.itemsize))
+    for lo in range(0, bsz, chunk):
+        part = slice(lo, lo + chunk)
+        wc = w[part]
+        np.take(ent, ids[part], axis=0, out=wc, mode="clip")          # unbuffered, ids checked
+        np.subtract(wc, q[part, None, 0], out=wc, where=head_side[part, :, None])
+        np.subtract(wc, q[part, None, 1], out=wc, where=tail_side[part, :, None])
+        if tables.norm_order == 1:
+            scale = np.abs(wc)                                        # element moduli
+            dist = scale.sum(axis=2)
+        else:
+            wc_real = wc.view(real)
+            dist = np.sqrt(np.einsum("bjk,bjk->bj", wc_real, wc_real))
+            scale = dist[:, :, None]
+        dp, dn, wt = d_pos[part], d_neg[part], weights[part]
+        dp[:] = dist[:, 0]
+        dn[:] = dist[:, 1:]
+        if not frozen:
+            logits = -temperature * dn
+            logits -= logits.max(axis=1, keepdims=True)
+            np.exp(logits, out=logits)
+            np.divide(logits, logits.sum(axis=1, keepdims=True), out=wt)
+        coef = np.empty((len(dp), n + 1, 1), dtype=real)
+        coef[:, 0, 0] = _sigmoid(dp - margin) / bsz
+        coef[:, 1:, 0] = -(wt * _sigmoid(margin - dn)) / bsz
+        np.divide(coef, scale, out=scale, where=scale > 0)          # 0 where w = 0
+        wc *= scale                                                   # coef * w / |w|
+        np.matmul(sides[part], wc.view(real), out=side_sums[part])
 
     loss = float(np.mean(-_log_sigmoid(margin - d_pos)
                          - (weights * _log_sigmoid(d_neg - margin)).sum(axis=1)))
 
-    coef = np.empty((bsz, n + 1, 1), dtype=real)
-    coef[:, 0, 0] = _sigmoid(d_pos - margin) / bsz
-    coef[:, 1:, 0] = -(weights * _sigmoid(margin - d_neg)) / bsz
-    np.divide(coef, scale, out=scale, where=scale > 0)              # 0 where w = 0
-    w *= scale                                                        # coef * w / |w|
-    sides = np.stack([head_side, ~head_side], axis=1).astype(real)   # (B, 2, n + 1)
-    s_head, s_tail = np.moveaxis(np.matmul(sides, w.view(real)).view(ent.dtype), 1, 0)
-
+    s_head, s_tail = np.moveaxis(side_sums.view(ent.dtype), 1, 0)
     if tables.model == ROTATE:
         to_tail, to_head = r * s_head, r.conj() * s_tail
         rel_rows = (q[:, 0].conj() * s_head).imag - (q[:, 1].conj() * s_tail).imag
@@ -304,8 +331,6 @@ def train(splits: BenchmarkSplits, config: TrainConfig) -> tuple[EmbeddingTables
                    if config.filter_false_negatives else None)
     surviving = 0
 
-    tables.entity = tables.entity.astype(np.float32)
-    tables.relation = tables.relation.astype(np.float32)
     params = {"entity": tables.entity, "relation": tables.relation}
     opt = Adam(lr=config.learning_rate)
     for name, table in params.items():
@@ -338,12 +363,8 @@ def train(splits: BenchmarkSplits, config: TrainConfig) -> tuple[EmbeddingTables
         loss, ent_ids, ent_grads, rel_ids, rel_grads, _ = _batch_loss_grads(
             tables, batch, neg_entity, neg_is_head, config.margin, config.temperature)
         if config.l2 > 0.0:
-            ent_rows = tables.entity[ent_ids]
-            rel_rows = tables.relation[rel_ids]
-            loss += config.l2 * (float((ent_rows * ent_rows).sum())
-                                 + float((rel_rows * rel_rows).sum()))
-            ent_grads += 2.0 * config.l2 * ent_rows
-            rel_grads += 2.0 * config.l2 * rel_rows
+            loss += config.l2 * (_add_l2_grad(tables.entity, ent_ids, ent_grads, config.l2)
+                                 + _add_l2_grad(tables.relation, rel_ids, rel_grads, config.l2))
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at step {step}")
         opt.step(params, {"entity": (ent_ids, ent_grads), "relation": (rel_ids, rel_grads)})
@@ -354,6 +375,22 @@ def train(splits: BenchmarkSplits, config: TrainConfig) -> tuple[EmbeddingTables
                     surviving)
     logger.info("training finished: %d steps, final loss %.6f", config.steps, trace[-1][1])
     return tables, trace
+
+
+def _add_l2_grad(table: np.ndarray, ids: np.ndarray, grads: np.ndarray, l2: float) -> float:
+    """Add the gradient of ``l2 * |table[ids]|^2`` to ``grads``; returns the squared norm.
+
+    One buffer of the touched rows serves both: squared in place and summed,
+    then refilled by an unbuffered gather (``ids`` come from ``_scatter_sum``,
+    so they are in range) and scaled in place.
+    """
+    rows = table[ids]
+    np.square(rows, out=rows)
+    penalty = float(rows.sum())
+    np.take(table, ids, axis=0, out=rows, mode="clip")
+    rows *= 2.0 * l2
+    grads += rows
+    return penalty
 
 
 def _resample_true_negatives(rng, batch, neg_entity, neg_is_head, num_entities,

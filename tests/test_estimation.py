@@ -9,6 +9,14 @@ from invkge.models import ROTATE, TRANSE, EmbeddingTables, init_tables, translat
 from invkge.seeding import substream
 
 
+def _init_float64(*args, **kwargs):
+    """``init_tables`` widened to float64, the dtype these oracles compute in."""
+    tables = init_tables(*args, **kwargs)
+    tables.entity = tables.entity.astype(np.float64)
+    tables.relation = tables.relation.astype(np.float64)
+    return tables
+
+
 def _distance(tables, h, rel, t):
     return float(translation_distance(tables.model, tables.norm_order, h,
                                       tables.relation_vec(rel), t))
@@ -224,8 +232,8 @@ def test_batched_candidates_match_scalar_oracle(model):
     rng = np.random.default_rng(61)
     for _ in range(40):
         n_ent, n_rel = int(rng.integers(4, 30)), int(rng.integers(1, 5))
-        tables = init_tables(int(rng.integers(1 << 30)), model, int(rng.integers(1, 6)),
-                             n_ent, n_rel)
+        tables = _init_float64(int(rng.integers(1 << 30)), model, int(rng.integers(1, 6)),
+                               n_ent, n_rel)
         ookg = rng.choice(n_ent, size=int(rng.integers(1, n_ent // 2 + 1)), replace=False)
         ikg = np.setdiff1d(np.arange(n_ent), ookg)
         triplets = _random_aux(rng, n_ent, n_rel, ookg)
@@ -277,7 +285,7 @@ def test_candidates_equal_the_per_side_formula_bit_for_bit(model):
     # candidate and picks the inverse or forward form per row
     rng = np.random.default_rng(8)
     n_ent, n_rel = 40, 5
-    tables = init_tables(9, model, 12, n_ent, n_rel)
+    tables = _init_float64(9, model, 12, n_ent, n_rel)
     triplets = [(e, int(rng.integers(n_rel)), int(rng.integers(10, n_ent)))
                 if rng.random() < 0.5 else (int(rng.integers(10, n_ent)), int(rng.integers(n_rel)), e)
                 for e in range(10) for _ in range(int(rng.integers(1, 6)))]

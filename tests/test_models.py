@@ -10,6 +10,15 @@ from invkge.core import Vocabulary
 from invkge.models import (ROTATE, TRANSE, EmbeddingTables, init_tables, load_checkpoint,
                            load_vocabulary, save_checkpoint, save_vocabulary,
                            translation_distance)
+from invkge.seeding import substream
+
+
+def _init_float64(*args, **kwargs):
+    """``init_tables`` widened to float64, the dtype these oracles compute in."""
+    tables = init_tables(*args, **kwargs)
+    tables.entity = tables.entity.astype(np.float64)
+    tables.relation = tables.relation.astype(np.float64)
+    return tables
 
 
 def test_init_deterministic():
@@ -29,7 +38,25 @@ def test_init_shapes():
     assert r.entity.shape == (3, 4)  # interleaved re/im
     assert r.relation.shape == (2, 2)
     assert r.entity_matrix().shape == (3, 2)
-    assert r.entity_matrix().dtype == np.complex128
+    assert t.entity.dtype == t.relation.dtype == r.entity.dtype == r.relation.dtype == np.float32
+    assert r.entity_matrix().dtype == np.complex64
+
+
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+@pytest.mark.parametrize("block_rows", [1, 3, 7, 1000])
+def test_init_equals_one_float64_draw_rounded(monkeypatch, model, block_rows):
+    # block_rows counts rows of dim float64 draws: RotatE entity blocks hold half as many
+    dim, n_ent, n_rel, margin = 5, 11, 4, 2.0
+    monkeypatch.setattr(models, "_INIT_BLOCK_BYTES", block_rows * dim * 8)
+    tables = init_tables(3, model, dim, n_ent, n_rel, margin=margin)
+    rng = substream(3, "init")
+    bound = margin / dim
+    entity = rng.uniform(-bound, bound, size=(n_ent, 2 * dim if model == ROTATE else dim))
+    relation = rng.uniform(-np.pi, np.pi, size=(n_rel, dim)) if model == ROTATE else \
+        rng.uniform(-bound, bound, size=(n_rel, dim))
+    assert tables.entity.dtype == tables.relation.dtype == np.float32
+    assert np.array_equal(tables.entity, entity.astype(np.float32))
+    assert np.array_equal(tables.relation, relation.astype(np.float32))
 
 
 def test_init_range():
@@ -49,7 +76,7 @@ def test_rotate_relations_unit_modulus():
 
 @pytest.mark.parametrize("model", [TRANSE, ROTATE])
 def test_relation_vec_of_an_id_array_equals_per_row_calls(model):
-    tables = init_tables(4, model, 24, 5, 6)
+    tables = _init_float64(4, model, 24, 5, 6)
     rids = np.array([4, 1, 4, 4, 0, 5, 1, 2, 4, 0])  # repeated and unsorted
     rows = tables.relation_vec(rids)
     assert rows.shape == (len(rids), 24)
@@ -89,12 +116,12 @@ def test_rotate_quarter_turn():
 
 def test_distance_by_id_matches_raw_vectors():
     # table rows picked by id give the distance of the raw parameter vectors
-    tables = init_tables(3, TRANSE, 6, 8, 3)
+    tables = _init_float64(3, TRANSE, 6, 8, 3)
     ent = tables.entity_matrix()
     d_ids = _distance(TRANSE, 1, ent[2], tables.relation_vec(1), ent[5])
     d_raw = float(np.abs(tables.entity[2] + tables.relation[1] - tables.entity[5]).sum())
     assert d_ids == d_raw
-    rt = init_tables(3, ROTATE, 6, 8, 3)
+    rt = _init_float64(3, ROTATE, 6, 8, 3)
     ent = rt.entity_matrix()
     h = rt.entity[2, 0::2] + 1j * rt.entity[2, 1::2]
     t = rt.entity[5, 0::2] + 1j * rt.entity[5, 1::2]
@@ -105,7 +132,7 @@ def test_distance_by_id_matches_raw_vectors():
 
 def test_rotate_accepts_interleaved_floats():
     # the complex entity matrix is a view of the interleaved (re, im) float rows
-    rt = init_tables(4, ROTATE, 3, 4, 2)
+    rt = _init_float64(4, ROTATE, 3, 4, 2)
     head_complex = rt.entity_matrix()[1]
     assert np.shares_memory(head_complex, rt.entity)
     assert np.array_equal(head_complex, rt.entity[1, 0::2] + 1j * rt.entity[1, 1::2])

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from invkge.datasets import BenchmarkSplits, generate_trainable_splits
 from invkge.models import (ROTATE, TRANSE, EmbeddingTables, init_tables, load_checkpoint,
                            save_checkpoint, translation_distance)
 from invkge.training import (REFERENCE_CONFIGS, Adam, TrainConfig, TrainingDivergedError,
-                             _batch_loss_grads, _resample_true_negatives,
+                             _add_l2_grad, _batch_loss_grads, _resample_true_negatives,
                              _sample_negative_batch, train)
 
 
@@ -218,7 +219,7 @@ def _fd_relative_error(tables, pos, neg_entity, neg_is_head, margin, alpha, eps=
 @pytest.mark.parametrize("model", [TRANSE, ROTATE])
 @pytest.mark.parametrize("norm", [1, 2])
 def test_gradients_match_finite_differences(model, norm):
-    rng = np.random.default_rng(hash((model, norm)) % 2**32)
+    rng = np.random.default_rng(30 * norm + (model == ROTATE))
     for trial in range(5):
         dim = int(rng.integers(2, 9))
         n_neg = int(rng.integers(1, 5))
@@ -345,6 +346,53 @@ def test_float32_kernel_agrees_with_float64(model, norm):
         assert _relative_gap(g, r) <= 1e-4
 
 
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+@pytest.mark.parametrize("norm", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("frozen", [False, True])
+def test_chunked_kernel_equals_whole_batch_call(monkeypatch, model, norm, dtype, frozen):
+    rng = np.random.default_rng(40 * norm + (model == ROTATE))
+    tables, pos, neg_entity, neg_is_head = _kernel_instance(model, norm, rng)
+    tables.entity = tables.entity.astype(dtype)
+    tables.relation = tables.relation.astype(dtype)
+    bsz, n = neg_entity.shape
+    weights = rng.dirichlet(np.ones(n), size=bsz) if frozen else None
+    monkeypatch.setattr(training, "_LOSS_BLOCK_BYTES", 1 << 40)
+    whole = _batch_loss_grads(tables, pos, neg_entity, neg_is_head, 1.5, 0.7, weights)
+    positive_bytes = (n + 1) * tables.entity.shape[1] * tables.entity.itemsize
+    # one positive (a 1-byte budget still takes one), five (a partial last chunk), all
+    for budget in (1, 5 * positive_bytes, bsz * positive_bytes):
+        monkeypatch.setattr(training, "_LOSS_BLOCK_BYTES", budget)
+        got = _batch_loss_grads(tables, pos, neg_entity, neg_is_head, 1.5, 0.7, weights)
+        assert got[0] == whole[0]
+        for g, w in zip(got[1:], whole[1:]):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_l1_kernel_makes_no_batch_sized_temporary(monkeypatch):
+    # all ids distinct, so _scatter_sum adds nothing; what remains is the rows
+    # buffer, the gathered gradient rows and (B, d)-sized arrays
+    monkeypatch.setattr(training, "_LOSS_BLOCK_BYTES", 1)
+    rng = np.random.default_rng(6)
+    dim, bsz, n = 256, 64, 128
+    n_ent = bsz * (n + 2)
+    tables = EmbeddingTables(TRANSE, dim, 1, rng.normal(size=(n_ent, dim)),
+                             rng.normal(size=(3, dim)))
+    ids = rng.permutation(n_ent)
+    pos = np.stack([ids[:bsz], rng.integers(3, size=bsz), ids[bsz:2 * bsz]], axis=1)
+    neg_entity = ids[2 * bsz:].reshape(bsz, n)
+    neg_is_head = rng.random((bsz, n)) < 0.5
+    tracemalloc.start()
+    try:
+        _, _, ent_grads, _, rel_grads, _ = _batch_loss_grads(tables, pos, neg_entity,
+                                                             neg_is_head, 1.5, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows_bytes = bsz * (n + 3) * dim * 8
+    assert peak < 1.1 * (rows_bytes + ent_grads.nbytes + rel_grads.nbytes)
+
+
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
@@ -459,6 +507,17 @@ def test_adam_rejects_row_ids_that_are_not_strictly_increasing(ids):
         opt.step(params, {"w": (np.array(ids), np.ones((len(ids), 2)))})
     assert opt.t == 0
     assert not params["w"].any() and not opt.m["w"].any() and not opt.v["w"].any()
+
+
+def test_l2_penalty_equals_the_whole_array_expression():
+    rng = np.random.default_rng(9)
+    table = rng.normal(size=(50, 7)).astype(np.float32)
+    ids = np.sort(rng.choice(50, size=20, replace=False))
+    grads = rng.normal(size=(20, 7)).astype(np.float32)
+    rows = table[ids]
+    want_penalty, want_grads = float((rows * rows).sum()), grads + 2.0 * 1e-3 * rows
+    assert _add_l2_grad(table, ids, grads, 1e-3) == want_penalty
+    assert grads.dtype == np.float32 and np.array_equal(grads, want_grads)
 
 
 # ---------------------------------------------------------------------------
