@@ -36,7 +36,7 @@ for vec, source, rel, as_head in zip(cset.vectors, cset.source_entity, cset.sour
     print(f"  via ({vocab.entity_name(source)}, {vocab.relation_name(rel)}) as "
           f"{'head' if as_head else 'tail'}: {vec}  train-degree={train_store.degrees[source]}")
 
-correlation = build_correlation(train_store, vocab.num_relations)
+correlation = build_correlation(train_store)
 for scheme, kwargs in [("uniform", {}),
                        ("degree", {"train_store": train_store}),
                        ("correlation", {"correlation": correlation,

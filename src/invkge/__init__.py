@@ -18,8 +18,8 @@ from .evaluation import (EvalReport, FilterIndex, LpQuery, Thresholds, ablate, e
                          triplet_classification, tune_thresholds, write_report_csv)
 from .models import (MODELS, ROTATE, TRANSE, EmbeddingTables, init_tables, load_checkpoint,
                      load_vocabulary, save_checkpoint, save_vocabulary, translation_distance)
-from .reduction import (CORRELATION, DEGREE, UNIFORM, RelationCorrelation,
-                        build_correlation, candidate_weights, reduce_candidates)
+from .reduction import (CORRELATION, DEGREE, UNIFORM, build_correlation, candidate_weights,
+                        reduce_candidates)
 from .seeding import substream
 from .training import REFERENCE_CONFIGS, Adam, TrainConfig, TrainingDivergedError, train
 

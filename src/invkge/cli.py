@@ -271,7 +271,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if cfg["dump_correlation"]:
         train_store = TripleStore(splits.train, num_entities=splits.vocab.num_entities,
                                   num_relations=splits.vocab.num_relations)
-        correlation = build_correlation(train_store, splits.vocab.num_relations)
+        correlation = build_correlation(train_store)
 
     out_dir = Path(cfg["out"])  # written only once every result is in hand
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -318,8 +318,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         splits = _load_benchmark(cfg)
         _check_vocab(cfg, splits)
         tables = _load_tables(cfg["checkpoint"], splits)
-    elif ratio_runs:
-        _, tables, splits = ratio_runs[0]  # ablate() needs a base pair; unused for ratio
 
     results = ablate(tables, splits, variants, task=cfg["task"], scheme=cfg["scheme"],
                      smoothing=cfg["delta"], seed=cfg["seed"], ratio_runs=ratio_runs)

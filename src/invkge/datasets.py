@@ -31,9 +31,6 @@ from .seeding import substream
 
 logger = logging.getLogger(__name__)
 
-TASK_LP = "lp"
-TASK_CLASSIFICATION = "classification"
-
 SPLIT_FILENAMES = {"train": "train.txt", "valid": "valid.txt", "aux": "aux.txt", "test": "test.txt"}
 
 _MAX_LISTED_VIOLATIONS = 10
@@ -88,7 +85,6 @@ class BenchmarkSplits:
     Lists are converted.
     """
 
-    task: str
     vocab: Vocabulary
     train: SplitRows
     valid: SplitRows
@@ -118,7 +114,7 @@ class BenchmarkSplits:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BenchmarkSplits):
             return NotImplemented
-        # array_equal also compares the task, the vocabulary and None, as 0-d object arrays
+        # array_equal also compares the vocabulary and None, as 0-d object arrays
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
@@ -128,12 +124,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
-def _normalize_task(task: str) -> str:
-    if task in (TASK_LP,):
-        return TASK_LP
-    if task in (TASK_CLASSIFICATION, "tc"):
-        return TASK_CLASSIFICATION
-    raise ValueError(f"unknown task {task!r}, expected 'lp' or 'classification'")
+def _labeled(task: str) -> bool:
+    if task not in ("lp", "classification", "tc"):
+        raise ValueError(f"unknown task {task!r}, expected 'lp' or 'classification'")
+    return task != "lp"
 
 
 def _parse_file(path: str | Path, labeled: bool) -> tuple[list[str], list[str], list[str], list[int] | None]:
@@ -169,11 +163,12 @@ def _touched(num_entities: int, triplets: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _assemble(task: str, *parts: tuple[list[str], list[str], list[str], list[int] | None]) -> BenchmarkSplits:
+def _assemble(labeled: bool, *parts: tuple[list[str], list[str], list[str], list[int] | None]) -> BenchmarkSplits:
     """Build vocabulary (first-seen order: train, valid, aux, test), id arrays, and validate.
 
     ``parts`` are the (heads, relations, tails, labels) columns of the train,
-    valid, aux and test splits, each a sequence of names (labels: of ints).
+    valid, aux and test splits, each a sequence of names (labels: of ints,
+    read for valid and test if ``labeled``).
     """
     ends = list(chain.from_iterable(chain.from_iterable(zip(p[0], p[2])) for p in parts))  # h, t, h, ...
     vocab = Vocabulary()
@@ -202,9 +197,8 @@ def _assemble(task: str, *parts: tuple[list[str], list[str], list[str], list[int
         logger.warning("%d out-of-graph test entities have no aux neighbors and will be "
                        "scored pessimistically", len(dangling))
 
-    labeled = task == TASK_CLASSIFICATION
     return BenchmarkSplits(
-        task=task, vocab=vocab, train=train, valid=valid, aux=aux, test=test,
+        vocab=vocab, train=train, valid=valid, aux=aux, test=test,
         valid_labels=parts[1][3] if labeled else None,
         test_labels=parts[3][3] if labeled else None,
         ikg_entities=np.flatnonzero(ikg), ookg_entities=np.flatnonzero(ookg), dangling_ookg=dangling)
@@ -214,7 +208,7 @@ def _names(vocab: Vocabulary, t) -> str:
     return f"({vocab.entity_name(t[0])}, {vocab.relation_name(t[1])}, {vocab.entity_name(t[2])})"
 
 
-def load_splits(train_path, valid_path, aux_path, test_path, task: str = TASK_LP) -> BenchmarkSplits:
+def load_splits(train_path, valid_path, aux_path, test_path, task: str = "lp") -> BenchmarkSplits:
     """Load and validate the four split files.
 
     For the classification task valid/test must carry a fourth 0/1-or-±1 label
@@ -222,15 +216,14 @@ def load_splits(train_path, valid_path, aux_path, test_path, task: str = TASK_LP
     Raises DatasetFormatError on malformed lines and DatasetValidationError
     (listing offending triplets) on structural violations.
     """
-    task = _normalize_task(task)
-    labeled = task == TASK_CLASSIFICATION
-    return _assemble(task, _parse_file(train_path, labeled=False),
+    labeled = _labeled(task)
+    return _assemble(labeled, _parse_file(train_path, labeled=False),
                      _parse_file(valid_path, labeled=labeled),
                      _parse_file(aux_path, labeled=False),
                      _parse_file(test_path, labeled=labeled))
 
 
-def load_split_dir(directory: str | Path, task: str = TASK_LP) -> BenchmarkSplits:
+def load_split_dir(directory: str | Path, task: str = "lp") -> BenchmarkSplits:
     """Load a benchmark from a directory with the conventional file names."""
     d = Path(directory)
     return load_splits(d / SPLIT_FILENAMES["train"], d / SPLIT_FILENAMES["valid"],
@@ -262,50 +255,79 @@ def _write_file(path: Path, vocab: Vocabulary, triplets: np.ndarray,
 # Synthetic split generators
 # ---------------------------------------------------------------------------
 
+# Generator settings no caller varies; the generator docstrings say what each one sets.
+_VALID_FRACTION = 0.1
+_OFFSET_POOL = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]
+_LATENT_DIM = 4
+_NEAR_DECAY = 0.35
+_CORRUPT_FRACTION = 0.05
+_SKEW = 0.8
+_COLD_FRACTION, _COLD_DEGREE, _COLD_NOISE = 0.35, 2, 0.5
+_AUX_MIN, _AUX_MAX = 3, 8
+
+
+def _first_feasible(seed: int, label: str, once, *args):
+    """``once(rng, *args)`` on the first of three substreams ``(seed, label, attempt)`` that is feasible."""
+    for attempt in range(3):
+        try:
+            return once(substream(seed, label, attempt), *args)
+        except _Infeasible as exc:
+            last = exc
+    raise ValueError(f"could not generate feasible {label} splits: {last}")
+
+
+def _package(labeled: bool, points: np.ndarray, offsets: np.ndarray,
+             *parts: list[tuple[int, int, int, int | None]]) -> tuple[BenchmarkSplits, EmbeddingTables]:
+    """Splits from integer (h, r, t, label) rows of train, valid, aux and test, named ``e<i>``/``r<j>``.
+
+    Labels are read for valid and test if ``labeled``. The L1 TransE truth tables
+    hold ``points`` and ``offsets`` rows, re-indexed by the split vocabulary.
+    """
+    columns = []
+    for rows in parts:
+        h, r, t, labels = zip(*rows)
+        columns.append(([f"e{i}" for i in h], [f"r{j}" for j in r], [f"e{i}" for i in t], labels))
+    splits = _assemble(labeled, *columns)
+    entity = points[[int(n[1:]) for n in splits.vocab.entity_names]]
+    relation = offsets[[int(n[1:]) for n in splits.vocab.relation_names]]
+    return splits, EmbeddingTables(TRANSE, points.shape[1], 1, entity, relation)
+
+
 def generate_planted_splits(seed: int, num_entities: int = 240, num_relations: int = 8,
                             num_train: int = 700, ookg_fraction: float = 0.1,
-                            *, task: str = TASK_LP, valid_fraction: float = 0.1,
-                            max_offset: int = 2) -> tuple[BenchmarkSplits, EmbeddingTables]:
+                            *, task: str = "lp") -> tuple[BenchmarkSplits, EmbeddingTables]:
     """Splits whose ground-truth TransE embeddings fit every triplet exactly.
 
     Entities sit on a 2-D integer lattice and relations are distinct nonzero
-    integer offsets; a triplet (h, r, t) exists only when point(h) + offset(r)
-    == point(t), so the returned ground-truth tables give distance exactly 0
-    to every positive and at least 1 (L1) to every corrupted triplet. For the
-    classification task, negatives are lattice corruptions and therefore
-    linearly separable from positives by a distance threshold.
+    integer offsets from ``_OFFSET_POOL`` (coordinates in [-2, 2]); a triplet
+    (h, r, t) exists only when point(h) + offset(r) == point(t), so the
+    returned ground-truth tables give distance exactly 0 to every positive and
+    at least 1 (L1) to every corrupted triplet. Validation holds
+    ``_VALID_FRACTION * num_train`` positives. For the classification task,
+    negatives are lattice corruptions and therefore linearly separable from
+    positives by a distance threshold.
 
     Returns the splits together with the ground-truth tables (dim 2, L1),
     indexed by the split vocabulary. OOKG entities keep their true points in
     the returned table, which evaluation never reads for estimation.
     """
-    task = _normalize_task(task)
+    labeled = _labeled(task)
     if not 0.0 < ookg_fraction < 1.0:
         raise ValueError("ookg_fraction must be strictly between 0 and 1")
+    if num_relations > len(_OFFSET_POOL):
+        raise ValueError(f"at most {len(_OFFSET_POOL)} relations fit the offset pool")
+    return _first_feasible(seed, "planted", _planted_once, num_entities, num_relations,
+                           num_train, ookg_fraction, labeled)
+
+
+def _planted_once(rng, num_entities, num_relations, num_train, ookg_fraction, labeled):
     side = math.ceil(math.sqrt(num_entities))
-    offset_pool = [(a, b) for a in range(-max_offset, max_offset + 1)
-                   for b in range(-max_offset, max_offset + 1) if (a, b) != (0, 0)]
-    if num_relations > len(offset_pool):
-        raise ValueError(f"at most {len(offset_pool)} relations with max_offset={max_offset}")
-    last: Exception | None = None
-    for attempt in range(3):
-        rng = substream(seed, "planted", attempt)
-        try:
-            return _planted_once(rng, num_entities, num_relations, num_train,
-                                 ookg_fraction, task, valid_fraction, side, offset_pool)
-        except _Infeasible as exc:
-            last = exc
-    raise ValueError(f"could not generate feasible planted splits: {last}")
-
-
-def _planted_once(rng, num_entities, num_relations, num_train, ookg_fraction,
-                  task, valid_fraction, side, offset_pool):
     points = [(x, y) for x in range(side) for y in range(side)][:num_entities]
     perm = rng.permutation(num_entities)
     point_of = [points[perm[i]] for i in range(num_entities)]
     point_index = {p: i for i, p in enumerate(point_of)}
-    chosen = rng.choice(len(offset_pool), size=num_relations, replace=False)
-    offsets = [offset_pool[i] for i in chosen]
+    chosen = rng.choice(len(_OFFSET_POOL), size=num_relations, replace=False)
+    offsets = [_OFFSET_POOL[i] for i in chosen]
 
     all_triplets: list[tuple[int, int, int]] = []
     incident: dict[int, list[int]] = defaultdict(list)
@@ -369,62 +391,43 @@ def _planted_once(rng, num_entities, num_relations, num_train, ookg_fraction,
     train_idx += remaining[:fill]
     leftover = remaining[fill:]
 
-    n_valid = max(1, int(round(valid_fraction * num_train)))
+    n_valid = max(1, int(round(_VALID_FRACTION * num_train)))
     if len(leftover) < n_valid:
         raise _Infeasible("no exact triplets left for validation")
     valid_idx = leftover[:n_valid]
 
-    labeled = task == TASK_CLASSIFICATION
     covered_at = {point_of[e]: e for e in covered}
 
-    def _adjacent_entity(target: tuple[int, int]) -> int | None:
-        """Covered entity at L1 distance exactly 1 from ``target``.
+    def corrupt(e: int, j: int, sign: int) -> int | None:
+        """Covered entity at L1 distance exactly 1 from point(e) + sign * offset(j).
 
         Keeps every negative at distance exactly 1 while positives sit at 0,
         so accuracy-maximizing thresholds land at 0.5 for every relation and
         classification is perfectly separable by construction.
         """
-        tx, ty = target
+        (px, py), (ox, oy) = point_of[e], offsets[j]
+        tx, ty = px + sign * ox, py + sign * oy
         options = [covered_at.get(q) for q in
                    ((tx + 1, ty), (tx - 1, ty), (tx, ty + 1), (tx, ty - 1))]
-        options = [e for e in options if e is not None]
+        options = [c for c in options if c is not None]
         if not options:
             return None
         return options[int(rng.integers(len(options)))]
 
-    def corrupt_tail(h: int, j: int) -> int | None:
-        px, py = point_of[h]
-        ox, oy = offsets[j]
-        return _adjacent_entity((px + ox, py + oy))
-
-    def corrupt_head(j: int, t: int) -> int | None:
-        tx, ty = point_of[t]
-        ox, oy = offsets[j]
-        return _adjacent_entity((tx - ox, ty - oy))
-
-    name = [f"e{i}" for i in range(num_entities)]
-    rname = [f"r{j}" for j in range(num_relations)]
-
-    def row(idx: int, label: int | None = None):
-        h, j, t = all_triplets[idx]
-        return (name[h], rname[j], name[t], label)
-
-    train_rows = [row(i) for i in train_idx]
+    train_rows = [(*all_triplets[i], None) for i in train_idx]
     valid_rows = []
-    n_valid_neg = 0
     for i in valid_idx:
         h, j, t = all_triplets[i]
-        valid_rows.append(row(i, 1 if labeled else None))
+        valid_rows.append((h, j, t, 1))
         if labeled:
-            neg = corrupt_tail(h, j)
+            neg = corrupt(h, j, 1)
             if neg is not None:
-                valid_rows.append((name[h], rname[j], name[neg], -1))
-                n_valid_neg += 1
-    if labeled and n_valid_neg == 0:
+                valid_rows.append((h, j, neg, -1))
+    if labeled and len(valid_rows) == len(valid_idx):
         raise _Infeasible("no validation negatives could be planted")
 
-    aux_rows: list[tuple[str, str, str, int | None]] = []
-    test_rows: list[tuple[str, str, str, int | None]] = []
+    aux_rows: list[tuple[int, int, int, None]] = []
+    test_rows: list[tuple[int, int, int, int]] = []
     for e in sorted(ookg):
         usable = [i for i in cross[e]
                   if (all_triplets[i][0] if all_triplets[i][2] == e else all_triplets[i][2]) in covered]
@@ -434,82 +437,60 @@ def _planted_once(rng, num_entities, num_relations, num_train, ookg_fraction,
         n_test = 1 if len(usable) < 4 else 2
         for i in usable[:n_test]:
             h, j, t = all_triplets[i]
-            test_rows.append(row(i, 1 if labeled else None))
+            test_rows.append((h, j, t, 1))
             if labeled:
                 if h == e:  # corrupt the in-graph tail, keep the OOKG head
-                    neg = corrupt_tail(h, j)
+                    neg = corrupt(h, j, 1)
                     if neg is not None:
-                        test_rows.append((name[h], rname[j], name[neg], -1))
+                        test_rows.append((h, j, neg, -1))
                 else:
-                    neg = corrupt_head(j, t)
+                    neg = corrupt(t, j, -1)
                     if neg is not None:
-                        test_rows.append((name[neg], rname[j], name[t], -1))
-        for i in usable[n_test:]:
-            aux_rows.append(row(i))
+                        test_rows.append((neg, j, t, -1))
+        aux_rows += [(*all_triplets[i], None) for i in usable[n_test:]]
 
-    splits = _assemble(task, *(tuple(zip(*r)) for r in (train_rows, valid_rows, aux_rows, test_rows)))
-    entity_table = np.array([point_of[int(n[1:])] for n in splits.vocab.entity_names], dtype=np.float64)
-    relation_table = np.array([offsets[int(n[1:])] for n in splits.vocab.relation_names], dtype=np.float64)
-    tables = EmbeddingTables(TRANSE, 2, 1, entity_table, relation_table)
-    return splits, tables
+    return _package(labeled, np.array(point_of, dtype=np.float64), np.array(offsets, dtype=np.float64),
+                    train_rows, valid_rows, aux_rows, test_rows)
 
 
 def generate_trainable_splits(seed: int, num_entities: int = 500, num_relations: int = 10,
                               num_train: int = 5000, ookg_fraction: float = 0.1,
-                              *, task: str = TASK_LP, latent_dim: int = 4,
-                              near_decay: float = 0.35, corrupt_fraction: float = 0.05,
-                              skew: float = 0.8, cold_fraction: float = 0.35,
-                              cold_degree: int = 2, cold_noise: float = 0.5,
-                              aux_min: int = 3, aux_max: int = 8,
-                              test_min: int = 1, test_max: int = 2,
-                              valid_fraction: float = 0.1) -> tuple[BenchmarkSplits, EmbeddingTables]:
+                              *, task: str = "lp", test_min: int = 1,
+                              test_max: int = 2) -> tuple[BenchmarkSplits, EmbeddingTables]:
     """Noisy translational benchmark for end-to-end training experiments.
 
-    Entities get latent points, relations latent offsets, and a triplet's
-    missing side is drawn near point +- offset: among the nearest entities of
-    the allowed pool with geometrically decaying rank probabilities (ratio
-    ``near_decay``), plus a uniformly random entity with probability
-    ``corrupt_fraction``. The structure is learnable by a translational model
-    but never exactly satisfiable.
+    Entities get latent points and relations latent offsets, ``_LATENT_DIM``
+    wide, and a triplet's missing side is drawn near point +- offset: among
+    the nearest entities of the allowed pool with geometrically decaying rank
+    probabilities (ratio ``_NEAR_DECAY``), plus a uniformly random entity with
+    probability ``_CORRUPT_FRACTION``. The structure is learnable by a
+    translational model but never exactly satisfiable.
 
-    A ``cold_fraction`` of the in-graph entities receives only ``cold_degree``
-    training edges, drawn with an elevated corruption rate ``cold_noise``: a
+    A ``_COLD_FRACTION`` of the in-graph entities receives only ``_COLD_DEGREE``
+    training edges, drawn with an elevated corruption rate ``_COLD_NOISE``: a
     sparsely observed entity whose few edges are partly wrong ends up badly
-    placed, while well-connected entities average their noise away. Auxiliary
-    neighborhoods draw from the full entity pool (cold included) but test
-    answers stay warm, so candidates produced via cold sources are genuinely
-    unreliable, which is the signal degree-based weighting uses.
-    Well-connected heads are additionally sampled with a Zipf-like ``skew``.
+    placed, while well-connected entities average their noise away. Each OOKG
+    entity gets ``_AUX_MIN`` to ``_AUX_MAX`` auxiliary edges, drawn from the
+    full entity pool (cold included), and ``test_min`` to ``test_max`` test
+    edges whose answers stay warm, so candidates produced via cold sources are
+    genuinely unreliable, which is the signal degree-based weighting uses.
+    Well-connected heads are additionally sampled with a Zipf-like exponent
+    ``_SKEW``. Validation holds ``_VALID_FRACTION * num_train`` positives.
 
     Returns the splits plus the generating latent geometry packed as TransE
     tables (useful for demos; training normally starts from random tables).
     """
-    task = _normalize_task(task)
+    labeled = _labeled(task)
     if not 0.0 < ookg_fraction < 1.0:
         raise ValueError("ookg_fraction must be strictly between 0 and 1")
-    if not 0.0 < near_decay < 1.0:
-        raise ValueError("near_decay must be strictly between 0 and 1")
-    if not 0.0 <= cold_fraction < 1.0 or cold_degree < 1 or not 0.0 <= cold_noise <= 1.0:
-        raise ValueError("cold_fraction in [0, 1), cold_degree >= 1, cold_noise in [0, 1]")
-    last: Exception | None = None
-    for attempt in range(3):
-        rng = substream(seed, "trainable", attempt)
-        try:
-            return _trainable_once(rng, num_entities, num_relations, num_train, ookg_fraction,
-                                   task, latent_dim, near_decay, corrupt_fraction, skew,
-                                   cold_fraction, cold_degree, cold_noise,
-                                   aux_min, aux_max, test_min, test_max, valid_fraction)
-        except _Infeasible as exc:
-            last = exc
-    raise ValueError(f"could not generate feasible trainable splits: {last}")
+    return _first_feasible(seed, "trainable", _trainable_once, num_entities, num_relations,
+                           num_train, ookg_fraction, labeled, test_min, test_max)
 
 
-def _trainable_once(rng, num_entities, num_relations, num_train, ookg_fraction, task,
-                    latent_dim, near_decay, corrupt_fraction, skew, cold_fraction,
-                    cold_degree, cold_noise, aux_min, aux_max, test_min, test_max,
-                    valid_fraction):
-    points = rng.uniform(0.0, 1.0, size=(num_entities, latent_dim))
-    offsets = rng.uniform(-0.4, 0.4, size=(num_relations, latent_dim))
+def _trainable_once(rng, num_entities, num_relations, num_train, ookg_fraction, labeled,
+                    test_min, test_max):
+    points = rng.uniform(0.0, 1.0, size=(num_entities, _LATENT_DIM))
+    offsets = rng.uniform(-0.4, 0.4, size=(num_relations, _LATENT_DIM))
 
     n_ookg = max(1, int(round(ookg_fraction * num_entities)))
     if num_entities - n_ookg < 4:
@@ -518,12 +499,11 @@ def _trainable_once(rng, num_entities, num_relations, num_train, ookg_fraction, 
     ookg = sorted(int(e) for e in perm[:n_ookg])
     ikg = sorted(int(e) for e in perm[n_ookg:])
     ikg_perm = rng.permutation(len(ikg))
-    n_cold = int(round(cold_fraction * len(ikg)))
-    cold = sorted(ikg[i] for i in ikg_perm[:n_cold])
+    n_cold = int(round(_COLD_FRACTION * len(ikg)))
+    cold = {ikg[i] for i in ikg_perm[:n_cold]}
     warm = sorted(ikg[i] for i in ikg_perm[n_cold:])
     if len(warm) < 4:
         raise _Infeasible("fewer than four well-connected entities")
-    cold_set = set(cold)
 
     top_k = 8
 
@@ -551,11 +531,11 @@ def _trainable_once(rng, num_entities, num_relations, num_train, ookg_fraction, 
     tail_all, head_all = build_topk(ikg)
 
     # rank-decay over the top-k keeps the structure strong but the pool wide
-    decay = np.cumsum([(1.0 - near_decay) * near_decay ** k for k in range(top_k)])
+    decay = np.cumsum([(1.0 - _NEAR_DECAY) * _NEAR_DECAY ** k for k in range(top_k)])
     decay /= decay[-1]
 
     def draw(cands_row: np.ndarray, pool_list: list[int], self_id: int) -> int | None:
-        if rng.random() < corrupt_fraction:
+        if rng.random() < _CORRUPT_FRACTION:
             c = pool_list[int(rng.integers(len(pool_list)))]
             return None if c == self_id else c
         walk = [int(c) for c in cands_row if c != self_id]
@@ -586,16 +566,16 @@ def _trainable_once(rng, num_entities, num_relations, num_train, ookg_fraction, 
         train.append(trip)
         return True
 
-    # seeding: every in-graph entity appears; cold ones get only cold_degree
-    # edges, and those edges are wrong with probability cold_noise
+    # seeding: every in-graph entity appears; cold ones get only _COLD_DEGREE
+    # edges, and those edges are wrong with probability _COLD_NOISE
     for e in ikg:
-        is_cold = e in cold_set
-        want = cold_degree if is_cold else 1
+        is_cold = e in cold
+        want = _COLD_DEGREE if is_cold else 1
         made = 0
         for _ in range(60):
             if made >= want:
                 break
-            if is_cold and rng.random() < cold_noise:
+            if is_cold and rng.random() < _COLD_NOISE:
                 rel = int(rng.integers(num_relations))
                 other = draw_uniform(warm)
                 trip = (e, rel, other) if rng.random() < 0.5 else (other, rel, e)
@@ -610,7 +590,7 @@ def _trainable_once(rng, num_entities, num_relations, num_train, ookg_fraction, 
 
     # fill: warm-to-warm edges with Zipf-skewed head sampling
     rank = rng.permutation(len(warm)).astype(np.float64)
-    head_w = (rank + 1.0) ** (-skew)
+    head_w = (rank + 1.0) ** (-_SKEW)
     head_w /= head_w.sum()
     warm_arr = np.array(warm)
     head_stream = warm_arr[rng.choice(len(warm), size=6 * num_train, p=head_w)]
@@ -623,11 +603,10 @@ def _trainable_once(rng, num_entities, num_relations, num_train, ookg_fraction, 
     if len(train) < num_train:
         raise _Infeasible("distinct-triplet pool exhausted")
 
-    labeled = task == TASK_CLASSIFICATION
     positive = set(seen)
 
-    valid: list[tuple[int, int, int, int | None]] = []
-    n_valid = max(1, int(round(valid_fraction * num_train)))
+    valid: list[tuple[int, int, int, int]] = []
+    n_valid = max(1, int(round(_VALID_FRACTION * num_train)))
     budget = 60 * n_valid
     got = 0
     while got < n_valid and budget > 0:
@@ -639,7 +618,7 @@ def _trainable_once(rng, num_entities, num_relations, num_train, ookg_fraction, 
         if t is None or trip in positive:
             continue
         positive.add(trip)
-        valid.append((*trip, 1 if labeled else None))
+        valid.append((*trip, 1))
         got += 1
         if labeled:
             for _ in range(30):
@@ -651,10 +630,10 @@ def _trainable_once(rng, num_entities, num_relations, num_train, ookg_fraction, 
         raise _Infeasible("no validation triplets could be drawn")
 
     aux: list[tuple[int, int, int, None]] = []
-    test: list[tuple[int, int, int, int | None]] = []
+    test: list[tuple[int, int, int, int]] = []
     for e in ookg:
         used: set[tuple[int, int, int]] = set()
-        want_aux = int(rng.integers(aux_min, aux_max + 1))
+        want_aux = int(rng.integers(_AUX_MIN, _AUX_MAX + 1))
         budget = 60 * want_aux
         while len(used) < want_aux and budget > 0:
             budget -= 1
@@ -675,7 +654,7 @@ def _trainable_once(rng, num_entities, num_relations, num_train, ookg_fraction, 
             if trip is None or trip in positive:
                 continue
             positive.add(trip)
-            test.append((*trip, 1 if labeled else None))
+            test.append((*trip, 1))
             got += 1
             if labeled:
                 h, rel, t = trip
@@ -688,15 +667,4 @@ def _trainable_once(rng, num_entities, num_relations, num_train, ookg_fraction, 
         if got == 0:
             raise _Infeasible(f"no test edge for out-of-graph entity {e}")
 
-    name = [f"e{i}" for i in range(num_entities)]
-    rname = [f"r{j}" for j in range(num_relations)]
-
-    def rows(items):
-        return [(name[h], rname[r], name[t], lab) for h, r, t, lab in items]
-
-    splits = _assemble(task, *(tuple(zip(*r)) for r in (rows([(h, r, t, None) for h, r, t in train]),
-                                                        rows(valid), rows(aux), rows(test))))
-    entity_table = points[[int(n[1:]) for n in splits.vocab.entity_names]]
-    relation_table = offsets[[int(n[1:]) for n in splits.vocab.relation_names]]
-    tables = EmbeddingTables(TRANSE, latent_dim, 1, entity_table, relation_table)
-    return splits, tables
+    return _package(labeled, points, offsets, [(*trip, None) for trip in train], valid, aux, test)

@@ -8,7 +8,6 @@ well-connected training entities), and uniform (the ablation baseline).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,39 +26,27 @@ SCHEMES = (CORRELATION, DEGREE, UNIFORM)
 DEFAULT_SMOOTHING = 0.1
 
 
-@dataclass
-class RelationCorrelation:
-    """Dense conditional co-occurrence matrix over relations.
+def build_correlation(train_store: TripleStore) -> np.ndarray:
+    """Dense conditional co-occurrence matrix over the store's relations.
 
-    ``conditional[r1, r2]`` is P(r2 | r1): among entities whose training
-    neighbor set contains r1, the fraction that also contains r2. An entity
-    counts once per relation regardless of multiplicity. ``support[r]`` is the
-    number of entities carrying r at all; zero-support relations have all-zero
-    rows.
+    Entry ``[r1, r2]`` is P(r2 | r1): among entities whose training neighbor
+    set contains r1, the fraction that also contains r2. An entity counts once
+    per relation regardless of multiplicity. A relation that no entity carries
+    has an all-zero row and column.
     """
-
-    conditional: np.ndarray
-    support: np.ndarray
-
-
-def build_correlation(train_store: TripleStore,
-                      num_relations: int | None = None) -> RelationCorrelation:
     if len(train_store) == 0:
         raise ValueError("correlation requires a nonempty training store")
-    n_rel = num_relations if num_relations is not None else train_store.num_relations
     h, r, t = train_store.triplets.T
-    incidence = np.zeros((train_store.num_entities, n_rel))  # entity carries relation
+    incidence = np.zeros((train_store.num_entities, train_store.num_relations))  # entity carries relation
     incidence[h, r] = 1.0
     incidence[t, r] = 1.0
     count = incidence.T @ incidence
-    support = np.diag(count).copy()
-    denom = np.where(support > 0, support, 1.0)
-    conditional = np.where(support[:, None] > 0, count / denom[:, None], 0.0)
-    return RelationCorrelation(conditional, support.astype(np.int64))
+    support = np.diag(count)[:, None]  # entities carrying r1
+    return np.divide(count, support, out=np.zeros_like(count), where=support > 0)
 
 
 def candidate_weights(scheme: str, candidate_set: CandidateSet, *,
-                      correlation: RelationCorrelation | None = None,
+                      correlation: np.ndarray | None = None,
                       query_relation: int | np.ndarray | None = None,
                       train_store: TripleStore | None = None,
                       smoothing: float = DEFAULT_SMOOTHING) -> np.ndarray:
@@ -85,10 +72,9 @@ def candidate_weights(scheme: str, candidate_set: CandidateSet, *,
     elif scheme == CORRELATION:
         if correlation is None or query_relation is None:
             raise ValueError("correlation weights need the correlation matrix and a query relation")
-        p = correlation.conditional
         query = np.repeat(np.broadcast_to(query_relation, counts.shape), counts)
         source = candidate_set.source_relation
-        raw = p[query, source] + p[source, query]
+        raw = correlation[query, source] + correlation[source, query]
     else:
         raise ValueError(f"unknown weighting scheme {scheme!r}")
     raw = np.clip(raw, 0.0, None)
@@ -113,11 +99,11 @@ def reduce_candidates(candidate_set: CandidateSet, weights: np.ndarray) -> np.nd
     return np.add.reduceat(w[:, None] * candidate_set.vectors, starts, axis=0)
 
 
-def save_correlation_csv(correlation: RelationCorrelation, vocab: Vocabulary,
+def save_correlation_csv(correlation: np.ndarray, vocab: Vocabulary,
                          path: str | Path) -> None:
     """Inspection dump: one row per r1 with P(r2|r1) columns."""
     names = vocab.relation_names
     lines = ["relation," + ",".join(names)]
-    lines += [f"{name}," + ",".join(f"{v:.6g}" for v in correlation.conditional[i])
+    lines += [f"{name}," + ",".join(f"{v:.6g}" for v in correlation[i])
               for i, name in enumerate(names)]
     _write_atomically(path, (("\n".join(lines) + "\n").encode("utf-8"),))

@@ -219,7 +219,7 @@ def test_criterion_3_oracle_equivalence():
 
         # correlation matrix
         store = TripleStore(triplets, num_entities=n_ent, num_relations=n_rel)
-        assert np.array_equal(build_correlation(store).conditional,
+        assert np.array_equal(build_correlation(store),
                               _oracle_correlation(triplets, n_ent, n_rel))
         n_corr_checks += 1
 

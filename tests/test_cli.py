@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invkge import models
+from invkge import evaluation, models
 from invkge.cli import main
 from invkge.core import AS_HEAD, AS_TAIL
 from invkge.datasets import (generate_planted_splits, generate_trainable_splits, load_split_dir,
@@ -360,6 +361,20 @@ def test_ablate_empty_variants(lp_dataset, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("variants", ["cap1,bogus", "cap1,cap0"])
+def test_ablate_checks_every_variant_before_evaluating(lp_dataset, tmp_path, monkeypatch, variants):
+    root, splits, tables = lp_dataset
+    calls = []
+    real = evaluation.link_prediction
+    monkeypatch.setattr(evaluation, "link_prediction",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    with pytest.raises(ValueError, match="unknown ablation variant"):
+        evaluation.ablate(tables, splits, variants.split(","), task="lp")
+    rc = main(["ablate", *_split_flags(root), "--checkpoint", str(root / "gt.bin"),
+               "--task", "lp", "--variants", variants, "--out", str(tmp_path / "a")])
+    assert rc == 1 and calls == [] and not (tmp_path / "a").exists()
+
+
 def test_ablate_ratio_over_dataset_family(tmp_path):
     runs = []
     for name, seed, frac in [("both-small", 71, 0.08), ("both-large", 73, 0.16)]:
@@ -415,7 +430,7 @@ def test_estimate_single_neighbor_dumps_the_lone_candidate(tmp_path):
     vocab.add_entities(["a", "b", "x"])
     vocab.add_relations(["r"])
     a, b, x = (vocab.entity_id(n) for n in "abx")
-    splits = BenchmarkSplits(task="lp", vocab=vocab,
+    splits = BenchmarkSplits(vocab=vocab,
                              train=[(a, 0, b)], valid=[(a, 0, b)],
                              aux=[(x, 0, b)], test=[(x, 0, a)],
                              valid_labels=None, test_labels=None,
@@ -483,6 +498,25 @@ def test_validate_ok_and_failing(lp_dataset, tmp_path):
         (broken / name).write_bytes((root / name).read_bytes())
     (broken / "aux.txt").write_text("")
     assert main(["validate", *_split_flags(broken)]) == 1
+
+
+def test_commands_leave_numpy_ma_unimported(lp_dataset, tc_dataset, tmp_path):
+    # NumPy 2 imports numpy.ma on the first plain np.unique, a cost on the order of a
+    # whole desk-sized command; NumPy 1 imports it with numpy, so compare with the import
+    runs = []
+    for (root, _, _), task in ((tc_dataset, "tc"), (tc_dataset, "tc"), (lp_dataset, "lp")):
+        command = "estimate" if not runs else "eval"
+        runs.append([command, *_split_flags(root), "--task", task, "--checkpoint",
+                     str(root / "gt.bin"), "--out", str(tmp_path / str(len(runs)))])
+    script = ("import json, sys\n"
+              "import invkge.cli\n"
+              "before = 'numpy.ma' in sys.modules\n"
+              "codes = [invkge.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, before, 'numpy.ma' in sys.modules]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          capture_output=True, text=True, check=True)
+    codes, before, after = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0] and after == before
 
 
 def test_module_invocation_help():

@@ -139,7 +139,7 @@ def _line_benchmark(test, test_labels=None):
     vocab.add_relations(["r"])
     labeled = test_labels is not None
     splits = BenchmarkSplits(
-        task="classification" if labeled else "lp", vocab=vocab,
+        vocab=vocab,
         train=[(0, 0, 1), (1, 0, 2), (2, 0, 3)],
         valid=[(0, 0, 1), (0, 0, 3)], aux=[(4, 0, 0)],
         test=[tuple(t) for t in test],
@@ -169,7 +169,7 @@ def test_splits_hold_read_only_int64_arrays():
     assert replace(splits) == splits and replace(splits) is not splits
     assert replace(splits, aux=[]) != splits and replace(splits, test_labels=None) != splits
     assert replace(splits, test_labels=None) == replace(splits, test_labels=None)
-    assert replace(splits, task="lp") != splits and splits != "splits"
+    assert splits != "splits"
     assert TripleStore(splits.test) == TripleStore(splits.test.tolist())
 
 
@@ -295,6 +295,12 @@ def test_synthetic_parameter_validation():
             generate(0, 50, 5, 300, 1.0)
     with pytest.raises(ValueError):
         generate_trainable_splits(0, 2, 5, 300, 0.5)
+    # an infeasible shape fails every attempt; the error names the generator and the last reason
+    for generate, label, reason in ((generate_trainable_splits, "trainable", "seed every in-graph"),
+                                    (generate_planted_splits, "planted", "cover the in-graph")):
+        with pytest.raises(ValueError, match=f"^could not generate feasible {label} splits: "
+                                             f"num_train too small to {reason} entit"):
+            generate(0, 50, 5, 10, 0.1)
 
 
 def test_synthetic_no_dangling_by_construction():

@@ -412,7 +412,7 @@ def test_lp_counts_dangling_and_assigns_worst_rank():
     # strip one OOKG entity's aux edges to make it dangling
     victim = int(splits.ookg_entities[0])
     aux = splits.aux[~_touching(splits.aux, victim)]
-    crippled = BenchmarkSplits(task=splits.task, vocab=splits.vocab, train=splits.train,
+    crippled = BenchmarkSplits(vocab=splits.vocab, train=splits.train,
                                valid=splits.valid, aux=aux, test=splits.test,
                                valid_labels=None, test_labels=None,
                                ikg_entities=splits.ikg_entities,
@@ -428,7 +428,7 @@ def test_classification_dangling_predicts_negative():
     splits, tables = generate_planted_splits(43, 150, 6, 420, 0.1, task="classification")
     victim = int(splits.ookg_entities[0])
     aux = splits.aux[~_touching(splits.aux, victim)]
-    crippled = BenchmarkSplits(task=splits.task, vocab=splits.vocab, train=splits.train,
+    crippled = BenchmarkSplits(vocab=splits.vocab, train=splits.train,
                                valid=splits.valid, aux=aux, test=splits.test,
                                valid_labels=splits.valid_labels, test_labels=splits.test_labels,
                                ikg_entities=splits.ikg_entities,
@@ -539,7 +539,7 @@ def test_lp_query_table_matches_per_triplet_loop(monkeypatch, model):
     labeled = replace(splits, aux=splits.aux[~_touching(splits.aux, victim)],
                       test=np.concatenate([splits.test, [[x, 0, y]]]),
                       test_labels=np.append(splits.test_labels, 1), dangling_ookg=[victim])
-    unlabeled = replace(labeled, task="lp", test=splits.test[splits.test_labels == 1],
+    unlabeled = replace(labeled, test=splits.test[splits.test_labels == 1],
                         valid_labels=None, test_labels=None)
     tables = init_tables(5, model, 8, splits.vocab.num_entities, splits.vocab.num_relations)
     seen = []
@@ -619,7 +619,7 @@ def test_both_sides_ookg_estimated_independently():
     vocab.add_relations(["r"])
     a, b, x, y = range(4)
     splits = BenchmarkSplits(
-        task="classification", vocab=vocab,
+        vocab=vocab,
         train=[(a, 0, b)],
         # positive at distance |0+1-1| = 0, negative at |0+1-0| = 1: cutoff 0.5
         valid=[(a, 0, b), (a, 0, a)],
@@ -633,7 +633,7 @@ def test_both_sides_ookg_estimated_independently():
     report = triplet_classification(tables, splits, "uniform")
     assert report.accuracy == 1.0
 
-    lp = BenchmarkSplits(task="lp", vocab=vocab, train=splits.train, valid=[splits.valid[0]],
+    lp = BenchmarkSplits(vocab=vocab, train=splits.train, valid=[splits.valid[0]],
                          aux=splits.aux, test=[(x, 0, y), (x, 0, b)],
                          valid_labels=None, test_labels=None,
                          ikg_entities=splits.ikg_entities, ookg_entities=splits.ookg_entities,

@@ -5,9 +5,8 @@ import pytest
 
 from invkge.core import TripleStore
 from invkge.estimation import CandidateSet
-from invkge.reduction import (CORRELATION, DEGREE, UNIFORM, RelationCorrelation,
-                              build_correlation, candidate_weights, reduce_candidates,
-                              save_correlation_csv)
+from invkge.reduction import (CORRELATION, DEGREE, UNIFORM, build_correlation,
+                              candidate_weights, reduce_candidates, save_correlation_csv)
 
 
 def _cands(vectors, sources=None, relations=None):
@@ -26,26 +25,27 @@ def _cands(vectors, sources=None, relations=None):
 def test_self_conditional_is_one():
     store = TripleStore([(0, 0, 1)], num_entities=2, num_relations=1)
     corr = build_correlation(store)
-    assert corr.conditional[0, 0] == 1.0
-    assert corr.support[0] == 2  # both endpoints carry r0
+    assert corr.shape == (1, 1) and corr[0, 0] == 1.0  # both endpoints carry r0
 
 
 def test_two_relation_hand_enumeration():
     # neighbor sets: e0 {r0, r1}, e1 {r0}, e2 {r1}
     store = TripleStore([(0, 0, 1), (0, 1, 2)], num_entities=3, num_relations=2)
     corr = build_correlation(store)
-    assert corr.conditional[0, 1] == 0.5  # P(r1 | r0): of {e0, e1} only e0 has r1
-    assert corr.conditional[1, 0] == 0.5  # P(r0 | r1): of {e0, e2} only e0 has r0
-    assert corr.conditional[0, 0] == 1.0
-    assert corr.conditional[1, 1] == 1.0
+    assert corr[0, 1] == 0.5  # P(r1 | r0): of {e0, e1} only e0 has r1
+    assert corr[1, 0] == 0.5  # P(r0 | r1): of {e0, e2} only e0 has r0
+    assert corr[0, 0] == 1.0
+    assert corr[1, 1] == 1.0
 
 
 def test_unused_relation_rows_and_columns_zero():
+    # the store's relation count sizes the matrix; r1 and r2 are carried by no entity
     store = TripleStore([(0, 0, 1)], num_entities=2, num_relations=3)
     corr = build_correlation(store)
-    assert np.all(corr.conditional[1] == 0.0)
-    assert np.all(corr.conditional[:, 2] == 0.0)
-    assert corr.support[1] == 0
+    assert corr.shape == (3, 3)
+    for r in (1, 2):
+        assert np.all(corr[r] == 0.0) and np.all(corr[:, r] == 0.0)
+    assert corr[0, 0] == 1.0  # a carried relation has diagonal 1
 
 
 def test_correlation_requires_triplets():
@@ -78,7 +78,7 @@ def test_correlation_matches_brute_force_on_random_graphs():
                      int(rng.integers(n_ent)))
                     for _ in range(int(rng.integers(1, 120)))]
         store = TripleStore(triplets, num_entities=n_ent, num_relations=n_rel)
-        got = build_correlation(store).conditional
+        got = build_correlation(store)
         expected = _brute_force_correlation(triplets, n_ent, n_rel)
         assert np.array_equal(got, expected)
 
@@ -111,27 +111,24 @@ def test_correlation_weights_all_mass_on_correlated_candidate():
     p = np.zeros((3, 3))
     p[1, 2] = 0.4
     p[2, 1] = 0.6  # sum 1.0 for candidate with relation 2 under query 1
-    corr = RelationCorrelation(p, np.array([1, 1, 1]))
     cset = _cands([[1.0], [5.0]], relations=[2, 0])
-    w = candidate_weights(CORRELATION, cset, correlation=corr, query_relation=1)
+    w = candidate_weights(CORRELATION, cset, correlation=p, query_relation=1)
     assert np.array_equal(w, np.array([1.0, 0.0]))
 
 
 def test_correlation_weights_formula():
     rng = np.random.default_rng(0)
     p = rng.uniform(0, 1, (4, 4))
-    corr = RelationCorrelation(p, np.ones(4, dtype=int))
     cset = _cands([[1.0], [2.0], [3.0]], relations=[0, 2, 3])
-    w = candidate_weights(CORRELATION, cset, correlation=corr, query_relation=1)
+    w = candidate_weights(CORRELATION, cset, correlation=p, query_relation=1)
     raw = np.array([p[1, 0] + p[0, 1], p[1, 2] + p[2, 1], p[1, 3] + p[3, 1]])
     assert np.allclose(w, raw / raw.sum(), atol=1e-15)
 
 
 def test_degenerate_weights_fall_back_to_uniform(caplog):
-    corr = RelationCorrelation(np.zeros((2, 2)), np.zeros(2, dtype=int))
     cset = _cands([[1.0], [2.0]], relations=[0, 0])
     with caplog.at_level(logging.WARNING):
-        w = candidate_weights(CORRELATION, cset, correlation=corr, query_relation=1)
+        w = candidate_weights(CORRELATION, cset, correlation=np.zeros((2, 2)), query_relation=1)
     assert np.array_equal(w, np.array([0.5, 0.5]))
     assert "falling back to uniform" in caplog.text
 
@@ -260,4 +257,4 @@ def test_correlation_csv_dump(tmp_path):
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "r0"
-    assert float(first[1]) == corr.conditional[0, 0]
+    assert float(first[1]) == corr[0, 0]

@@ -80,7 +80,7 @@ def test_negatives_validation():
     vocab = Vocabulary()
     vocab.add_entities(["a"])
     vocab.add_relations(["r"])
-    splits = BenchmarkSplits("lp", vocab, train=[(0, 0, 0)], valid=[], aux=[], test=[],
+    splits = BenchmarkSplits(vocab, train=[(0, 0, 0)], valid=[], aux=[], test=[],
                              valid_labels=None, test_labels=None, ikg_entities=[0],
                              ookg_entities=[], dangling_ookg=[])
     with pytest.raises(ValueError, match="corruption needs at least two entities"):
