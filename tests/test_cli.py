@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -498,25 +497,6 @@ def test_validate_ok_and_failing(lp_dataset, tmp_path):
         (broken / name).write_bytes((root / name).read_bytes())
     (broken / "aux.txt").write_text("")
     assert main(["validate", *_split_flags(broken)]) == 1
-
-
-def test_commands_leave_numpy_ma_unimported(lp_dataset, tc_dataset, tmp_path):
-    # NumPy 2 imports numpy.ma on the first plain np.unique, a cost on the order of a
-    # whole desk-sized command; NumPy 1 imports it with numpy, so compare with the import
-    runs = []
-    for (root, _, _), task in ((tc_dataset, "tc"), (tc_dataset, "tc"), (lp_dataset, "lp")):
-        command = "estimate" if not runs else "eval"
-        runs.append([command, *_split_flags(root), "--task", task, "--checkpoint",
-                     str(root / "gt.bin"), "--out", str(tmp_path / str(len(runs)))])
-    script = ("import json, sys\n"
-              "import invkge.cli\n"
-              "before = 'numpy.ma' in sys.modules\n"
-              "codes = [invkge.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-              "print(json.dumps([codes, before, 'numpy.ma' in sys.modules]))\n")
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
-                          capture_output=True, text=True, check=True)
-    codes, before, after = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0] and after == before
 
 
 def test_module_invocation_help():
