@@ -8,14 +8,14 @@ filtered ranking / threshold-classification evaluation harness and the
 neighbor-cap, uniform-weight and OOKG-ratio ablations.
 """
 
-from .core import AS_HEAD, AS_TAIL, TripleStore, Vocabulary
+from .core import TripleStore, Vocabulary
 from .datasets import (BenchmarkSplits, DatasetFormatError, DatasetValidationError,
                        generate_planted_splits, generate_trainable_splits, load_split_dir,
                        load_splits, write_splits)
 from .estimation import CandidateSet, cap_neighbors, estimate_candidates
-from .evaluation import (EvalReport, FilterIndex, LpQuery, Thresholds, ablate, embed_ookg,
-                         filtered_rank, format_report, link_prediction,
-                         triplet_classification, tune_thresholds, write_report_csv)
+from .evaluation import (EvalReport, FilterIndex, Thresholds, ablate, embed_ookg, filtered_rank,
+                         format_report, link_prediction, triplet_classification,
+                         tune_thresholds, write_report_csv)
 from .models import (MODELS, ROTATE, TRANSE, EmbeddingTables, init_tables, load_checkpoint,
                      load_vocabulary, save_checkpoint, save_vocabulary, translation_distance)
 from .reduction import (CORRELATION, DEGREE, UNIFORM, build_correlation, candidate_weights,

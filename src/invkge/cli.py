@@ -23,7 +23,7 @@ from .datasets import (BenchmarkSplits, DatasetFormatError, DatasetValidationErr
 from .core import TripleStore
 from .evaluation import (ablate, embed_ookg, format_report, link_prediction,
                          triplet_classification, tune_thresholds, write_report_csv)
-from .models import (ROTATE, _write_atomically, load_checkpoint, load_vocabulary,
+from .models import (ROTATE, _write_atomically, _write_csv, load_checkpoint, load_vocabulary,
                      save_checkpoint, save_vocabulary)
 from .reduction import (CORRELATION, DEGREE, SCHEMES, build_correlation,
                         save_correlation_csv)
@@ -276,9 +276,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out_dir = Path(cfg["out"])  # written only once every result is in hand
     out_dir.mkdir(parents=True, exist_ok=True)
     if thresholds is not None:
-        _write_text(out_dir / "thresholds.csv", "relation,threshold\n" + "".join(
-            f"{splits.vocab.relation_name(rel)},{thresholds.per_relation[rel]!r}\n"
-            for rel in sorted(thresholds.per_relation)) + f"__default__,{thresholds.default!r}\n")
+        rows = [(splits.vocab.relation_name(rel), repr(thresholds.per_relation[rel]))
+                for rel in sorted(thresholds.per_relation)]
+        _write_csv(out_dir / "thresholds.csv",
+                   [("relation", "threshold"), *rows, ("__default__", repr(thresholds.default))])
     if correlation is not None:
         save_correlation_csv(correlation, splits.vocab, out_dir / "correlation.csv")
     write_report_csv(out_dir / "report.csv", [(label, report)])
@@ -303,10 +304,15 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         checkpoint_paths = cfg["checkpoints"].split(",")
         if len(dataset_dirs) != len(checkpoint_paths):
             raise UsageError("--datasets and --checkpoints must have the same length")
+        names = [Path(directory).name for directory in dataset_dirs]
+        for name in names:  # a ratio run's reports are named after its directory
+            if names.count(name) > 1:
+                raise UsageError(f"--datasets names two directories {name!r}; "
+                                 f"their ratio reports would overwrite each other")
         ratio_runs = []
-        for directory, ckpt in zip(dataset_dirs, checkpoint_paths):
+        for name, directory, ckpt in zip(names, dataset_dirs, checkpoint_paths):
             member = load_split_dir(directory, task=cfg["task"])
-            ratio_runs.append((Path(directory).name, _load_tables(ckpt, member), member))
+            ratio_runs.append((name, _load_tables(ckpt, member), member))
 
     non_ratio = [v for v in variants if v != "ratio"]
     tables = None

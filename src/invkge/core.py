@@ -7,9 +7,6 @@ from itertools import count, islice
 
 import numpy as np
 
-AS_HEAD = "head"
-AS_TAIL = "tail"
-
 
 class Vocabulary:
     """Bijection between names and dense integer ids, assigned in first-seen order."""

@@ -20,10 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AS_HEAD, AS_TAIL, TripleStore, segment_rows
+from .core import TripleStore, segment_rows
 from .datasets import BenchmarkSplits
 from .estimation import cap_neighbors, estimate_candidates
-from .models import ROTATE, EmbeddingTables, _write_atomically, translation_distance
+from .models import ROTATE, EmbeddingTables, _write_csv, translation_distance
 from .reduction import (CORRELATION, DEGREE, DEFAULT_SMOOTHING, build_correlation,
                         candidate_weights, reduce_candidates)
 
@@ -35,28 +35,17 @@ _RANK_BLOCK_BYTES = 256 * 1024  # entity-table bytes scored per block in filtere
 class FilterIndex(TripleStore):
     """Known-true triplets, looked up to filter ranking candidates."""
 
-    def keep_mask(self, query: LpQuery, cids: np.ndarray) -> np.ndarray:
-        """Candidates kept by the filtered protocol.
+    def partners(self, known, relations, tail_missing) -> tuple[np.ndarray, np.ndarray]:
+        """Known-true partners of query i: ``ids[offsets[i]:offsets[i + 1]]`` of ``(ids, offsets)``.
 
-        A candidate is dropped when it forms a known-true triplet with the
-        query, unless it is the answer.
+        Query i asks for the tails ``t`` of ``(known[i], relations[i], t)`` if
+        ``tail_missing[i]``, else for the heads ``h`` of ``(h, relations[i], known[i])``.
         """
-        if query.missing == AS_TAIL:
-            known = self.contains(query.known_entity, query.relation, cids)
-        else:
-            known = self.contains(cids, query.relation, query.known_entity)
-        return ~known | (cids == query.answer)
-
-
-@dataclass
-class LpQuery:
-    """One ranking query: a known side, a relation, and the entity to recover."""
-
-    known_entity: int
-    known_vec: np.ndarray
-    relation: int
-    missing: str  # AS_HEAD or AS_TAIL: the slot being ranked
-    answer: int
+        other, relation, as_head, offsets = self.incident(known)
+        query = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        hit = ((relation == np.asarray(relations)[query])
+               & (as_head == np.asarray(tail_missing, dtype=bool)[query]))
+        return other[hit], np.concatenate([[0], np.cumsum(hit)])[offsets]
 
 
 @dataclass
@@ -82,14 +71,17 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
 
-def filtered_rank(tables: EmbeddingTables, query: LpQuery, filter_index: FilterIndex,
-                  candidate_ids: np.ndarray) -> float:
-    """Rank (>= 1) of the ground truth among the candidates, filtered.
+def filtered_rank(tables: EmbeddingTables, known_vec: np.ndarray, relation: int,
+                  tail_missing: bool, answer: int, keep: np.ndarray) -> float:
+    """Rank (>= 1) of entity ``answer`` in the missing slot of query
+    ``(known_vec, relation, ?)`` if ``tail_missing``, else ``(?, relation, known_vec)``.
 
-    Candidates other than the answer that form a known-true triplet with the
-    query are dropped; ties are resolved to the mean of the optimistic and
-    pessimistic positions. The rank is that of the float64 distances exactly,
-    found in two passes:
+    ``keep`` is a boolean mask over the entity table's rows: the answer is
+    ranked against the rows it marks and always against itself, whatever its
+    own entry. The filtered protocol marks the candidates less the query's
+    known-true partners (:meth:`FilterIndex.partners`). Ties are resolved to the
+    mean of the optimistic and pessimistic positions. The rank is that of the
+    float64 distances exactly, found in two passes:
 
     * Screen: every row of the entity table is scored in float32 (complex64
       for RotatE) against the query vector and relation rounded once to
@@ -134,28 +126,24 @@ def filtered_rank(tables: EmbeddingTables, query: LpQuery, filter_index: FilterI
     ``√n·2**-74`` to an L2 distance and less to an L1 one. For widths of
     ``2**20`` or more ``c`` is infinite and every kept row is re-computed.
     """
-    cids = np.asarray(candidate_ids)
-    if not np.any(cids == query.answer):
-        raise ValueError(f"ground truth {query.answer} is not among the candidates")
     ent = tables.entity_matrix()
-    rel = tables.relation_vec(query.relation)
+    rel = tables.relation_vec(relation)
     low = np.complex64 if tables.model == ROTATE else np.float32
 
     def distances(rows, known, relation):
-        h, t = (known, rows) if query.missing == AS_TAIL else (rows, known)
+        h, t = (known, rows) if tail_missing else (rows, known)
         return translation_distance(tables.model, tables.norm_order, h, relation, t)
 
     step = max(1, _RANK_BLOCK_BYTES // (ent.shape[1] * ent.itemsize))
-    gt = distances(ent[query.answer:query.answer + 1], query.known_vec, rel)[0]
-    keep = np.zeros(len(ent), dtype=bool)
-    keep[cids] = filter_index.keep_mask(query, cids)
-    keep[query.answer] = False  # the answer is counted below, not re-computed
+    gt = distances(ent[answer:answer + 1], known_vec, rel)[0]
+    keep = np.array(keep, dtype=bool)  # a copy: the caller's mask is left as it was
+    keep[answer] = False  # the answer is counted below, not re-computed
     width = ent.shape[1]
     c = 2 * (width + 16) * 2.0 ** -24 if width < 2 ** 20 else np.inf
-    a = 2 * (np.abs(query.known_vec).sum() + np.abs(rel).sum()) + 2.0 ** -50
+    a = 2 * (np.abs(known_vec).sum() + np.abs(rel).sum()) + 2.0 ** -50
     screen = np.empty(len(ent))  # float64, so the test never rounds gt to float32
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing screen is re-computed
-        known32, rel32 = query.known_vec.astype(low), rel.astype(low)
+        known32, rel32 = known_vec.astype(low), rel.astype(low)
         for lo in range(0, len(ent), step):
             block = ent[lo:lo + step].astype(low, copy=False)
             screen[lo:lo + step] = distances(block, known32, rel32)
@@ -166,7 +154,7 @@ def filtered_rank(tables: EmbeddingTables, query: LpQuery, filter_index: FilterI
     unsure = np.flatnonzero(keep)[~sure]
     per = max(1, step - 1)  # rows per re-check block, after the answer's
     for lo in range(0, len(unsure), per):
-        d = distances(ent[np.append(query.answer, unsure[lo:lo + per])], query.known_vec, rel)
+        d = distances(ent[np.append(answer, unsure[lo:lo + per])], known_vec, rel)
         better += int(np.count_nonzero(d[1:] < d[0]))
         tied += int(np.count_nonzero(d[1:] == d[0]))
     return better + (1 + tied) / 2.0
@@ -230,8 +218,7 @@ def link_prediction(tables: EmbeddingTables, splits: BenchmarkSplits,
     positive = np.ones(len(test), dtype=bool) if labels is None else labels == 1
     findex = FilterIndex(np.concatenate([splits.aux, test[positive]]),
                          splits.vocab.num_entities, splits.vocab.num_relations)
-    cids = splits.ikg_entities
-    if cids.size == 0:
+    if splits.ikg_entities.size == 0:
         raise ValueError("no in-graph entities to rank over")
     is_ookg = np.isin(test[:, [0, 2]], splits.ookg_entities)
     both_ookg = positive & is_ookg.all(axis=1)
@@ -252,15 +239,17 @@ def link_prediction(tables: EmbeddingTables, splits: BenchmarkSplits,
                                 neighbor_cap=neighbor_cap, seed=seed)
     if not found.all():
         counts["dangling"] = int(np.count_nonzero(~found))
+    in_graph = np.isin(np.arange(splits.vocab.num_entities), splits.ikg_entities)
+    partners, offsets = findex.partners(known, rows[:, 1], tail_missing)
     ranks = np.empty(len(rows))
-    for i, (entity, relation, tail, answer) in enumerate(zip(
-            known.tolist(), rows[:, 1].tolist(), tail_missing.tolist(), answers.tolist())):
-        query = LpQuery(entity, vectors[i] if found[i] else None, relation,
-                        AS_TAIL if tail else AS_HEAD, answer)
+    for i, (relation, tail, answer) in enumerate(zip(
+            rows[:, 1].tolist(), tail_missing.tolist(), answers.tolist())):
+        keep = in_graph.copy()
+        keep[partners[offsets[i]:offsets[i + 1]]] = False  # the answer too: test is indexed
         if found[i]:
-            ranks[i] = filtered_rank(tables, query, findex, cids)
-        else:  # dangling: the worst possible rank
-            ranks[i] = np.count_nonzero(findex.keep_mask(query, cids))
+            ranks[i] = filtered_rank(tables, vectors[i], relation, tail, answer, keep)
+        else:  # dangling: the worst possible rank, behind every kept candidate
+            ranks[i] = np.count_nonzero(keep) + 1
     return EvalReport(
         task="lp",
         num_queries=len(ranks),
@@ -425,9 +414,7 @@ def write_report_csv(path: str | Path, reports: list[tuple[str, EvalReport]]) ->
     def fmt(x) -> str:
         return "" if x is None else f"{x:.6f}" if isinstance(x, float) else str(x)
 
-    lines = [",".join(_CSV_COLUMNS)]
-    for label, rep in reports:
-        row = [label, rep.task, rep.num_queries, rep.mrr, rep.hits1, rep.hits10,
-               rep.accuracy, rep.counts.get("dangling", 0), rep.counts.get("skipped_both_ookg", 0)]
-        lines.append(",".join(fmt(x) for x in row))
-    _write_atomically(path, (("\n".join(lines) + "\n").encode("utf-8"),))
+    rows = [(label, rep.task, rep.num_queries, rep.mrr, rep.hits1, rep.hits10, rep.accuracy,
+             rep.counts.get("dangling", 0), rep.counts.get("skipped_both_ookg", 0))
+            for label, rep in reports]
+    _write_csv(path, [_CSV_COLUMNS, *([fmt(x) for x in row] for row in rows)])

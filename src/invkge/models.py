@@ -10,6 +10,8 @@ complex matrix without copying.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import mmap
 import os
@@ -150,8 +152,8 @@ def save_checkpoint(tables: EmbeddingTables, path: str | Path, seed: int = 0) ->
     The tables are written lazily, one at a time, through
     :func:`_write_atomically`, so ``path`` is never left half-written.
     """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     model_code = MODELS.index(tables.model)
     header = _HEADER.pack(_MAGIC, _VERSION, model_code, tables.norm_order, tables.dim,
                           tables.num_entities, tables.num_relations, seed)
@@ -186,6 +188,13 @@ def _write_atomically(path: str | Path, chunks) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_csv(path: str | Path, rows) -> None:
+    """``rows`` as CSV through :func:`_write_atomically`, fields quoted where they need it."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    _write_atomically(path, (text.getvalue().encode("utf-8"),))
 
 
 def load_checkpoint(path: str | Path) -> tuple[EmbeddingTables, int]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import TripleStore, Vocabulary
 from .estimation import CandidateSet
-from .models import _write_atomically
+from .models import _write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -103,7 +103,5 @@ def save_correlation_csv(correlation: np.ndarray, vocab: Vocabulary,
                          path: str | Path) -> None:
     """Inspection dump: one row per r1 with P(r2|r1) columns."""
     names = vocab.relation_names
-    lines = ["relation," + ",".join(names)]
-    lines += [f"{name}," + ",".join(f"{v:.6g}" for v in correlation[i])
-              for i, name in enumerate(names)]
-    _write_atomically(path, (("\n".join(lines) + "\n").encode("utf-8"),))
+    rows = [[name, *(f"{v:.6g}" for v in correlation[i])] for i, name in enumerate(names)]
+    _write_csv(path, [["relation", *names], *rows])

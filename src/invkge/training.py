@@ -88,8 +88,8 @@ class TrainConfig:
             raise ValueError("steps/l2/temperature must be nonnegative, margin positive")
         if self.norm_order not in (1, 2):
             raise ValueError("norm_order must be 1 or 2")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 <= self.seed < 2 ** 64:  # the checkpoint header stores it in 8 bytes
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.log_every < 1:
             raise ValueError("log_every must be at least 1")
 

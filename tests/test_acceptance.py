@@ -16,16 +16,12 @@ from invkge.core import TripleStore
 from invkge.datasets import (generate_planted_splits, generate_trainable_splits,
                              load_split_dir)
 from invkge.estimation import CandidateSet, estimate_candidates
-from invkge.evaluation import (FilterIndex, LpQuery, filtered_rank, link_prediction,
+from invkge.evaluation import (FilterIndex, filtered_rank, link_prediction,
                                triplet_classification, tune_thresholds)
 from invkge.models import (ROTATE, TRANSE, EmbeddingTables, init_tables, translation_distance)
 from invkge.reduction import (build_correlation, candidate_weights, reduce_candidates)
 from invkge.training import (REFERENCE_CONFIGS, TrainConfig, _batch_loss_grads,
                              _sample_negative_batch, train)
-
-AS_HEAD = "head"
-AS_TAIL = "tail"
-
 
 def _report(criterion: str, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS  ({detail})")
@@ -137,24 +133,25 @@ def test_criterion_2_gradient_correctness():
 # ---------------------------------------------------------------------------
 
 def _oracle_rank(tables, query, filter_triplets, candidate_ids):
+    known_entity, known_vec, relation, tail_missing, answer = query
     known = set()
     for h, r, t in filter_triplets:
-        if query.missing == AS_TAIL and (h, r) == (query.known_entity, query.relation):
+        if tail_missing and (h, r) == (known_entity, relation):
             known.add(t)
-        if query.missing == AS_HEAD and (r, t) == (query.relation, query.known_entity):
+        if not tail_missing and (r, t) == (relation, known_entity):
             known.add(h)
     scored = []
     for cid in candidate_ids:
-        if cid != query.answer and cid in known:
+        if cid != answer and cid in known:
             continue
         cand = tables.entity[cid]
-        rel = tables.relation[query.relation]
-        if query.missing == AS_TAIL:
-            d = float(np.abs(query.known_vec + rel - cand).sum())
+        rel = tables.relation[relation]
+        if tail_missing:
+            d = float(np.abs(known_vec + rel - cand).sum())
         else:
-            d = float(np.abs(cand + rel - query.known_vec).sum())
+            d = float(np.abs(cand + rel - known_vec).sum())
         scored.append((d, int(cid)))
-    d_answer = next(d for d, cid in scored if cid == query.answer)
+    d_answer = next(d for d, cid in scored if cid == answer)
     best = 1 + sum(1 for d, _ in scored if d < d_answer)
     worst = sum(1 for d, _ in scored if d <= d_answer)
     return (best + worst) / 2.0
@@ -208,12 +205,12 @@ def test_criterion_3_oracle_equivalence():
         findex = FilterIndex(triplets)
         cids = np.arange(n_ent)
         for _ in range(10):
-            query = LpQuery(known_entity=int(rng.integers(n_ent)),
-                            known_vec=entity[int(rng.integers(n_ent))],
-                            relation=int(rng.integers(n_rel)),
-                            missing=AS_TAIL if rng.random() < 0.5 else AS_HEAD,
-                            answer=int(rng.integers(n_ent)))
-            got = filtered_rank(tables, query, findex, cids)
+            query = (int(rng.integers(n_ent)), entity[int(rng.integers(n_ent))],
+                     int(rng.integers(n_rel)), bool(rng.random() < 0.5),
+                     int(rng.integers(n_ent)))
+            keep = np.ones(n_ent, dtype=bool)
+            keep[findex.partners([query[0]], [query[2]], [query[3]])[0]] = False
+            got = filtered_rank(tables, *query[1:], keep)
             assert got == _oracle_rank(tables, query, triplets, cids)
             n_rank_checks += 1
 

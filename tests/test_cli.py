@@ -1,4 +1,6 @@
+import csv
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,10 +11,10 @@ import pytest
 
 from invkge import evaluation, models
 from invkge.cli import main
-from invkge.core import AS_HEAD, AS_TAIL
+from invkge.core import Vocabulary
 from invkge.datasets import (generate_planted_splits, generate_trainable_splits, load_split_dir,
                              write_splits)
-from invkge.evaluation import FilterIndex, LpQuery, embed_ookg, filtered_rank
+from invkge.evaluation import embed_ookg, filtered_rank
 from invkge.models import (MODELS, TRANSE, EmbeddingTables, init_tables, load_checkpoint,
                            save_checkpoint)
 
@@ -178,6 +180,19 @@ def test_pretrain_on_one_entity_exits_1_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_pretrain_seed_beyond_the_checkpoint_field_exits_1_and_writes_nothing(lp_dataset, tmp_path,
+                                                                              capsys):
+    root, _, _ = lp_dataset
+    args = ["pretrain", *_split_flags(root), "--dim", "4", "--steps", "0"]
+    out = tmp_path / "run"
+    assert main(args + ["--seed", str(2 ** 64), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "seed must be in [0, 2**64)" in err and "Traceback" not in err
+    assert not out.exists()
+    assert main(args + ["--seed", str(2 ** 64 - 1), "--out", str(out)]) == 0
+    assert load_checkpoint(out / "checkpoint.bin")[1] == 2 ** 64 - 1
+
+
 def test_pretrain_rotate_checkpoint_round_trip(lp_dataset, tmp_path):
     root, splits, _ = lp_dataset
     out = tmp_path / "rot"
@@ -310,6 +325,28 @@ def test_eval_tc_report_and_thresholds(tc_dataset, tmp_path):
     assert (out / "thresholds.csv").exists()
 
 
+def test_csv_artifacts_quote_relation_names(tc_dataset, tmp_path):
+    root, splits, _ = tc_dataset
+    names = ["r1,part", 'r2 "x"', *splits.vocab.relation_names[2:]]
+    vocab = Vocabulary()
+    vocab.add_entities(splits.vocab.entity_names)
+    vocab.add_relations(names)
+    data = tmp_path / "data"
+    write_splits(replace(splits, vocab=vocab), data)
+    out = tmp_path / "evaltc"
+    assert main(["eval", *_split_flags(data), "--checkpoint", str(root / "gt.bin"), "--task", "tc",
+                 "--dump-correlation", "--out", str(out)]) == 0
+    with open(out / "thresholds.csv", newline="", encoding="utf-8") as f:
+        thresholds = list(csv.reader(f))
+    assert {len(row) for row in thresholds} == {2}
+    assert [row[0] for row in thresholds] == ["relation", *names, "__default__"]
+    with open(out / "correlation.csv", newline="", encoding="utf-8") as f:
+        correlation = list(csv.reader(f))
+    assert correlation[0] == ["relation", *names]
+    assert [row[0] for row in correlation[1:]] == names
+    assert {len(row) for row in correlation} == {len(names) + 1}
+
+
 def test_eval_lp_rejects_labeled_files(tc_dataset, tmp_path):
     root, _, _ = tc_dataset
     rc = main(["eval", *_split_flags(root), "--checkpoint", str(root / "gt.bin"),
@@ -392,6 +429,23 @@ def test_ablate_ratio_over_dataset_family(tmp_path):
     assert len(summary) == 3
     assert summary[1].startswith("ratio:both-small,")
     assert summary[2].startswith("ratio:both-large,")
+
+
+def test_ablate_ratio_rejects_repeated_dataset_names(lp_dataset, tmp_path, capsys, monkeypatch):
+    root, _, _ = lp_dataset
+    dirs = [tmp_path / parent / "d" for parent in ("a", "b")]
+    for d in dirs:
+        shutil.copytree(root, d)
+    calls = []
+    real = evaluation.link_prediction
+    monkeypatch.setattr(evaluation, "link_prediction",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    out = tmp_path / "out"
+    rc = main(["ablate", "--task", "lp", "--variants", "ratio",
+               "--datasets", ",".join(map(str, dirs)),
+               "--checkpoints", ",".join(str(d / "gt.bin") for d in dirs), "--out", str(out)])
+    assert rc == 2 and calls == [] and not out.exists()
+    assert "'d'" in capsys.readouterr().err
 
 
 def test_ablate_ratio_requires_datasets(lp_dataset, tmp_path):
@@ -611,17 +665,17 @@ def test_eval_lp_ignores_out_of_graph_table_rows(tmp_path):
         rel = clean.relation[r]
         if entity == h:  # tail candidates e score |vec + r - e|
             poisoned.entity[entity] = vec + rel
-            queries.append(LpQuery(entity, vec, r, AS_TAIL, t))
+            queries.append((vec, r, True, t))
         else:  # head candidates e score |e + r - vec|
             poisoned.entity[entity] = vec - rel
-            queries.append(LpQuery(entity, vec, r, AS_HEAD, h))
+            queries.append((vec, r, False, h))
     save_checkpoint(poisoned, root / "poisoned.bin")
     poisoned, _ = load_checkpoint(root / "poisoned.bin")
-    cids = loaded.ikg_entities
-    everyone = np.arange(loaded.vocab.num_entities)
+    in_graph = np.zeros(loaded.vocab.num_entities, dtype=bool)
+    in_graph[loaded.ikg_entities] = True
+    everyone = np.ones_like(in_graph)
     for query in queries:  # every answer is beaten once out-of-graph rows compete
-        assert filtered_rank(poisoned, query, FilterIndex([]), everyone) \
-            > filtered_rank(poisoned, query, FilterIndex([]), cids)
+        assert filtered_rank(poisoned, *query, everyone) > filtered_rank(poisoned, *query, in_graph)
 
     outs = []
     for name in ("clean.bin", "poisoned.bin"):

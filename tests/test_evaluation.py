@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from invkge import evaluation
-from invkge.core import AS_HEAD, AS_TAIL
 from invkge.datasets import (BenchmarkSplits, generate_planted_splits,
                              generate_trainable_splits)
-from invkge.evaluation import (EvalReport, FilterIndex, LpQuery, Thresholds, ablate,
-                               embed_ookg, filtered_rank, format_report, link_prediction,
+from invkge.evaluation import (EvalReport, FilterIndex, Thresholds, ablate, embed_ookg,
+                               filtered_rank, format_report, link_prediction,
                                triplet_classification, tune_thresholds, write_report_csv)
 from invkge.models import ROTATE, TRANSE, EmbeddingTables, init_tables, translation_distance
 from invkge.training import TrainConfig, train
@@ -25,47 +24,67 @@ def _line_tables(values, relation=0.0):
 # filtered ranking
 # ---------------------------------------------------------------------------
 
+def _keep(findex, n, cids, known_entity, relation, tail_missing):
+    """The filtered protocol's mask: the candidates ``cids`` less the query's partners."""
+    keep = np.zeros(n, dtype=bool)
+    keep[cids] = True
+    partners, _ = findex.partners([known_entity], [relation], [tail_missing])
+    keep[partners] = False
+    return keep
+
+
+def test_partners_match_a_per_query_scan():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n, n_rel = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+        triplets = rng.integers(0, [n, n_rel, n], size=(int(rng.integers(0, 60)), 3))
+        loops = rng.random(len(triplets)) < 0.2
+        triplets[loops, 2] = triplets[loops, 0]  # self-loops
+        triplets = np.concatenate([triplets, triplets[:len(triplets) // 3]])  # repeats
+        findex = FilterIndex(triplets, n, n_rel)
+        m = int(rng.integers(0, 30))
+        known, relations = rng.integers(n, size=m), rng.integers(n_rel, size=m)
+        tail_missing = rng.random(m) < 0.5
+        ids, offsets = findex.partners(known, relations, tail_missing)
+        assert len(offsets) == m + 1 and offsets[-1] == len(ids)
+        rows = set(map(tuple, triplets.tolist()))
+        for i, (k, r, tail) in enumerate(zip(known.tolist(), relations.tolist(),
+                                             tail_missing.tolist())):
+            expected = sorted(t if tail else h for h, rr, t in rows
+                              if rr == r and (h if tail else t) == k)
+            assert sorted(ids[offsets[i]:offsets[i + 1]].tolist()) == expected
+
+
 def test_rank_one_when_answer_strictly_best():
     tables = _line_tables([0.0, 5.0, 1.0, 2.0, 3.0, 4.0, 6.0, 7.0, 8.0, 9.0])
     # query: known head at 0, relation 0, answer entity 0 (distance 0)
-    query = LpQuery(known_entity=1, known_vec=np.array([0.0]), relation=0,
-                    missing=AS_TAIL, answer=0)
-    rank = filtered_rank(tables, query, FilterIndex([]), np.arange(10))
+    rank = filtered_rank(tables, np.array([0.0]), 0, True, 0, np.ones(10, dtype=bool))
     assert rank == 1.0
 
 
 def test_tie_rank_uses_mean_of_positions():
     # three candidates (including the answer) tied at the top
     tables = _line_tables([0.0, 0.0, 0.0, 5.0, 6.0])
-    query = LpQuery(known_entity=3, known_vec=np.array([0.0]), relation=0,
-                    missing=AS_TAIL, answer=1)
-    rank = filtered_rank(tables, query, FilterIndex([]), np.arange(5))
+    keep = np.ones(5, dtype=bool)
+    rank = filtered_rank(tables, np.array([0.0]), 0, True, 1, keep)
     assert rank == 2.0  # (1 + 3) / 2
+    assert keep.all()  # the caller's mask is left as it was
+    keep[1] = False  # the answer is ranked whatever its own entry says
+    assert filtered_rank(tables, np.array([0.0]), 0, True, 1, keep) == 2.0
 
 
 def test_filtering_removes_known_true_candidates():
     tables = _line_tables([0.0, 0.1, 0.2, 5.0])
-    query = LpQuery(known_entity=3, known_vec=np.array([0.0]), relation=0,
-                    missing=AS_TAIL, answer=2)
-    unfiltered = filtered_rank(tables, query, FilterIndex([]), np.arange(4))
+    unfiltered = filtered_rank(tables, np.array([0.0]), 0, True, 2, np.ones(4, dtype=bool))
     assert unfiltered == 3.0
-    findex = FilterIndex([(3, 0, 0), (3, 0, 1)])
-    assert filtered_rank(tables, query, findex, np.arange(4)) == 1.0
+    keep = _keep(FilterIndex([(3, 0, 0), (3, 0, 1)]), 4, np.arange(4), 3, 0, True)
+    assert filtered_rank(tables, np.array([0.0]), 0, True, 2, keep) == 1.0
 
 
 def test_missing_head_direction():
     tables = _line_tables([0.0, 1.0, 2.0, 3.0], relation=2.0)
     # rank heads h such that h + 2 ~ known tail 3 -> best head is entity 1
-    query = LpQuery(known_entity=3, known_vec=np.array([3.0]), relation=0,
-                    missing=AS_HEAD, answer=1)
-    assert filtered_rank(tables, query, FilterIndex([]), np.arange(4)) == 1.0
-
-
-def test_answer_must_be_a_candidate():
-    tables = _line_tables([0.0, 1.0])
-    query = LpQuery(0, np.array([0.0]), 0, AS_TAIL, answer=7)
-    with pytest.raises(ValueError):
-        filtered_rank(tables, query, FilterIndex([]), np.arange(2))
+    assert filtered_rank(tables, np.array([3.0]), 0, False, 1, np.ones(4, dtype=bool)) == 1.0
 
 
 def _oracle_distance(tables, h, r, t):
@@ -76,26 +95,30 @@ def _oracle_distance(tables, h, r, t):
 
 
 def _oracle_rank(tables, query, filter_triplets, candidate_ids):
-    """Exhaustive-sort oracle with best/worst tie positions averaged."""
+    """Exhaustive-sort oracle with best/worst tie positions averaged.
+
+    ``query`` is ``(known_entity, known_vec, relation, tail_missing, answer)``.
+    """
+    known_entity, known_vec, relation, tail_missing, answer = query
     known = set()
     for h, r, t in filter_triplets:
-        if query.missing == AS_TAIL and (h, r) == (query.known_entity, query.relation):
+        if tail_missing and (h, r) == (known_entity, relation):
             known.add(t)
-        if query.missing == AS_HEAD and (r, t) == (query.relation, query.known_entity):
+        if not tail_missing and (r, t) == (relation, known_entity):
             known.add(h)
     scored = []
-    rel = tables.relation[query.relation]
+    rel = tables.relation[relation]
     for cid in candidate_ids:
-        if cid != query.answer and cid in known:
+        if cid != answer and cid in known:
             continue
         cand = tables.entity_matrix()[cid]
-        if query.missing == AS_TAIL:
-            d = _oracle_distance(tables, query.known_vec, rel, cand)
+        if tail_missing:
+            d = _oracle_distance(tables, known_vec, rel, cand)
         else:
-            d = _oracle_distance(tables, cand, rel, query.known_vec)
+            d = _oracle_distance(tables, cand, rel, known_vec)
         scored.append((d, int(cid)))
     scored.sort(key=lambda x: x[0])
-    d_answer = next(d for d, cid in scored if cid == query.answer)
+    d_answer = next(d for d, cid in scored if cid == answer)
     best = 1 + sum(1 for d, _ in scored if d < d_answer)
     worst = sum(1 for d, _ in scored if d <= d_answer)
     return (best + worst) / 2.0
@@ -117,16 +140,14 @@ def test_filtered_rank_matches_oracle_on_random_instances(monkeypatch):
         # a random strict subset holding the answer: rows outside it must be ignored
         cids = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
         answer = int(rng.choice(cids))
-        query = LpQuery(known_entity=int(rng.integers(n)),
-                        known_vec=ent[int(rng.integers(n))],
-                        relation=int(rng.integers(2)),
-                        missing=AS_TAIL if rng.random() < 0.5 else AS_HEAD,
-                        answer=answer)
+        query = (int(rng.integers(n)), ent[int(rng.integers(n))], int(rng.integers(2)),
+                 bool(rng.random() < 0.5), answer)
         # one row per block, then blocks of 3 and 7 rows that leave a partial last block
         step = (1, 3, 7)[i % 3]
         monkeypatch.setattr(evaluation, "_RANK_BLOCK_BYTES", step * ent.shape[1] * ent.itemsize)
         in_last_partial_block += step > 1 and answer >= n - n % step
-        got = filtered_rank(tables, query, FilterIndex(filter_triplets), cids)
+        keep = _keep(FilterIndex(filter_triplets), n, cids, query[0], query[2], query[3])
+        got = filtered_rank(tables, *query[1:], keep)
         expected = _oracle_rank(tables, query, filter_triplets, cids)
         assert got == expected
     assert in_last_partial_block > 0
@@ -134,8 +155,8 @@ def test_filtered_rank_matches_oracle_on_random_instances(monkeypatch):
 
 @pytest.mark.parametrize("norm", [1, 2])
 @pytest.mark.parametrize("model", [TRANSE, ROTATE])
-@pytest.mark.parametrize("missing", [AS_TAIL, AS_HEAD])
-def test_blocked_distances_equal_whole_table_call(monkeypatch, model, norm, missing):
+@pytest.mark.parametrize("tail_missing", [True, False], ids=["tail", "head"])
+def test_blocked_distances_equal_whole_table_call(monkeypatch, model, norm, tail_missing):
     rng = np.random.default_rng(23)
     dim = 5
     probe = init_tables(0, model, dim, 1, 1, norm_order=norm).entity_matrix()
@@ -151,14 +172,12 @@ def test_blocked_distances_equal_whole_table_call(monkeypatch, model, norm, miss
     def rank_and_screen(tables, known):
         blocks.clear()
         n = tables.num_entities
-        query = LpQuery(known_entity=0, known_vec=known, relation=1, missing=missing,
-                        answer=n - 1)
-        rank = filtered_rank(tables, query, FilterIndex([]), np.arange(n))
+        rank = filtered_rank(tables, known, 1, tail_missing, n - 1, np.ones(n, dtype=bool))
         assert max(len(b) for b in blocks) <= step  # no table-sized temporaries
         return rank, [b for b in blocks if b.dtype == np.float32]
 
     def ends(known, ent):
-        return (known, ent) if missing == AS_TAIL else (ent, known)
+        return (known, ent) if tail_missing else (ent, known)
 
     monkeypatch.setattr(evaluation, "translation_distance", recording_distance)
     for n in (1, step - 1, step, step + 1, 3 * step + 2):
@@ -224,8 +243,8 @@ def _screen_case(rng, model, norm, kind):
 
 @pytest.mark.parametrize("norm", [1, 2])
 @pytest.mark.parametrize("model", [TRANSE, ROTATE])
-@pytest.mark.parametrize("missing", [AS_TAIL, AS_HEAD])
-def test_screened_rank_equals_float64_whole_table_rank(monkeypatch, model, norm, missing):
+@pytest.mark.parametrize("tail_missing", [True, False], ids=["tail", "head"])
+def test_screened_rank_equals_float64_whole_table_rank(monkeypatch, model, norm, tail_missing):
     """The float32 screen with its float64 re-check ranks exactly as float64 distances do:
     on exact ties, near-ties a few float32 ulps apart, values float32 cannot hold,
     entries whose float32 screen overflows to inf or NaN, and entries it underflows."""
@@ -239,17 +258,17 @@ def test_screened_rank_equals_float64_whole_table_rank(monkeypatch, model, norm,
         filter_triplets = [(int(rng.integers(n)), int(rng.integers(2)),
                             int(rng.integers(n))) for _ in range(n // 3)]
         cids = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
-        query = LpQuery(known_entity=int(rng.integers(n)), known_vec=known,
-                        relation=int(rng.integers(2)), missing=missing,
-                        answer=int(rng.choice(cids)))
-        findex = FilterIndex(filter_triplets)
-        got = filtered_rank(tables, query, findex, cids)
+        known_entity, relation = int(rng.integers(n)), int(rng.integers(2))
+        answer = int(rng.choice(cids))
+        keep = _keep(FilterIndex(filter_triplets), n, cids, known_entity, relation, tail_missing)
+        got = filtered_rank(tables, known, relation, tail_missing, answer, keep)
 
-        rel = tables.relation_vec(query.relation)
-        h, t = (known, ent) if missing == AS_TAIL else (ent, known)
+        rel = tables.relation_vec(relation)
+        h, t = (known, ent) if tail_missing else (ent, known)
         whole = translation_distance(model, norm, h, rel, t)
-        kept = whole[cids[findex.keep_mask(query, cids)]]
-        gt = whole[query.answer]
+        keep[answer] = True  # the answer ranks, and ties, with itself
+        kept = whole[keep]
+        gt = whole[answer]
         assert got == np.count_nonzero(kept < gt) + (1 + np.count_nonzero(kept == gt)) / 2.0, \
             (i, kind, step)
 
@@ -262,11 +281,11 @@ def test_filtered_rank_never_worse_than_raw():
         tables = EmbeddingTables(TRANSE, 2, 1, entity, rng.normal(size=(1, 2)))
         filter_triplets = [(int(rng.integers(n)), 0, int(rng.integers(n)))
                            for _ in range(25)]
-        query = LpQuery(int(rng.integers(n)), entity[int(rng.integers(n))], 0,
-                        AS_TAIL, int(rng.integers(n)))
-        cids = np.arange(n)
-        filtered = filtered_rank(tables, query, FilterIndex(filter_triplets), cids)
-        raw = filtered_rank(tables, query, FilterIndex([]), cids)
+        known_entity, known_vec = int(rng.integers(n)), entity[int(rng.integers(n))]
+        answer = int(rng.integers(n))
+        keep = _keep(FilterIndex(filter_triplets), n, np.arange(n), known_entity, 0, True)
+        filtered = filtered_rank(tables, known_vec, 0, True, answer, keep)
+        raw = filtered_rank(tables, known_vec, 0, True, answer, np.ones(n, dtype=bool))
         assert filtered <= raw
 
 
@@ -501,14 +520,14 @@ def test_lp_requires_positive_labels_only(planted_tc):
 
 
 def _per_triplet_lp(tables, splits, scheme):
-    """Per-triplet reference for link_prediction's query table: its counts and
-    (known entity, relation, missing side, answer, rank) per query, in test order."""
+    """Per-triplet reference for link_prediction's query table: its counts and, per
+    query in test order, the known entity and (known vector bytes, relation,
+    tail_missing, answer, kept in-graph rows, rank)."""
     labels, ookg = splits.test_labels, set(splits.ookg_entities.tolist())
     test = splits.test.tolist()
     positives = [t for i, t in enumerate(test) if labels is None or labels[i] == 1]
-    findex = FilterIndex(splits.aux.tolist() + positives, splits.vocab.num_entities,
-                         splits.vocab.num_relations)
-    cids = np.array(sorted(splits.ikg_entities.tolist()), dtype=np.int64)
+    known_true = set(map(tuple, splits.aux.tolist() + positives))
+    cids = sorted(splits.ikg_entities.tolist())
     counts, queries = {}, []
     for i, (h, r, t) in enumerate(test):
         if labels is not None and labels[i] != 1:
@@ -516,19 +535,23 @@ def _per_triplet_lp(tables, splits, scheme):
         elif h in ookg and t in ookg:
             counts["skipped_both_ookg"] = counts.get("skipped_both_ookg", 0) + 1
         elif h in ookg:
-            queries.append((h, r, AS_TAIL, t))
+            queries.append((h, r, True, t))
         else:
-            queries.append((t, r, AS_HEAD, h))
+            queries.append((t, r, False, h))
     known, relations, _, _ = zip(*queries)
     vectors, found = embed_ookg(tables, splits, scheme, known, relations)
     if not found.all():
         counts["dangling"] = int(np.count_nonzero(~found))
     ranked = []
-    for i, (entity, relation, missing, answer) in enumerate(queries):
-        query = LpQuery(entity, vectors[i] if found[i] else None, relation, missing, answer)
-        rank = (filtered_rank(tables, query, findex, cids) if found[i]
-                else np.count_nonzero(findex.keep_mask(query, cids)))
-        ranked.append((entity, relation, missing, answer, float(rank)))
+    for i, (entity, relation, tail_missing, answer) in enumerate(queries):
+        kept = tuple(c for c in cids if ((entity, relation, c) if tail_missing
+                                         else (c, relation, entity)) not in known_true)
+        keep = np.zeros(splits.vocab.num_entities, dtype=bool)
+        keep[list(kept)] = True
+        rank = (filtered_rank(tables, vectors[i], relation, tail_missing, answer, keep)
+                if found[i] else len(kept) + 1)  # the answer, known-true, is not in kept
+        ranked.append((entity, (vectors[i].tobytes(), relation, tail_missing, answer, kept,
+                                float(rank))))
     return counts, ranked
 
 
@@ -544,10 +567,11 @@ def test_lp_query_table_matches_per_triplet_loop(monkeypatch, model):
     tables = init_tables(5, model, 8, splits.vocab.num_entities, splits.vocab.num_relations)
     seen = []
 
-    def spy(tables, query, filter_index, candidate_ids):
-        seen.append((query.known_entity, query.relation, query.missing, query.answer,
-                     filtered_rank(tables, query, filter_index, candidate_ids)))
-        return seen[-1][-1]
+    def spy(tables, known_vec, relation, tail_missing, answer, keep):
+        rank = filtered_rank(tables, known_vec, relation, tail_missing, answer, keep)
+        seen.append((known_vec.tobytes(), relation, tail_missing, answer,
+                     tuple(np.flatnonzero(keep).tolist()), rank))
+        return rank
 
     for splits, scheme in product((labeled, unlabeled), ("correlation", "degree", "uniform")):
         counts, ranked = _per_triplet_lp(tables, splits, scheme)
@@ -562,8 +586,8 @@ def test_lp_query_table_matches_per_triplet_loop(monkeypatch, model):
             patch.setattr(evaluation, "filtered_rank", spy)
             report = link_prediction(tables, splits, scheme)
         assert report.counts == counts and report.num_queries == len(ranked)
-        assert seen == [q for q in ranked if q[0] != victim]  # the dangling are not ranked
-        ranks = np.array([q[-1] for q in ranked])
+        assert seen == [q for entity, q in ranked if entity != victim]  # dangling: not ranked
+        ranks = np.array([q[-1] for _, q in ranked])
         assert report.mrr == float(np.mean(1.0 / ranks))
         assert report.hits1 == float(np.mean(ranks <= 1))
         assert report.hits10 == float(np.mean(ranks <= 10))
