@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -21,16 +22,17 @@ import numpy as np
 from .datasets import (BenchmarkSplits, DatasetFormatError, DatasetValidationError,
                        load_split_dir, load_splits)
 from .core import TripleStore
-from .evaluation import (ablate, embed_ookg, format_report, link_prediction,
+from .evaluation import (EvalReport, Thresholds, embed_ookg, format_report, link_prediction,
                          triplet_classification, tune_thresholds, write_report_csv)
 from .models import (ROTATE, _write_atomically, _write_csv, load_checkpoint, load_vocabulary,
                      save_checkpoint, save_vocabulary)
-from .reduction import (CORRELATION, DEGREE, SCHEMES, build_correlation,
+from .reduction import (CORRELATION, DEGREE, SCHEMES, UNIFORM, build_correlation,
                         save_correlation_csv)
 from .training import TrainConfig, TrainingDivergedError, train
 
 ENV_PREFIX = "INVKGE_"
 _REQUIRED = object()
+_CAP_VARIANT = re.compile(r"cap[1-9][0-9]*")  # ASCII, no leading zero: the label is f"cap{K}"
 
 
 class UsageError(Exception):
@@ -247,26 +249,27 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _evaluate(cfg: dict, tables, splits: BenchmarkSplits, scheme: str | None, cap: int | None,
+              thresholds: Thresholds | None = None) -> EvalReport:
+    """The task's evaluation of ``tables`` on ``splits``; ``scheme`` None is the task's default."""
+    options = dict(smoothing=cfg["delta"], neighbor_cap=cap, seed=cfg["seed"])
+    if cfg["task"] == "lp":
+        return link_prediction(tables, splits, scheme or CORRELATION, **options)
+    return triplet_classification(tables, splits, scheme or DEGREE, thresholds=thresholds,
+                                  **options)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _resolve("eval", args)
     splits = _load_benchmark(cfg)
     _check_vocab(cfg, splits)
     tables = _load_tables(cfg["checkpoint"], splits)
 
-    scheme = cfg["scheme"]
     thresholds = None
-    if cfg["task"] == "lp":
-        scheme = scheme or CORRELATION
-        report = link_prediction(tables, splits, scheme, smoothing=cfg["delta"],
-                                 neighbor_cap=cfg["cap"], seed=cfg["seed"])
-        label = f"lp-{scheme}"
-    else:
-        scheme = scheme or DEGREE
+    if cfg["task"] != "lp":
         thresholds = tune_thresholds(tables, splits.valid, splits.valid_labels)
-        report = triplet_classification(tables, splits, scheme, thresholds=thresholds,
-                                        smoothing=cfg["delta"], neighbor_cap=cfg["cap"],
-                                        seed=cfg["seed"])
-        label = f"tc-{scheme}"
+    report = _evaluate(cfg, tables, splits, cfg["scheme"], cfg["cap"], thresholds)
+    label = f"{'lp' if cfg['task'] == 'lp' else 'tc'}-{report.config['scheme']}"
     correlation = None
     if cfg["dump_correlation"]:
         train_store = TripleStore(splits.train, num_entities=splits.vocab.num_entities,
@@ -294,8 +297,14 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     variants = [v for v in cfg["variants"].split(",") if v]
     if not variants:
         raise UsageError("--variants must list at least one variant")
+    for variant in variants:  # capK has one spelling, so no two labels run the same cap
+        if variant not in (UNIFORM, "ratio") and not _CAP_VARIANT.fullmatch(variant):
+            raise ValueError(f"unknown ablation variant {variant!r}")
+        if variants.count(variant) > 1:
+            raise UsageError(f"--variants names {variant!r} twice; it would run twice")
 
-    ratio_runs = None
+    # one run per report: (label, tables, splits, scheme, cap); a None scheme is the task's default
+    ratio_runs = []
     if "ratio" in variants:
         if not cfg["datasets"] or not cfg["checkpoints"]:
             raise UsageError("the ratio variant needs --datasets and --checkpoints "
@@ -309,10 +318,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             if names.count(name) > 1:
                 raise UsageError(f"--datasets names two directories {name!r}; "
                                  f"their ratio reports would overwrite each other")
-        ratio_runs = []
         for name, directory, ckpt in zip(names, dataset_dirs, checkpoint_paths):
             member = load_split_dir(directory, task=cfg["task"])
-            ratio_runs.append((name, _load_tables(ckpt, member), member))
+            ratio_runs.append((f"ratio:{name}", _load_tables(ckpt, member), member,
+                               cfg["scheme"], None))
 
     non_ratio = [v for v in variants if v != "ratio"]
     tables = None
@@ -325,8 +334,16 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         _check_vocab(cfg, splits)
         tables = _load_tables(cfg["checkpoint"], splits)
 
-    results = ablate(tables, splits, variants, task=cfg["task"], scheme=cfg["scheme"],
-                     smoothing=cfg["delta"], seed=cfg["seed"], ratio_runs=ratio_runs)
+    runs = []
+    for variant in variants:
+        if variant == "ratio":
+            runs += ratio_runs
+        elif variant == UNIFORM:
+            runs.append((variant, tables, splits, UNIFORM, None))
+        else:
+            runs.append((variant, tables, splits, cfg["scheme"], int(variant[3:])))
+    results = [(label, _evaluate(cfg, run_tables, run_splits, scheme, cap))
+               for label, run_tables, run_splits, scheme, cap in runs]
 
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Filtered link-prediction ranking, triplet classification, and ablations.
+"""Filtered link-prediction ranking and triplet classification of OOKG entities.
 
 Ranking is over the in-graph entity set with the filtered protocol: every
 candidate that forms a known-true triplet with the query (other than the
@@ -174,6 +174,8 @@ def embed_ookg(tables: EmbeddingTables, splits: BenchmarkSplits, scheme: str,
     (entity, relation) pair once; the other schemes reduce each entity once
     and ignore ``relations``, which may then be None.
     """
+    if scheme == CORRELATION and relations is None:
+        raise ValueError("correlation weights need the query relations of the entities")
     n_ent, n_rel = splits.vocab.num_entities, splits.vocab.num_relations
     aux_store = TripleStore(splits.aux, num_entities=n_ent, num_relations=n_rel)
     train_store = TripleStore(splits.train, num_entities=n_ent, num_relations=n_rel)
@@ -345,46 +347,6 @@ def triplet_classification(tables: EmbeddingTables, splits: BenchmarkSplits,
         config={"scheme": scheme, "neighbor_cap": neighbor_cap, "seed": seed,
                 "smoothing": smoothing},
     )
-
-
-def ablate(tables: EmbeddingTables | None, splits: BenchmarkSplits | None, variants: list[str], *,
-           task: str = "lp", scheme: str | None = None,
-           smoothing: float = DEFAULT_SMOOTHING, seed: int = 0,
-           ratio_runs: list[tuple[str, EmbeddingTables, BenchmarkSplits]] | None = None,
-           ) -> list[tuple[str, EvalReport]]:
-    """Run the requested ablation variants and return (name, report) pairs.
-
-    ``capK`` variants (K >= 1) keep at most K random candidates per entity,
-    ``uniform`` replaces the weighting scheme, and ``ratio`` re-runs the base
-    evaluation on each (name, tables, splits) entry of ``ratio_runs`` (one
-    dataset per OOKG ratio); the base ``tables`` and ``splits`` may then be None
-    if ``ratio`` is the only variant. Every variant is checked before any runs.
-    """
-    base_scheme = scheme or (CORRELATION if task == "lp" else DEGREE)
-    caps = {v: int(v[3:]) for v in variants if v.startswith("cap") and v[3:].isdecimal()}
-    for variant in variants:
-        if variant not in ("uniform", "ratio") and not caps.get(variant):
-            raise ValueError(f"unknown ablation variant {variant!r}")
-    if "ratio" in variants and not ratio_runs:
-        raise ValueError("ratio variant requires per-dataset (tables, splits) runs")
-
-    def run(run_tables, run_splits, run_scheme, cap):
-        if task == "lp":
-            return link_prediction(run_tables, run_splits, run_scheme, smoothing=smoothing,
-                                   neighbor_cap=cap, seed=seed)
-        return triplet_classification(run_tables, run_splits, run_scheme, smoothing=smoothing,
-                                      neighbor_cap=cap, seed=seed)
-
-    results: list[tuple[str, EvalReport]] = []
-    for variant in variants:
-        if variant == "uniform":
-            results.append((variant, run(tables, splits, "uniform", None)))
-        elif variant == "ratio":
-            for name, run_tables, run_splits in ratio_runs:
-                results.append((f"ratio:{name}", run(run_tables, run_splits, base_scheme, None)))
-        else:
-            results.append((variant, run(tables, splits, base_scheme, caps[variant])))
-    return results
 
 
 # ---------------------------------------------------------------------------

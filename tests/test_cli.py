@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invkge import evaluation, models
+from invkge import cli, models
 from invkge.cli import main
 from invkge.core import Vocabulary
 from invkge.datasets import (generate_planted_splits, generate_trainable_splits, load_split_dir,
@@ -384,8 +384,10 @@ def test_ablate_variants(lp_dataset, tmp_path):
     rc = main(["ablate", *_split_flags(root), "--checkpoint", str(root / "gt.bin"),
                "--task", "lp", "--variants", "cap1,cap8,cap32,uniform", "--out", str(out)])
     assert rc == 0
-    summary = (out / "summary.csv").read_text().splitlines()
-    assert len(summary) == 5  # header + 4 variants
+    summary = list(csv.reader((out / "summary.csv").read_text().splitlines()))
+    assert summary[0][:2] == ["label", "task"]
+    assert [row[:2] for row in summary[1:]] == [["cap1", "lp"], ["cap8", "lp"], ["cap32", "lp"],
+                                                ["uniform", "lp"]]  # in --variants order
     for variant in ("cap1", "cap8", "cap32", "uniform"):
         assert (out / f"report_{variant}.csv").exists()
 
@@ -397,18 +399,63 @@ def test_ablate_empty_variants(lp_dataset, tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("variants", ["cap1,bogus", "cap1,cap0"])
-def test_ablate_checks_every_variant_before_evaluating(lp_dataset, tmp_path, monkeypatch, variants):
-    root, splits, tables = lp_dataset
+def _spy_on_evaluations(monkeypatch):
+    """Record every link-prediction or classification run the CLI starts."""
     calls = []
-    real = evaluation.link_prediction
-    monkeypatch.setattr(evaluation, "link_prediction",
-                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
-    with pytest.raises(ValueError, match="unknown ablation variant"):
-        evaluation.ablate(tables, splits, variants.split(","), task="lp")
+    for name in ("link_prediction", "triplet_classification"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, real=real, **kwargs:
+                            calls.append(args) or real(*args, **kwargs))
+    return calls
+
+
+# cap01 and cap\u0661 (an Arabic-Indic one) would run cap 1 under a second label
+@pytest.mark.parametrize("variants", ["cap1,bogus", "cap1,cap0", "cap1,capx", "cap1,cap01",
+                                      "cap1,cap\u0661", "cap1,cap+1", "cap1, cap2"])
+def test_ablate_checks_every_variant_before_evaluating(lp_dataset, tmp_path, monkeypatch,
+                                                       capsys, variants):
+    root, _, _ = lp_dataset
+    calls = _spy_on_evaluations(monkeypatch)
     rc = main(["ablate", *_split_flags(root), "--checkpoint", str(root / "gt.bin"),
                "--task", "lp", "--variants", variants, "--out", str(tmp_path / "a")])
     assert rc == 1 and calls == [] and not (tmp_path / "a").exists()
+    assert f"unknown ablation variant {variants.split(',')[1]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variants", ["cap1,cap1", "uniform,cap1,uniform", "ratio,ratio"])
+def test_ablate_rejects_repeated_variants_before_reading_files(tmp_path, capsys, variants):
+    missing = tmp_path / "missing"  # no file is read: every path is missing
+    rc = main(["ablate", *_split_flags(missing), "--checkpoint", str(missing / "gt.bin"),
+               "--datasets", str(missing), "--checkpoints", str(missing / "gt.bin"),
+               "--variants", variants, "--out", str(tmp_path / "a")])
+    err = capsys.readouterr().err
+    assert rc == 2 and not (tmp_path / "a").exists()
+    assert "twice" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("task", ["lp", "tc"])
+def test_ablate_reports_equal_the_matching_eval_reports(lp_dataset, tc_dataset, tmp_path, task):
+    root, _, tables = lp_dataset if task == "lp" else tc_dataset
+    noise = np.random.default_rng(3).normal(0.0, 1.0, tables.entity.shape)
+    ckpt = tmp_path / "noisy.bin"  # exact planted tables would score every variant alike
+    save_checkpoint(replace(tables, entity=tables.entity + noise), ckpt)
+    common = [*_split_flags(root), "--task", task, "--checkpoint", str(ckpt), "--seed", "4"]
+    assert main(["ablate", *common, "--variants", "cap1,uniform,ratio,cap3",
+                 "--datasets", str(root), "--checkpoints", str(ckpt),
+                 "--out", str(tmp_path / "abl")]) == 0
+    metrics = {}
+    for label, flags in [("cap1", ["--cap", "1"]), ("uniform", ["--scheme", "uniform"]),
+                         (f"ratio_{root.name}", []), ("cap3", ["--cap", "3"])]:
+        assert main(["eval", *common, *flags, "--out", str(tmp_path / label)]) == 0
+        ablated = (tmp_path / "abl" / f"report_{label}.csv").read_text().splitlines()
+        alone = (tmp_path / label / "report.csv").read_text().splitlines()
+        metrics[label] = alone[1].split(",", 1)[1]  # all but the label
+        assert len(ablated) == len(alone) == 2 and ablated[0] == alone[0]
+        assert ablated[1].split(",", 1)[1] == metrics[label]
+        ablated = (tmp_path / "abl" / f"report_{label}.txt").read_text().splitlines()
+        alone = (tmp_path / label / "report.txt").read_text().splitlines()
+        assert ablated[1:] == alone[1:]  # all but the "== label (task) ==" line
+    assert len(set(metrics.values())) > 1  # the variants are told apart
 
 
 def test_ablate_ratio_over_dataset_family(tmp_path):
@@ -436,10 +483,7 @@ def test_ablate_ratio_rejects_repeated_dataset_names(lp_dataset, tmp_path, capsy
     dirs = [tmp_path / parent / "d" for parent in ("a", "b")]
     for d in dirs:
         shutil.copytree(root, d)
-    calls = []
-    real = evaluation.link_prediction
-    monkeypatch.setattr(evaluation, "link_prediction",
-                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    calls = _spy_on_evaluations(monkeypatch)
     out = tmp_path / "out"
     rc = main(["ablate", "--task", "lp", "--variants", "ratio",
                "--datasets", ",".join(map(str, dirs)),

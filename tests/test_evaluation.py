@@ -7,9 +7,9 @@ import pytest
 from invkge import evaluation
 from invkge.datasets import (BenchmarkSplits, generate_planted_splits,
                              generate_trainable_splits)
-from invkge.evaluation import (EvalReport, FilterIndex, Thresholds, ablate, embed_ookg,
-                               filtered_rank, format_report, link_prediction,
-                               triplet_classification, tune_thresholds, write_report_csv)
+from invkge.evaluation import (FilterIndex, Thresholds, embed_ookg, filtered_rank,
+                               format_report, link_prediction, triplet_classification,
+                               tune_thresholds, write_report_csv)
 from invkge.models import ROTATE, TRANSE, EmbeddingTables, init_tables, translation_distance
 from invkge.training import TrainConfig, train
 
@@ -459,6 +459,12 @@ def test_classification_dangling_predicts_negative():
     assert report.accuracy < 1.0
 
 
+def test_correlation_weights_without_query_relations_name_them(planted_lp):
+    splits, tables = planted_lp
+    with pytest.raises(ValueError, match="query relations"):
+        embed_ookg(tables, splits, "correlation", splits.ookg_entities, None)
+
+
 def _per_triplet_predictions(tables, splits, scheme, thresholds, neighbor_cap):
     """Per-triplet reference for triplet_classification: one distance call per test triplet."""
     ookg = set(splits.ookg_entities.tolist())
@@ -603,32 +609,6 @@ def test_inactive_cap_reproduces_full_run(planted_lp):
     assert capped.mrr == full.mrr
     assert capped.hits1 == full.hits1
     assert capped.hits10 == full.hits10
-
-
-def test_ablate_variants_and_labels(planted_lp):
-    splits, tables = planted_lp
-    results = ablate(tables, splits, ["cap1", "cap8", "uniform"], task="lp",
-                     scheme="degree", seed=0)
-    assert [name for name, _ in results] == ["cap1", "cap8", "uniform"]
-    for _, report in results:
-        assert isinstance(report, EvalReport)
-        assert report.task == "lp"
-
-
-def test_ablate_unknown_variant(planted_lp):
-    splits, tables = planted_lp
-    with pytest.raises(ValueError):
-        ablate(tables, splits, ["capx"], task="lp")
-    with pytest.raises(ValueError):
-        ablate(tables, splits, ["ratio"], task="lp")  # no ratio_runs given
-
-
-def test_ablate_ratio_runs():
-    a_splits, a_tables = generate_planted_splits(51, 150, 6, 420, 0.08, task="lp")
-    b_splits, b_tables = generate_planted_splits(53, 150, 6, 420, 0.15, task="lp")
-    results = ablate(a_tables, a_splits, ["ratio"], task="lp",
-                     ratio_runs=[("r08", a_tables, a_splits), ("r15", b_tables, b_splits)])
-    assert [name for name, _ in results] == ["ratio:r08", "ratio:r15"]
 
 
 def test_both_sides_ookg_estimated_independently():
