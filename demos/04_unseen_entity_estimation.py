@@ -57,7 +57,7 @@ h, t = (vec, source_vec) if cset.as_head[0] else (source_vec, vec)
 resid = translation_distance(tables.model, tables.norm_order, h, tables.relation_vec(rel), t)
 print(f"residual of the generating triplet at the candidate: {resid}")
 
-# every unseen entity at once: one gather of candidates, one reduction per segment
+# every unseen entity at once: candidate rows composed block by block inside one reduction
 everyone = estimate_candidates(tables, aux_store, splits.ookg_entities, splits.ikg_entities)
 reduced = reduce_candidates(everyone, candidate_weights("degree", everyone,
                                                         train_store=train_store))

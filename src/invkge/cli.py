@@ -303,7 +303,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         if variants.count(variant) > 1:
             raise UsageError(f"--variants names {variant!r} twice; it would run twice")
 
-    # one run per report: (label, tables, splits, scheme, cap); a None scheme is the task's default
+    # one run per report: (label, tables, splits, scheme, cap, thresholds); None scheme: the
+    # task's default, None thresholds: tuned by the run (the base runs share one tuning)
     ratio_runs = []
     if "ratio" in variants:
         if not cfg["datasets"] or not cfg["checkpoints"]:
@@ -321,7 +322,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         for name, directory, ckpt in zip(names, dataset_dirs, checkpoint_paths):
             member = load_split_dir(directory, task=cfg["task"])
             ratio_runs.append((f"ratio:{name}", _load_tables(ckpt, member), member,
-                               cfg["scheme"], None))
+                               cfg["scheme"], None, None))
 
     non_ratio = [v for v in variants if v != "ratio"]
     tables = None
@@ -334,16 +335,17 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         _check_vocab(cfg, splits)
         tables = _load_tables(cfg["checkpoint"], splits)
 
+    thresholds = (tune_thresholds(tables, splits.valid, splits.valid_labels)
+                  if non_ratio and cfg["task"] != "lp" else None)
     runs = []
     for variant in variants:
         if variant == "ratio":
             runs += ratio_runs
         elif variant == UNIFORM:
-            runs.append((variant, tables, splits, UNIFORM, None))
+            runs.append((variant, tables, splits, UNIFORM, None, thresholds))
         else:
-            runs.append((variant, tables, splits, cfg["scheme"], int(variant[3:])))
-    results = [(label, _evaluate(cfg, run_tables, run_splits, scheme, cap))
-               for label, run_tables, run_splits, scheme, cap in runs]
+            runs.append((variant, tables, splits, cfg["scheme"], int(variant[3:]), thresholds))
+    results = [(label, _evaluate(cfg, *run)) for label, *run in runs]
 
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)

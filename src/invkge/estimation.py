@@ -1,11 +1,11 @@
 """Closed-form candidate embeddings for out-of-knowledge-graph entities.
 
-Each auxiliary neighbor of an OOKG entity yields one candidate by inverting
-the translational assumption of the pretrained model. With the entity as
-head of (e, r, t): e = t - r for TransE and e = t o r^{-1} for RotatE; as
-tail of (h, r, e): e = h + r and e = h o r. RotatE inversion negates the
-relation phases (complex conjugation), which is exact for unit-modulus
-rotations and never divides.
+Each auxiliary neighbor of an OOKG entity yields one candidate by inverting the translational
+assumption of the pretrained model. With the entity as head of (e, r, t): e = t - r for TransE
+and e = t o r^{-1} for RotatE; as tail of (h, r, e): e = h + r and e = h o r. RotatE inversion
+negates the relation phases (complex conjugation), which is exact for unit-modulus rotations
+and never divides. A candidate set holds only which neighbor, relation and side yield each
+row: its ``vectors`` compose rows from the tables when sliced, so no candidate table is built.
 """
 
 from __future__ import annotations
@@ -23,6 +23,28 @@ from .seeding import substream
 logger = logging.getLogger(__name__)
 
 
+class CandidateRows:
+    """Candidate vectors, composed from the tables only for the rows they are sliced for.
+
+    Row j is ``combine(rel[side, relation], ent[source])`` in float64, with ``index[:, j]`` =
+    (source, relation, side), relation operand first: its bits are the same in any slice.
+    """
+
+    def __init__(self, tables: EmbeddingTables, index: np.ndarray):
+        rel, rotate = tables.relation_vec(np.arange(tables.num_relations)), tables.model == ROTATE
+        self.tables, self.index, self.ent = tables, index, tables.entity_matrix()
+        self.combine = np.multiply if rotate else np.add
+        self.rel = np.stack([rel, np.conj(rel) if rotate else -rel])
+        self.dtype, self.shape = self.rel.dtype, (index.shape[1], self.ent.shape[1])
+
+    def __getitem__(self, key) -> np.ndarray:
+        source, relation, side = self.index[:, key]
+        return self.combine(self.rel[side, relation], self.ent[source])
+
+    def take(self, rows: np.ndarray, axis: int = 0) -> CandidateRows:
+        return CandidateRows(self.tables, self.index[:, rows])
+
+
 @dataclass
 class CandidateSet:
     """Candidates of several entities, one row per usable auxiliary neighbor.
@@ -36,13 +58,13 @@ class CandidateSet:
 
     entities: np.ndarray
     offsets: np.ndarray
-    vectors: np.ndarray
+    vectors: CandidateRows | np.ndarray
     source_entity: np.ndarray
     source_relation: np.ndarray
     as_head: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.source_entity)
 
     @property
     def counts(self) -> np.ndarray:
@@ -54,7 +76,7 @@ class CandidateSet:
         ``counts[i]`` consecutive rows form the new segment of ``entities[segments[i]]``.
         """
         return CandidateSet(self.entities[segments], np.concatenate([[0], np.cumsum(counts)]),
-                            self.vectors[rows], self.source_entity[rows],
+                            self.vectors.take(rows, axis=0), self.source_entity[rows],
                             self.source_relation[rows], self.as_head[rows])
 
 
@@ -81,17 +103,10 @@ def estimate_candidates(tables: EmbeddingTables, aux_store: TripleStore,
         logger.warning("skipped %d aux neighbors of %d entities with out-of-graph endpoints",
                        np.count_nonzero(~usable), len(np.unique(segment[~usable])))
     other, relation, as_head = other[usable], relation[usable], as_head[usable]
-    source = tables.entity_matrix()[other]
-    side = as_head.astype(np.intp)  # picks the forward (entity is tail) or inverse table below
-    # float64 relations, so float32 source rows are promoted exactly, not the candidates rounded
-    rel = tables.relation_vec(np.arange(tables.num_relations))
-    if tables.model == ROTATE:
-        vectors = source * np.stack([rel, np.conj(rel)])[side, relation]
-    else:
-        vectors = source + np.stack([rel, -rel])[side, relation]
     keep = counts > 0
     return CandidateSet(entities[keep], np.concatenate([[0], np.cumsum(counts[keep])]),
-                        vectors, other, relation, as_head)
+                        CandidateRows(tables, np.stack([other, relation, as_head])),
+                        other, relation, as_head)
 
 
 def cap_neighbors(candidate_set: CandidateSet, k: int, seed: int) -> CandidateSet:

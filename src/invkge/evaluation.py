@@ -29,7 +29,7 @@ from .reduction import (CORRELATION, DEGREE, DEFAULT_SMOOTHING, build_correlatio
 
 logger = logging.getLogger(__name__)
 
-_RANK_BLOCK_BYTES = 256 * 1024  # entity-table bytes scored per block in filtered_rank
+_RANK_BLOCK_BYTES = 256 * 1024  # row bytes scored per block in filtered_rank and _triplet_distances
 
 
 class FilterIndex(TripleStore):
@@ -278,9 +278,7 @@ def tune_thresholds(tables: EmbeddingTables, valid: np.ndarray,
     if labels is None or len(labels) != len(valid):
         raise ValueError("labeled validation triplets required")
     data = np.asarray(valid, dtype=np.int64)
-    ent = tables.entity_matrix()
-    dists = translation_distance(tables.model, tables.norm_order, ent[data[:, 0]],
-                                 tables.relation_vec(data[:, 1]), ent[data[:, 2]])
+    dists = _triplet_distances(tables, data)
     y = np.asarray(labels) == 1
 
     per_relation: dict[int, float] = {}
@@ -289,6 +287,26 @@ def tune_thresholds(tables: EmbeddingTables, valid: np.ndarray,
         per_relation[int(rel)] = _best_threshold(dists[mask], y[mask])
     default = _best_threshold(dists, y)
     return Thresholds(per_relation, default)
+
+
+def _triplet_distances(tables: EmbeddingTables, triplets, estimated=None, estimates=None):
+    """Distances of (n, 3) id ``triplets``, widened to float64, in ``_RANK_BLOCK_BYTES`` blocks.
+
+    The ends set in the (n, 2) mask ``estimated`` take the rows of ``estimates``, in order.
+    """
+    rel = tables.relation_vec(np.arange(tables.num_relations))
+    if estimated is None:
+        estimated, estimates = np.zeros((len(triplets), 2), dtype=bool), rel[:0]
+    first = np.concatenate([[0], np.cumsum(np.count_nonzero(estimated, axis=1))])
+    step = max(1, _RANK_BLOCK_BYTES // (2 * rel.shape[1] * rel.itemsize))
+    dists = np.empty(len(triplets))
+    for lo in range(0, len(triplets), step):
+        hi = min(lo + step, len(triplets))
+        rows = tables.entity_matrix()[triplets[lo:hi, ::2]].astype(rel.dtype)  # head, tail
+        rows[estimated[lo:hi]] = estimates[first[lo]:first[hi]]
+        dists[lo:hi] = translation_distance(tables.model, tables.norm_order, rows[:, 0],
+                                            rel[triplets[lo:hi, 1]], rows[:, 1])
+    return dists
 
 
 def _best_threshold(dists: np.ndarray, positive: np.ndarray) -> float:
@@ -328,13 +346,10 @@ def triplet_classification(tables: EmbeddingTables, splits: BenchmarkSplits,
     vectors, found = embed_ookg(tables, splits, scheme, ends[is_ookg],
                                 np.broadcast_to(rel[:, None], ends.shape)[is_ookg],
                                 smoothing=smoothing, neighbor_cap=neighbor_cap, seed=seed)
-    rows = tables.entity_matrix()[ends].astype(vectors.dtype)  # float32 would round the estimates
-    rows[is_ookg] = vectors
     usable = np.ones(ends.shape, dtype=bool)
     usable[is_ookg] = found
     usable = usable.all(axis=1)  # a triplet with a dangling side is predicted negative
-    dists = translation_distance(tables.model, tables.norm_order, rows[:, 0],
-                                 tables.relation_vec(rel), rows[:, 1])
+    dists = _triplet_distances(tables, splits.test, is_ookg, vectors)
     cutoffs = np.array([thresholds.for_relation(r) for r in range(splits.vocab.num_relations)])
     predicted = np.where(usable & (dists <= cutoffs[rel]), 1, -1)
     correct = predicted == splits.test_labels

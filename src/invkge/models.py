@@ -47,10 +47,9 @@ class EmbeddingTables:
     return float32 tables, the checkpoint's dtype, and they stay float32; a
     loaded checkpoint's tables are writable views of a copy-on-write mapping
     of the file, not copies.
-    Estimation and evaluation widen to float64 where arithmetic would
-    otherwise round (``relation_vec``, the rows that OOKG estimates are
-    written into), so their results equal those of the tables' float64 copy
-    bit for bit. Float64 tables work unchanged.
+    Estimation and evaluation widen to float64 before arithmetic that would otherwise round
+    (``relation_vec``, candidate rows, rows scored for thresholds and classification), so
+    results equal those of the tables' float64 copy bit for bit. Float64 tables work unchanged.
     Only the ranking screen in ``evaluation.filtered_rank`` computes in
     float32; it casts each block the same way from either dtype, and its
     float64 re-check keeps the ranks exact.
@@ -83,11 +82,8 @@ class EmbeddingTables:
         float32 table gives its float64 copy's values, and a float32 entity row
         combined with the result is promoted exactly instead of rounded.
         """
-        if self.model == ROTATE:  # each distinct relation is realized once
-            distinct, inverse = np.unique(rid, return_inverse=True)
-            phases = self.relation[distinct].astype(np.float64, copy=False)
-            return np.exp(1j * phases)[inverse.reshape(np.shape(rid))]
-        return self.relation[rid].astype(np.float64, copy=False)
+        rel = self.relation[rid].astype(np.float64, copy=False)
+        return np.exp(1j * rel) if self.model == ROTATE else rel
 
     def copy(self) -> "EmbeddingTables":
         return EmbeddingTables(self.model, self.dim, self.norm_order,

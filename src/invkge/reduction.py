@@ -1,8 +1,8 @@
-"""Reduce a candidate set to one embedding by weighted average.
+"""Reduce a candidate set to one embedding per entity by weighted average, in blocks of rows.
 
-Three weighting schemes: correlation-based (query-aware, from relation
-co-occurrence conditionals), degree-based (favors candidates produced via
-well-connected training entities), and uniform (the ablation baseline).
+Three weighting schemes: correlation-based (query-aware, from relation co-occurrence
+conditionals), degree-based (favors candidates produced via well-connected training
+entities), and uniform (the ablation baseline).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ UNIFORM = "uniform"
 SCHEMES = (CORRELATION, DEGREE, UNIFORM)
 
 DEFAULT_SMOOTHING = 0.1
+_REDUCE_BLOCK_BYTES = 256 * 1024  # candidate-row bytes composed and summed per block
 
 
 def build_correlation(train_store: TripleStore) -> np.ndarray:
@@ -89,14 +90,25 @@ def candidate_weights(scheme: str, candidate_set: CandidateSet, *,
 
 
 def reduce_candidates(candidate_set: CandidateSet, weights: np.ndarray) -> np.ndarray:
-    """Weighted sum of each entity's candidate vectors, one row per segment (complex for RotatE)."""
+    """Weighted sum of each entity's candidate vectors, one row per segment (complex for RotatE).
+
+    Computed in blocks of the segments that start within one ``_REDUCE_BLOCK_BYTES`` of rows.
+    """
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (len(candidate_set),):
         raise ValueError(f"expected {len(candidate_set)} weights, got shape {w.shape}")
     starts = candidate_set.offsets[:-1]
-    if np.any(np.abs(np.add.reduceat(w, starts) - 1.0) > 1e-9):
-        raise ValueError("weights must sum to 1 per entity")
-    return np.add.reduceat(w[:, None] * candidate_set.vectors, starts, axis=0)
+    if not (np.isfinite(w).all() and np.all(np.abs(np.add.reduceat(w, starts) - 1.0) <= 1e-9)):
+        raise ValueError("weights must be finite and sum to 1 per entity")
+    vectors = candidate_set.vectors
+    out = np.empty((len(starts), vectors.shape[1]), np.result_type(w, vectors.dtype))
+    step = max(1, _REDUCE_BLOCK_BYTES // max(1, out.shape[1] * out.itemsize))
+    bounds = [*np.flatnonzero(np.diff(starts // step, prepend=-1)).tolist(), len(starts)]
+    for first, last in zip(bounds[:-1], bounds[1:]):
+        lo, hi = candidate_set.offsets[first], candidate_set.offsets[last]
+        block = np.multiply(w[lo:hi, None], vectors[lo:hi])  # a call: never elided, w first
+        out[first:last] = np.add.reduceat(block, starts[first:last] - lo, axis=0)
+    return out
 
 
 def save_correlation_csv(correlation: np.ndarray, vocab: Vocabulary,

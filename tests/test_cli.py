@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invkge import cli, models
+from invkge import cli, evaluation, models
 from invkge.cli import main
 from invkge.core import Vocabulary
 from invkge.datasets import (generate_planted_splits, generate_trainable_splits, load_split_dir,
@@ -456,6 +456,24 @@ def test_ablate_reports_equal_the_matching_eval_reports(lp_dataset, tc_dataset, 
         alone = (tmp_path / label / "report.txt").read_text().splitlines()
         assert ablated[1:] == alone[1:]  # all but the "== label (task) ==" line
     assert len(set(metrics.values())) > 1  # the variants are told apart
+
+
+def test_ablate_tc_tunes_thresholds_once_per_tables(tc_dataset, tmp_path, monkeypatch):
+    # the cap and uniform runs share the base tables' thresholds; each ratio member tunes its own
+    root, splits, _ = tc_dataset
+    member = tmp_path / "member"
+    shutil.copytree(root, member)
+    calls = []
+    real = evaluation.tune_thresholds
+    spy = lambda tables, valid, labels: calls.append(len(valid)) or real(tables, valid, labels)
+    monkeypatch.setattr(cli, "tune_thresholds", spy)
+    monkeypatch.setattr(evaluation, "tune_thresholds", spy)
+    assert main(["ablate", *_split_flags(root), "--task", "tc", "--checkpoint",
+                 str(root / "gt.bin"), "--variants", "cap1,ratio,cap8,uniform",
+                 "--datasets", f"{root},{member}",
+                 "--checkpoints", f"{root / 'gt.bin'},{member / 'gt.bin'}",
+                 "--out", str(tmp_path / "abl")]) == 0
+    assert calls == [len(splits.valid)] * 3
 
 
 def test_ablate_ratio_over_dataset_family(tmp_path):

@@ -282,7 +282,8 @@ def test_cap_draws_each_entity_from_its_own_substream():
 @pytest.mark.parametrize("model", [TRANSE, ROTATE])
 def test_candidates_equal_the_per_side_formula_bit_for_bit(model):
     # both sides and every relation; the reference gathers one relation row per
-    # candidate and picks the inverse or forward form per row
+    # candidate and picks the inverse or forward form per row, and multiplies with the
+    # relation operand first, as the candidates do at any size
     rng = np.random.default_rng(8)
     n_ent, n_rel = 40, 5
     tables = _init_float64(9, model, 12, n_ent, n_rel)
@@ -295,9 +296,33 @@ def test_candidates_equal_the_per_side_formula_bit_for_bit(model):
     side = cset.as_head[:, None]
     if model == ROTATE:
         rot = np.exp(1j * tables.relation)[cset.source_relation]
-        expected = source * np.where(side, np.conj(rot), rot)
+        expected = np.where(side, np.conj(rot), rot) * source
     else:
         rel = tables.relation[cset.source_relation]
         expected = source + np.where(side, -rel, rel)
     assert len(cset) == len(triplets) and cset.as_head.any() and not cset.as_head.all()
-    assert np.array_equal(cset.vectors, expected)
+    assert np.array_equal(cset.vectors[:], expected)
+
+
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+def test_an_estimate_alone_equals_its_row_in_a_large_batch(model):
+    # desk-shaped graph, d300 float32 tables: the batch's candidate rows pass NumPy's
+    # 256 KB temporary-elision threshold, so a product's operand order must not depend on size
+    from invkge.datasets import generate_trainable_splits
+    from invkge.evaluation import embed_ookg
+    splits, _ = generate_trainable_splits(1)
+    n_ent, n_rel = splits.vocab.num_entities, splits.vocab.num_relations
+    tables = init_tables(8, model, 300, n_ent, n_rel)
+    aux = TripleStore(splits.aux, num_entities=n_ent, num_relations=n_rel)
+    ookg = splits.ookg_entities
+    cset = estimate_candidates(tables, aux, ookg, splits.ikg_entities)
+    assert cset.vectors.shape[0] * 300 * cset.vectors.dtype.itemsize > 256 * 1024
+    batch, found = embed_ookg(tables, splits, "degree", ookg, None)
+    composed = cset.vectors[:]
+    assert found.any()
+    for i, entity in enumerate(ookg.tolist()):
+        alone, one_found = embed_ookg(tables, splits, "degree", [entity], None)
+        assert one_found[0] == found[i] and np.array_equal(alone[0], batch[i])
+    for i, entity in enumerate(cset.entities.tolist()):
+        rows = estimate_candidates(tables, aux, [entity], splits.ikg_entities).vectors[:]
+        assert np.array_equal(rows, composed[cset.offsets[i]:cset.offsets[i + 1]])

@@ -517,6 +517,46 @@ def test_batched_classification_matches_per_triplet_loop(model, norm):
                 assert single.accuracy == float(expected[i] == label)
 
 
+@pytest.mark.parametrize("norm", [1, 2])
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+def test_blocked_triplet_distances_equal_the_whole_array_formula(monkeypatch, model, norm):
+    # the distances behind threshold tuning and classification, in blocks of 1, 4 and all rows
+    rng = np.random.default_rng(29)
+    n, dim = 23, 6
+    tables = init_tables(5, model, dim, 40, 5, norm_order=norm)
+    triplets = rng.integers(0, [40, 5, 40], size=(n, 3))
+    ent, rel = tables.entity_matrix(), tables.relation_vec(triplets[:, 1])
+    estimated = rng.random((n, 2)) < 0.4
+    estimates = rng.normal(size=(np.count_nonzero(estimated), dim)).astype(rel.dtype)
+    if model == ROTATE:
+        estimates += 1j * rng.normal(size=estimates.shape)
+    rows = ent[triplets[:, [0, 2]]].astype(rel.dtype)
+    rows[estimated] = estimates
+    plain = translation_distance(model, norm, ent[triplets[:, 0]], rel, ent[triplets[:, 2]])
+    mixed = translation_distance(model, norm, rows[:, 0], rel, rows[:, 1])
+    for block_rows in (1, 4, n):
+        monkeypatch.setattr(evaluation, "_RANK_BLOCK_BYTES", block_rows * 2 * dim * rel.itemsize)
+        assert evaluation._triplet_distances(tables, triplets).tobytes() == plain.tobytes()
+        got = evaluation._triplet_distances(tables, triplets, estimated, estimates)
+        assert got.tobytes() == mixed.tobytes()
+
+
+@pytest.mark.parametrize("norm", [1, 2])
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+def test_classification_is_independent_of_the_block_sizes(monkeypatch, model, norm):
+    from invkge import reduction
+    splits, _ = generate_planted_splits(43, 150, 6, 420, 0.1, task="classification")
+    tables = init_tables(5, model, 8, splits.vocab.num_entities, splits.vocab.num_relations,
+                         norm_order=norm)
+    runs = [("degree", None), ("correlation", None), ("uniform", None), ("correlation", 2)]
+    whole = [triplet_classification(tables, splits, scheme, neighbor_cap=cap)
+             for scheme, cap in runs]
+    monkeypatch.setattr(evaluation, "_RANK_BLOCK_BYTES", 1)    # one triplet per block
+    monkeypatch.setattr(reduction, "_REDUCE_BLOCK_BYTES", 1)   # one segment per block
+    assert [triplet_classification(tables, splits, scheme, neighbor_cap=cap)
+            for scheme, cap in runs] == whole
+
+
 def test_lp_requires_positive_labels_only(planted_tc):
     splits, tables = planted_tc
     report = link_prediction(tables, splits, "uniform")

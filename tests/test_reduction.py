@@ -3,8 +3,10 @@ import logging
 import numpy as np
 import pytest
 
+from invkge import reduction
 from invkge.core import TripleStore
-from invkge.estimation import CandidateSet
+from invkge.estimation import CandidateSet, cap_neighbors, estimate_candidates
+from invkge.models import ROTATE, TRANSE, init_tables
 from invkge.reduction import (CORRELATION, DEGREE, UNIFORM, build_correlation,
                               candidate_weights, reduce_candidates, save_correlation_csv)
 
@@ -241,6 +243,50 @@ def test_reduce_validates_weights():
                        np.array([0, 0]), np.array([0, 0]), np.ones(2, dtype=bool))
     with pytest.raises(ValueError):
         reduce_candidates(two, np.array([0.5, 0.5]))        # each segment must sum to 1
+
+
+@pytest.mark.parametrize("weights", [[np.nan, np.nan], [0.5, np.nan], [np.inf, -np.inf],
+                                     [np.inf, 1.0]])
+def test_reduce_rejects_non_finite_weights(weights):
+    with pytest.raises(ValueError, match="finite"):
+        reduce_candidates(_cands([[1.0], [2.0]]), np.array(weights))
+
+
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+@pytest.mark.parametrize("cap", [None, 2])
+def test_blocked_reduction_equals_the_whole_array_formula(monkeypatch, model, cap):
+    # blocks of 3 rows: segments straddle the block bounds and some hold more than a block
+    rng = np.random.default_rng(17)
+    n_ent, n_rel, dim = 60, 4, 5
+    tables = init_tables(3, model, dim, n_ent, n_rel)
+    ookg = np.arange(12)
+    triplets = []
+    for e in ookg.tolist():
+        for _ in range(int(rng.integers(1, 9))):
+            other, rel = int(rng.integers(12, n_ent)), int(rng.integers(n_rel))
+            triplets.append((e, rel, other) if rng.random() < 0.5 else (other, rel, e))
+    aux = TripleStore(triplets, num_entities=n_ent, num_relations=n_rel)
+    train = TripleStore(rng.integers(0, [n_ent, n_rel, n_ent], size=(200, 3)),
+                        num_entities=n_ent, num_relations=n_rel)
+    cset = estimate_candidates(tables, aux, ookg, range(12, n_ent))
+    if cap is not None:
+        cset = cap_neighbors(cset, cap, seed=1)
+    width = 2 * dim if model == ROTATE else dim
+    monkeypatch.setattr(reduction, "_REDUCE_BLOCK_BYTES", 3 * width * 8)
+    assert cap is not None or cset.counts.max() > 3
+    whole = cset.vectors[:]
+    for scheme, kwargs in [(UNIFORM, {}), (DEGREE, {"train_store": train}),
+                           (CORRELATION, {"correlation": build_correlation(train),
+                                          "query_relation": rng.integers(n_rel, size=len(ookg))})]:
+        w = candidate_weights(scheme, cset, **kwargs)
+        expected = np.add.reduceat(w[:, None] * whole, cset.offsets[:-1], axis=0)
+        got = reduce_candidates(cset, w)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    for lo, hi in [(0, 1), (2, 7), (5, len(cset))]:
+        assert cset.vectors[lo:hi].tobytes() == whole[lo:hi].tobytes()
+    empty = estimate_candidates(tables, aux, [], range(12, n_ent))
+    got = reduce_candidates(empty, np.zeros(0))
+    assert got.shape == (0, dim) and got.dtype == whole.dtype
 
 
 def test_correlation_csv_dump(tmp_path):
