@@ -15,6 +15,7 @@ import numpy as np
 from invkge import (TripleStore, build_correlation, candidate_weights, cap_neighbors,
                     estimate_candidates, generate_planted_splits, reduce_candidates,
                     translation_distance)
+from invkge.estimation import candidate_vectors
 
 splits, tables = generate_planted_splits(seed=3, num_entities=240, num_relations=8,
                                          num_train=700, ookg_fraction=0.1)
@@ -31,7 +32,8 @@ print(f"unseen entity {vocab.entity_name(entity)} sits at {true_point} "
 
 cset = estimate_candidates(tables, aux_store, [entity], splits.ikg_entities)
 print(f"\n{len(cset)} candidates, one per auxiliary neighbor:")
-for vec, source, rel, as_head in zip(cset.vectors, cset.source_entity, cset.source_relation,
+vectors = candidate_vectors(tables, cset)  # the set holds indices; rows come from the tables
+for vec, source, rel, as_head in zip(vectors, cset.source_entity, cset.source_relation,
                                      cset.as_head):
     print(f"  via ({vocab.entity_name(source)}, {vocab.relation_name(rel)}) as "
           f"{'head' if as_head else 'tail'}: {vec}  train-degree={train_store.degrees[source]}")
@@ -42,7 +44,7 @@ for scheme, kwargs in [("uniform", {}),
                        ("correlation", {"correlation": correlation,
                                         "query_relation": cset.source_relation[0]})]:
     weights = candidate_weights(scheme, cset, **kwargs)
-    reduced = reduce_candidates(cset, weights)[0]
+    reduced = reduce_candidates(tables, cset, weights)[0]
     print(f"\n{scheme:11s} weights {np.round(weights, 3)} -> {reduced} "
           f"(error {np.abs(reduced - true_point).sum():.2e})")
 
@@ -51,16 +53,17 @@ print(f"\ncapped to 1 neighbor: candidate via "
       f"{vocab.entity_name(capped.source_entity[0])} only")
 
 # the candidate exactly inverts its generating triplet
-vec, source, rel = cset.vectors[0], cset.source_entity[0], cset.source_relation[0]
+vec, source, rel = vectors[0], cset.source_entity[0], cset.source_relation[0]
 source_vec = tables.entity_matrix()[source]
 h, t = (vec, source_vec) if cset.as_head[0] else (source_vec, vec)
 resid = translation_distance(tables.model, tables.norm_order, h, tables.relation_vec(rel), t)
 print(f"residual of the generating triplet at the candidate: {resid}")
 
-# every unseen entity at once: candidate rows composed block by block inside one reduction
+# every unseen entity at once: the reduction composes the candidate rows from the tables
+# block by block, so no candidate table is built
 everyone = estimate_candidates(tables, aux_store, splits.ookg_entities, splits.ikg_entities)
-reduced = reduce_candidates(everyone, candidate_weights("degree", everyone,
-                                                        train_store=train_store))
+reduced = reduce_candidates(tables, everyone, candidate_weights("degree", everyone,
+                                                                train_store=train_store))
 worst = np.abs(reduced - tables.entity[everyone.entities]).sum(axis=1).max()
 print(f"\nall {len(everyone.entities)} unseen entities from {len(everyone)} candidates "
       f"in one batch: worst error {worst:.2e}")

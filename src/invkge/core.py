@@ -125,7 +125,8 @@ class TripleStore:
         entities = np.asarray(entities, dtype=np.int64)
         starts = np.searchsorted(sorted_focal, entities, side="left")
         counts = np.searchsorted(sorted_focal, entities, side="right") - starts
-        rows = order[segment_rows(starts, counts)]
+        firsts = np.cumsum(counts) - counts  # where each entity's rows start in the output
+        rows = order[np.arange(counts.sum()) + np.repeat(starts - firsts, counts)]
         n = len(h)
         return (np.concatenate([t, h])[rows], np.concatenate([r, r])[rows], rows < n,
                 np.concatenate([[0], np.cumsum(counts)]))
@@ -140,9 +141,3 @@ class TripleStore:
 
     def __repr__(self) -> str:
         return f"TripleStore({len(self)} triplets, {self.num_entities} entities, {self.num_relations} relations)"
-
-
-def segment_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(starts[i], starts[i] + counts[i])`` over i."""
-    firsts = np.cumsum(counts) - counts  # where each run starts in the output
-    return np.arange(counts.sum()) + np.repeat(starts - firsts, counts)

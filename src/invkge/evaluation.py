@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TripleStore, segment_rows
+from .core import TripleStore
 from .datasets import BenchmarkSplits
 from .estimation import cap_neighbors, estimate_candidates
 from .models import ROTATE, EmbeddingTables, _write_csv, translation_distance
@@ -169,31 +169,31 @@ def embed_ookg(tables: EmbeddingTables, splits: BenchmarkSplits, scheme: str,
 
     Returns ``(vectors, found)``: row i embeds ``entities[i]``, and
     ``found[i]`` is False (the row is left zero) when the entity has no usable
-    aux neighbor. Each entity is estimated and capped once. Correlation
-    weights depend on the query relation, so they reduce each unique
-    (entity, relation) pair once; the other schemes reduce each entity once
-    and ignore ``relations``, which may then be None.
+    aux neighbor. Correlation weights depend on the query relation, so each
+    unique (entity, relation) pair is estimated, capped and reduced once, as
+    a segment of its own; the other schemes reduce each entity once and
+    ignore ``relations``, which may then be None.
     """
     if scheme == CORRELATION and relations is None:
         raise ValueError("correlation weights need the query relations of the entities")
     n_ent, n_rel = splits.vocab.num_entities, splits.vocab.num_relations
     aux_store = TripleStore(splits.aux, num_entities=n_ent, num_relations=n_rel)
-    train_store = TripleStore(splits.train, num_entities=n_ent, num_relations=n_rel)
+    train_store = (TripleStore(splits.train, num_entities=n_ent, num_relations=n_rel)
+                   if scheme in (CORRELATION, DEGREE) else None)  # uniform weights never read it
     correlation = build_correlation(train_store) if scheme == CORRELATION else None
     entities = np.asarray(entities, dtype=np.int64)
     query = np.asarray(relations, dtype=np.int64) if scheme == CORRELATION else np.zeros_like(entities)
     pairs, inverse = np.unique(np.stack([entities, query], axis=1), axis=0, return_inverse=True)
-    cset = estimate_candidates(tables, aux_store, np.unique(pairs[:, 0]), splits.ikg_entities)
+    cset = estimate_candidates(tables, aux_store, pairs[:, 0], splits.ikg_entities)
     if neighbor_cap is not None:
         cset = cap_neighbors(cset, neighbor_cap, seed)
-    found = np.isin(pairs[:, 0], cset.entities)
-    seg = np.searchsorted(cset.entities, pairs[found, 0])
-    counts = cset.counts[seg]
-    pair_set = cset.take(seg, segment_rows(cset.offsets[seg], counts), counts)
-    weights = candidate_weights(scheme, pair_set, correlation=correlation,
+    # a plain np.unique, as in tune_thresholds: on NumPy 2 it imports numpy.ma, a cost every
+    # estimate and eval command keeps alike until the benchmark can time its removal
+    found = np.isin(pairs[:, 0], np.unique(cset.entities))
+    weights = candidate_weights(scheme, cset, correlation=correlation,
                                 query_relation=pairs[found, 1], train_store=train_store,
                                 smoothing=smoothing)
-    reduced = reduce_candidates(pair_set, weights)
+    reduced = reduce_candidates(tables, cset, weights)
     vectors = np.zeros((len(pairs), reduced.shape[1]), dtype=reduced.dtype)
     vectors[found] = reduced
     inverse = inverse.reshape(-1)

@@ -48,8 +48,9 @@ class EmbeddingTables:
     loaded checkpoint's tables are writable views of a copy-on-write mapping
     of the file, not copies.
     Estimation and evaluation widen to float64 before arithmetic that would otherwise round
-    (``relation_vec``, candidate rows, rows scored for thresholds and classification), so
-    results equal those of the tables' float64 copy bit for bit. Float64 tables work unchanged.
+    (``relation_vec``, candidate rows composed onto its float64 operands, rows scored for
+    thresholds and classification), so results equal those of the tables' float64 copy bit
+    for bit. Float64 tables work unchanged.
     Only the ranking screen in ``evaluation.filtered_rank`` computes in
     float32; it casts each block the same way from either dtype, and its
     float64 re-check keeps the ranks exact.

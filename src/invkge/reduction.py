@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import TripleStore, Vocabulary
-from .estimation import CandidateSet
-from .models import _write_csv
+from .estimation import CandidateSet, _composer
+from .models import EmbeddingTables, _write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -61,14 +61,14 @@ def candidate_weights(scheme: str, candidate_set: CandidateSet, *,
 
     A segment whose raw weights are all zero falls back to uniform weights.
     """
+    if not (np.isfinite(smoothing) and smoothing > 0):  # checked whether or not it is read
+        raise ValueError(f"smoothing must be finite and positive, got {smoothing}")
     counts = candidate_set.counts
     if scheme == UNIFORM:
         raw = np.ones(len(candidate_set))
     elif scheme == DEGREE:
         if train_store is None:
             raise ValueError("degree weights need the training store")
-        if not (np.isfinite(smoothing) and smoothing > 0):
-            raise ValueError(f"smoothing must be finite and positive, got {smoothing}")
         raw = np.log(train_store.degrees[candidate_set.source_entity] + smoothing)
     elif scheme == CORRELATION:
         if correlation is None or query_relation is None:
@@ -89,10 +89,12 @@ def candidate_weights(scheme: str, candidate_set: CandidateSet, *,
     return raw / np.repeat(total, counts)
 
 
-def reduce_candidates(candidate_set: CandidateSet, weights: np.ndarray) -> np.ndarray:
+def reduce_candidates(tables: EmbeddingTables, candidate_set: CandidateSet,
+                      weights: np.ndarray) -> np.ndarray:
     """Weighted sum of each entity's candidate vectors, one row per segment (complex for RotatE).
 
-    Computed in blocks of the segments that start within one ``_REDUCE_BLOCK_BYTES`` of rows.
+    Computed in blocks of the segments that start within one ``_REDUCE_BLOCK_BYTES`` of rows;
+    each block's candidate rows are composed from ``tables`` only while it is summed.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (len(candidate_set),):
@@ -100,13 +102,15 @@ def reduce_candidates(candidate_set: CandidateSet, weights: np.ndarray) -> np.nd
     starts = candidate_set.offsets[:-1]
     if not (np.isfinite(w).all() and np.all(np.abs(np.add.reduceat(w, starts) - 1.0) <= 1e-9)):
         raise ValueError("weights must be finite and sum to 1 per entity")
-    vectors = candidate_set.vectors
-    out = np.empty((len(starts), vectors.shape[1]), np.result_type(w, vectors.dtype))
+    compose = _composer(tables)
+    empty = compose(candidate_set, slice(0, 0))  # no rows: the candidates' width and dtype
+    out = np.empty((len(starts), empty.shape[1]), np.result_type(w, empty))
     step = max(1, _REDUCE_BLOCK_BYTES // max(1, out.shape[1] * out.itemsize))
     bounds = [*np.flatnonzero(np.diff(starts // step, prepend=-1)).tolist(), len(starts)]
     for first, last in zip(bounds[:-1], bounds[1:]):
         lo, hi = candidate_set.offsets[first], candidate_set.offsets[last]
-        block = np.multiply(w[lo:hi, None], vectors[lo:hi])  # a call: never elided, w first
+        rows = compose(candidate_set, slice(lo, hi))
+        block = np.multiply(w[lo:hi, None], rows)  # a call: never elided, w first
         out[first:last] = np.add.reduceat(block, starts[first:last] - lo, axis=0)
     return out
 

@@ -15,7 +15,7 @@ import pytest
 from invkge.core import TripleStore
 from invkge.datasets import (generate_planted_splits, generate_trainable_splits,
                              load_split_dir)
-from invkge.estimation import CandidateSet, estimate_candidates
+from invkge.estimation import CandidateSet, candidate_vectors, estimate_candidates
 from invkge.evaluation import (FilterIndex, filtered_rank, link_prediction,
                                triplet_classification, tune_thresholds)
 from invkge.models import (ROTATE, TRANSE, EmbeddingTables, init_tables, translation_distance)
@@ -48,7 +48,8 @@ def test_criterion_1_estimator_optimality():
             as_head = bool(rng.random() < 0.5)
             trip = (0, rel, other) if as_head else (other, rel, 0)
             aux = TripleStore([trip], num_entities=n_ent, num_relations=3)
-            vec = estimate_candidates(tables, aux, [0], range(1, n_ent)).vectors[0]
+            cset = estimate_candidates(tables, aux, [0], range(1, n_ent))
+            vec = candidate_vectors(tables, cset)[0]
             source = tables.entity_matrix()[other]
             h, t = (vec, source) if as_head else (source, vec)
             resid = float(translation_distance(model, tables.norm_order, h,
@@ -252,9 +253,11 @@ def test_criterion_4_weight_contracts():
     counts = rng.integers(1, 12, size=n_sets)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     rows = int(offsets[-1])
-    cands = CandidateSet(np.arange(n_sets), offsets, rng.normal(size=(rows, dim)),
-                         rng.integers(30, size=rows), rng.integers(5, size=rows),
-                         np.ones(rows, dtype=bool))
+    # tail-side TransE candidates h + 0 of float64 tables: each row is its source, exactly
+    tables = EmbeddingTables(TRANSE, dim, 1, rng.normal(size=(30, dim)), np.zeros((5, dim)))
+    cands = CandidateSet(np.arange(n_sets), offsets, rng.integers(30, size=rows),
+                         rng.integers(5, size=rows), np.zeros(rows, dtype=bool))
+    vectors = tables.entity[cands.source_entity]
     worst_sum = 0.0
     worst_reduce = 0.0
     for scheme, kwargs in [("uniform", {}),
@@ -263,7 +266,7 @@ def test_criterion_4_weight_contracts():
                                             "query_relation": rng.integers(5, size=n_sets)})]:
         w = candidate_weights(scheme, cands, **kwargs)
         assert np.all(w >= 0.0)
-        out = reduce_candidates(cands, w)
+        out = reduce_candidates(tables, cands, w)
         assert out.shape == (n_sets, dim)
         for s in range(n_sets):
             seg = range(offsets[s], offsets[s + 1])
@@ -273,7 +276,7 @@ def test_criterion_4_weight_contracts():
             oracle = np.zeros(dim)
             for i in seg:
                 for k in range(dim):
-                    oracle[k] += w[i] * cands.vectors[i, k]
+                    oracle[k] += w[i] * vectors[i, k]
             err = float(np.max(np.abs(out[s] - oracle)))
             worst_reduce = max(worst_reduce, err)
             assert err <= 1e-12

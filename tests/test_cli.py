@@ -100,15 +100,32 @@ def test_failed_loss_write_keeps_the_old_file(lp_dataset, tmp_path, monkeypatch)
     ["pretrain", "--l2", "nan"], ["pretrain", "--l2", "inf"],
     ["pretrain", "--alpha", "nan"], ["pretrain", "--alpha", "inf"],
     ["eval", "--task", "tc", "--delta", "nan"], ["eval", "--task", "tc", "--delta", "inf"],
-    ["estimate", "--task", "tc", "--delta", "nan"]], ids=" ".join)
-def test_non_finite_hyper_parameters_exit_1_and_write_nothing(tc_dataset, tmp_path, capsys,
-                                                              argv):
-    root, _, _ = tc_dataset
+    ["estimate", "--task", "tc", "--delta", "nan"],
+    # smoothing is checked whether or not the scheme reads it
+    ["eval", "--task", "lp", "--delta", "nan"], ["eval", "--task", "lp", "--delta", "-5"],
+    ["eval", "--task", "tc", "--scheme", "uniform", "--delta", "0"],
+    ["estimate", "--task", "tc", "--scheme", "uniform", "--delta", "nan"],
+    ["ablate", "--task", "tc", "--variants", "uniform", "--delta", "nan"]], ids=" ".join)
+def test_non_finite_hyper_parameters_exit_1_and_write_nothing(lp_dataset, tc_dataset, tmp_path,
+                                                              capsys, argv):
+    root, _, _ = lp_dataset if "lp" in argv else tc_dataset
     out = tmp_path / "run"
     rest = (["--task", "tc", "--dim", "4", "--neg", "2", "--batch-size", "16", "--steps", "1"]
             if argv[0] == "pretrain" else ["--checkpoint", str(root / "gt.bin")])
     assert main([*argv, *_split_flags(root), *rest, "--out", str(out)]) == 1
     assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "eval"])
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_cap_below_one_exits_1_naming_it_and_writes_nothing(tc_dataset, tmp_path, capsys,
+                                                            command, cap):
+    root, _, _ = tc_dataset
+    out = tmp_path / "run"
+    assert main([command, *_split_flags(root), "--task", "tc", "--checkpoint",
+                 str(root / "gt.bin"), "--cap", cap, "--out", str(out)]) == 1
+    assert f"neighbor cap must be >= 1, got {cap}" in capsys.readouterr().err
     assert not out.exists()
 
 

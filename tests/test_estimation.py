@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from invkge.core import TripleStore
-from invkge.estimation import cap_neighbors, estimate_candidates
+from invkge.estimation import candidate_vectors, cap_neighbors, estimate_candidates
 from invkge.models import ROTATE, TRANSE, EmbeddingTables, init_tables, translation_distance
 from invkge.seeding import substream
 
@@ -35,7 +35,7 @@ def test_invtranse_head_case():
     cset = estimate_candidates(tables, aux, [0], ikg_entities=[1, 2])
     assert len(cset) == 1
     assert cset.entities.tolist() == [0] and cset.offsets.tolist() == [0, 1]
-    assert np.array_equal(cset.vectors[0], np.array([1.0, 2.0]))  # t - r
+    assert np.array_equal(candidate_vectors(tables, cset)[0], np.array([1.0, 2.0]))  # t - r
     assert cset.as_head[0]
     assert cset.source_entity[0] == 1
     assert cset.source_relation[0] == 0
@@ -45,7 +45,7 @@ def test_invtranse_tail_case():
     tables = _transe_fixture()
     aux = TripleStore([(2, 1, 0)], num_entities=3, num_relations=2)
     cset = estimate_candidates(tables, aux, [0], ikg_entities=[1, 2])
-    assert np.array_equal(cset.vectors[0], np.array([3.0, 1.0]))  # h + r
+    assert np.array_equal(candidate_vectors(tables, cset)[0], np.array([3.0, 1.0]))  # h + r
     assert not cset.as_head[0]
 
 
@@ -56,7 +56,7 @@ def test_invrotate_quarter_turn_inverse():
     tables = EmbeddingTables(ROTATE, 1, 1, entity, relation)
     aux = TripleStore([(0, 0, 1)], num_entities=2, num_relations=1)
     cset = estimate_candidates(tables, aux, [0], ikg_entities=[1])
-    assert np.allclose(cset.vectors[0], np.array([1.0 + 0.0j]), atol=1e-12)
+    assert np.allclose(candidate_vectors(tables, cset)[0], np.array([1.0 + 0.0j]), atol=1e-12)
 
 
 def test_invrotate_tail_case_applies_rotation():
@@ -65,7 +65,7 @@ def test_invrotate_tail_case_applies_rotation():
     aux = TripleStore([(2, 1, 0)], num_entities=5, num_relations=3)
     cset = estimate_candidates(tables, aux, [0], ikg_entities=[1, 2, 3, 4])
     expected = tables.entity_matrix()[2] * np.exp(1j * tables.relation[1])
-    assert np.allclose(cset.vectors[0], expected, atol=1e-15)
+    assert np.allclose(candidate_vectors(tables, cset)[0], expected, atol=1e-15)
 
 
 def test_candidates_follow_aux_store_order():
@@ -100,12 +100,15 @@ def test_skipped_neighbors_warn_once_per_call(caplog):
     # entities 0..4 each have one clean and one dirty neighbor (10 is out of graph)
     aux = TripleStore([t for e in range(5) for t in ((e, 0, 5 + e), (10, 1, e))],
                       num_entities=12, num_relations=2)
-    with caplog.at_level(logging.WARNING):
-        cset = estimate_candidates(tables, aux, range(5), ikg_entities=range(5, 10))
-    assert cset.counts.tolist() == [1] * 5
-    skipped = [r for r in caplog.records if "skipped" in r.getMessage()]
-    assert len(skipped) == 1
-    assert "skipped 5 aux neighbors of 5 entities" in skipped[0].getMessage()
+    # a repeated entity's dirty neighbors count once, as in a call without repeats
+    for entities in (range(5), [0, 1, 1, 2, 3, 3, 3, 4, 0]):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            cset = estimate_candidates(tables, aux, entities, ikg_entities=range(5, 10))
+        assert cset.counts.tolist() == [1] * len(entities)
+        skipped = [r for r in caplog.records if "skipped" in r.getMessage()]
+        assert len(skipped) == 1
+        assert "skipped 5 aux neighbors of 5 entities" in skipped[0].getMessage()
 
 
 @pytest.mark.parametrize("model", [TRANSE, ROTATE])
@@ -122,7 +125,7 @@ def test_candidates_zero_their_generating_triplet(model):
         trip = (e, rel, other) if as_head else (other, rel, e)
         aux = TripleStore([trip], num_entities=n_ent, num_relations=4)
         cset = estimate_candidates(tables, aux, [e], ikg_entities=range(1, n_ent))
-        vec = cset.vectors[0]
+        vec = candidate_vectors(tables, cset)[0]
         if as_head:
             assert _distance(tables, vec, rel, tables.entity_matrix()[other]) < 1e-6
         else:
@@ -134,7 +137,7 @@ def test_invrotate_preserves_source_moduli():
     aux = TripleStore([(0, 0, 1), (2, 1, 0)], num_entities=5, num_relations=3)
     cset = estimate_candidates(tables, aux, [0], ikg_entities=[1, 2, 3, 4])
     assert len(cset) == 2
-    for vec, source in zip(cset.vectors, cset.source_entity):
+    for vec, source in zip(candidate_vectors(tables, cset), cset.source_entity):
         source_mod = np.abs(tables.entity_matrix()[source])
         assert np.allclose(np.abs(vec), source_mod, atol=1e-12)
 
@@ -145,7 +148,7 @@ def test_invtranse_forward_reproduces_source_exactly():
     relation = np.array([[5.0, 7.0]])
     tables = EmbeddingTables(TRANSE, 2, 1, entity, relation)
     aux = TripleStore([(0, 0, 1)], num_entities=2, num_relations=1)
-    vec = estimate_candidates(tables, aux, [0], [1]).vectors[0]
+    vec = candidate_vectors(tables, estimate_candidates(tables, aux, [0], [1]))[0]
     assert np.array_equal(vec + relation[0], entity[1])
 
 
@@ -154,7 +157,7 @@ def test_any_other_vector_has_positive_residual(model):
     rng = np.random.default_rng(9)
     tables = init_tables(4, model, 5, 6, 2, margin=3.0)
     aux = TripleStore([(0, 1, 3)], num_entities=6, num_relations=2)
-    cand = estimate_candidates(tables, aux, [0], range(1, 6)).vectors[0]
+    cand = candidate_vectors(tables, estimate_candidates(tables, aux, [0], range(1, 6)))[0]
     for _ in range(20):
         if model == ROTATE:
             noise = rng.normal(size=5) + 1j * rng.normal(size=5)
@@ -243,6 +246,7 @@ def test_batched_candidates_match_scalar_oracle(model):
         expected = {int(e): _scalar_candidates(tables, triplets, int(e), set(ikg.tolist()))
                     for e in requested}
         assert cset.entities.tolist() == [int(e) for e in requested if expected[int(e)]]
+        composed = candidate_vectors(tables, cset)
         for i, e in enumerate(cset.entities.tolist()):
             seg = slice(cset.offsets[i], cset.offsets[i + 1])
             rows = expected[e]
@@ -251,9 +255,9 @@ def test_batched_candidates_match_scalar_oracle(model):
             assert cset.as_head[seg].tolist() == [row[3] for row in rows]
             vectors = np.array([row[0] for row in rows])
             if model == TRANSE:
-                assert np.array_equal(cset.vectors[seg], vectors)
+                assert np.array_equal(composed[seg], vectors)
             else:  # a complex product may round differently inside and outside SIMD loops
-                assert np.allclose(cset.vectors[seg], vectors, rtol=0.0, atol=1e-15)
+                assert np.allclose(composed[seg], vectors, rtol=0.0, atol=1e-15)
 
 
 def test_cap_draws_each_entity_from_its_own_substream():
@@ -301,7 +305,7 @@ def test_candidates_equal_the_per_side_formula_bit_for_bit(model):
         rel = tables.relation[cset.source_relation]
         expected = source + np.where(side, -rel, rel)
     assert len(cset) == len(triplets) and cset.as_head.any() and not cset.as_head.all()
-    assert np.array_equal(cset.vectors[:], expected)
+    assert np.array_equal(candidate_vectors(tables, cset), expected)
 
 
 @pytest.mark.parametrize("model", [TRANSE, ROTATE])
@@ -316,13 +320,14 @@ def test_an_estimate_alone_equals_its_row_in_a_large_batch(model):
     aux = TripleStore(splits.aux, num_entities=n_ent, num_relations=n_rel)
     ookg = splits.ookg_entities
     cset = estimate_candidates(tables, aux, ookg, splits.ikg_entities)
-    assert cset.vectors.shape[0] * 300 * cset.vectors.dtype.itemsize > 256 * 1024
+    composed = candidate_vectors(tables, cset)
+    assert composed.shape[0] * 300 * composed.dtype.itemsize > 256 * 1024
     batch, found = embed_ookg(tables, splits, "degree", ookg, None)
-    composed = cset.vectors[:]
     assert found.any()
     for i, entity in enumerate(ookg.tolist()):
         alone, one_found = embed_ookg(tables, splits, "degree", [entity], None)
         assert one_found[0] == found[i] and np.array_equal(alone[0], batch[i])
     for i, entity in enumerate(cset.entities.tolist()):
-        rows = estimate_candidates(tables, aux, [entity], splits.ikg_entities).vectors[:]
+        alone = estimate_candidates(tables, aux, [entity], splits.ikg_entities)
+        rows = candidate_vectors(tables, alone)
         assert np.array_equal(rows, composed[cset.offsets[i]:cset.offsets[i + 1]])

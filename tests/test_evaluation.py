@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from invkge import evaluation
+from invkge.core import TripleStore
 from invkge.datasets import (BenchmarkSplits, generate_planted_splits,
                              generate_trainable_splits)
+from invkge.estimation import cap_neighbors, estimate_candidates
 from invkge.evaluation import (FilterIndex, Thresholds, embed_ookg, filtered_rank,
                                format_report, link_prediction, triplet_classification,
                                tune_thresholds, write_report_csv)
 from invkge.models import ROTATE, TRANSE, EmbeddingTables, init_tables, translation_distance
+from invkge.reduction import reduce_candidates
 from invkge.training import TrainConfig, train
 
 
@@ -463,6 +466,70 @@ def test_correlation_weights_without_query_relations_name_them(planted_lp):
     splits, tables = planted_lp
     with pytest.raises(ValueError, match="query relations"):
         embed_ookg(tables, splits, "correlation", splits.ookg_entities, None)
+
+
+@pytest.mark.parametrize("scheme, stores", [("uniform", 1), ("degree", 2), ("correlation", 2)])
+def test_only_weights_that_read_the_training_store_build_it(monkeypatch, planted_lp, scheme,
+                                                            stores):
+    splits, tables = planted_lp
+    built = []
+
+    class Spy(evaluation.TripleStore):
+        def __init__(self, triplets, *args, **kwargs):
+            built.append(np.asarray(triplets))
+            super().__init__(triplets, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "TripleStore", Spy)
+    entities = splits.ookg_entities
+    embed_ookg(tables, splits, scheme, entities, np.zeros_like(entities))
+    assert len(built) == stores and np.array_equal(built[0], splits.aux)
+
+
+@pytest.mark.parametrize("model", [TRANSE, ROTATE])
+def test_repeated_entities_embed_as_in_per_entity_calls_bit_for_bit(model):
+    splits, _ = generate_planted_splits(43, 150, 6, 420, 0.1, task="lp")
+    victim = int(splits.ookg_entities[0])  # made dangling: its aux edges are dropped
+    splits = replace(splits, aux=splits.aux[~_touching(splits.aux, victim)])
+    tables = init_tables(5, model, 8, splits.vocab.num_entities, splits.vocab.num_relations)
+    rng = np.random.default_rng(3)
+    entities = rng.choice(splits.ookg_entities[:6], size=30)
+    relations = rng.integers(splits.vocab.num_relations, size=30)
+    assert victim in entities
+    for scheme, cap in product(("correlation", "degree", "uniform"), (None, 1, 2)):
+        options = dict(neighbor_cap=cap, seed=4)
+        vectors, found = embed_ookg(tables, splits, scheme, entities, relations, **options)
+        assert not found.all() and found.any()
+        for i, (entity, relation) in enumerate(zip(entities, relations)):
+            alone, one = embed_ookg(tables, splits, scheme, [entity], [relation], **options)
+            assert one[0] == found[i] and alone[0].tobytes() == vectors[i].tobytes()
+
+
+def test_a_capped_entity_reduces_the_same_subset_for_every_query_relation(monkeypatch,
+                                                                         planted_lp):
+    splits, tables = planted_lp
+    n_rel = splits.vocab.num_relations
+    aux = TripleStore(splits.aux, num_entities=splits.vocab.num_entities, num_relations=n_rel)
+    full = estimate_candidates(tables, aux, splits.ookg_entities, splits.ikg_entities)
+    busy = full.entities[full.counts > 2][:2]
+    assert len(busy) == 2
+    sets = []
+
+    def spy(tables, cset, weights):
+        sets.append(cset)
+        return reduce_candidates(tables, cset, weights)
+
+    monkeypatch.setattr(evaluation, "reduce_candidates", spy)
+    entities = np.repeat(busy, n_rel)
+    vectors, found = embed_ookg(tables, splits, "correlation", entities,
+                                np.tile(np.arange(n_rel), 2), neighbor_cap=2, seed=9)
+    (cset,) = sets
+    assert found.all() and cset.entities.tolist() == entities.tolist()
+    for i, entity in enumerate(entities.tolist()):
+        alone = cap_neighbors(estimate_candidates(tables, aux, [entity], splits.ikg_entities),
+                              2, seed=9)
+        rows = slice(cset.offsets[i], cset.offsets[i + 1])
+        for field in ("source_entity", "source_relation", "as_head"):
+            assert getattr(cset, field)[rows].tolist() == getattr(alone, field).tolist()
 
 
 def _per_triplet_predictions(tables, splits, scheme, thresholds, neighbor_cap):

@@ -5,19 +5,31 @@ import pytest
 
 from invkge import reduction
 from invkge.core import TripleStore
-from invkge.estimation import CandidateSet, cap_neighbors, estimate_candidates
-from invkge.models import ROTATE, TRANSE, init_tables
+from invkge.estimation import (CandidateSet, _composer, candidate_vectors, cap_neighbors,
+                               estimate_candidates)
+from invkge.models import ROTATE, TRANSE, EmbeddingTables, init_tables
 from invkge.reduction import (CORRELATION, DEGREE, UNIFORM, build_correlation,
                               candidate_weights, reduce_candidates, save_correlation_csv)
 
 
 def _cands(vectors, sources=None, relations=None):
-    """One entity's candidate set (a single segment)."""
-    n = len(vectors)
+    """Float64 tables and one entity's candidate set (a single segment) of the given ``vectors``.
+
+    Candidate i is the tail-side ``h + r`` of TransE (``h∘r`` of RotatE for complex vectors)
+    with entity ``sources[i]`` holding ``vectors[i]`` and a zero relation (phase 0), which
+    composes exactly.
+    """
+    vectors = np.array(vectors, dtype=complex if np.iscomplexobj(vectors) else float)
+    n, dim = vectors.shape
     sources = sources or list(range(n))
     relations = relations or [0] * n
-    return CandidateSet(np.array([99]), np.array([0, n]), np.asarray(vectors),
-                        np.array(sources), np.array(relations), np.ones(n, dtype=bool))
+    entity = np.zeros((max(sources) + 1, dim), vectors.dtype)
+    entity[sources] = vectors
+    model = ROTATE if np.iscomplexobj(vectors) else TRANSE
+    tables = EmbeddingTables(model, dim, 1, entity.view(np.float64),
+                             np.zeros((max(relations) + 1, dim)))
+    return tables, CandidateSet(np.array([99]), np.array([0, n]), np.array(sources),
+                                np.array(relations), np.zeros(n, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +102,15 @@ def test_correlation_matches_brute_force_on_random_graphs():
 # ---------------------------------------------------------------------------
 
 def test_uniform_weights():
-    w = candidate_weights(UNIFORM, _cands([[1, 0], [0, 1], [2, 2], [3, 3]]))
+    _, cset = _cands([[1, 0], [0, 1], [2, 2], [3, 3]])
+    w = candidate_weights(UNIFORM, cset)
     assert np.array_equal(w, np.full(4, 0.25))
 
 
 def test_degree_weights_hand_arithmetic():
     # degrees: entity 0 -> 1, entity 1 -> 2; delta = 0.1
     store = TripleStore([(0, 0, 1), (2, 0, 1)], num_entities=3, num_relations=1)
-    cset = _cands([[1.0], [2.0]], sources=[0, 1])
+    _, cset = _cands([[1.0], [2.0]], sources=[0, 1])
     w = candidate_weights(DEGREE, cset, train_store=store, smoothing=0.1)
     raw = np.array([np.log(1.1), np.log(2.1)])
     assert np.allclose(w, raw / raw.sum(), atol=1e-15)
@@ -106,14 +119,14 @@ def test_degree_weights_hand_arithmetic():
 def test_degree_weights_reject_bad_smoothing():
     store = TripleStore([(0, 0, 1)], num_entities=2, num_relations=1)
     with pytest.raises(ValueError):
-        candidate_weights(DEGREE, _cands([[1.0]]), train_store=store, smoothing=0.0)
+        candidate_weights(DEGREE, _cands([[1.0]])[1], train_store=store, smoothing=0.0)
 
 
 def test_correlation_weights_all_mass_on_correlated_candidate():
     p = np.zeros((3, 3))
     p[1, 2] = 0.4
     p[2, 1] = 0.6  # sum 1.0 for candidate with relation 2 under query 1
-    cset = _cands([[1.0], [5.0]], relations=[2, 0])
+    _, cset = _cands([[1.0], [5.0]], relations=[2, 0])
     w = candidate_weights(CORRELATION, cset, correlation=p, query_relation=1)
     assert np.array_equal(w, np.array([1.0, 0.0]))
 
@@ -121,14 +134,14 @@ def test_correlation_weights_all_mass_on_correlated_candidate():
 def test_correlation_weights_formula():
     rng = np.random.default_rng(0)
     p = rng.uniform(0, 1, (4, 4))
-    cset = _cands([[1.0], [2.0], [3.0]], relations=[0, 2, 3])
+    _, cset = _cands([[1.0], [2.0], [3.0]], relations=[0, 2, 3])
     w = candidate_weights(CORRELATION, cset, correlation=p, query_relation=1)
     raw = np.array([p[1, 0] + p[0, 1], p[1, 2] + p[2, 1], p[1, 3] + p[3, 1]])
     assert np.allclose(w, raw / raw.sum(), atol=1e-15)
 
 
 def test_degenerate_weights_fall_back_to_uniform(caplog):
-    cset = _cands([[1.0], [2.0]], relations=[0, 0])
+    _, cset = _cands([[1.0], [2.0]], relations=[0, 0])
     with caplog.at_level(logging.WARNING):
         w = candidate_weights(CORRELATION, cset, correlation=np.zeros((2, 2)), query_relation=1)
     assert np.array_equal(w, np.array([0.5, 0.5]))
@@ -138,7 +151,7 @@ def test_degenerate_weights_fall_back_to_uniform(caplog):
 def test_weights_dispatcher():
     store = TripleStore([(0, 0, 1)], num_entities=2, num_relations=1)
     corr = build_correlation(store)
-    cset = _cands([[1.0], [2.0]], sources=[0, 1], relations=[0, 0])
+    _, cset = _cands([[1.0], [2.0]], sources=[0, 1], relations=[0, 0])
     for scheme, kwargs in [(UNIFORM, {}),
                            (DEGREE, {"train_store": store}),
                            (CORRELATION, {"correlation": corr, "query_relation": 0})]:
@@ -161,9 +174,9 @@ def test_weight_properties_random_candidate_sets():
     corr = build_correlation(store)
     for _ in range(50):
         n = int(rng.integers(1, 10))
-        cset = _cands(rng.normal(size=(n, 3)).tolist(),
-                      sources=[int(rng.integers(20)) for _ in range(n)],
-                      relations=[int(rng.integers(4)) for _ in range(n)])
+        _, cset = _cands(rng.normal(size=(n, 3)).tolist(),
+                         sources=[int(rng.integers(20)) for _ in range(n)],
+                         relations=[int(rng.integers(4)) for _ in range(n)])
         for scheme, kwargs in [(UNIFORM, {}),
                                (DEGREE, {"train_store": store}),
                                (CORRELATION, {"correlation": corr,
@@ -178,10 +191,10 @@ def test_degree_weights_permutation_invariant():
     triplets = [(int(rng.integers(10)), 0, int(rng.integers(10))) for _ in range(40)]
     store = TripleStore(triplets, num_entities=10, num_relations=1)
     sources = [1, 4, 7, 2, 9]
-    cset = _cands([[float(i)] for i in range(5)], sources=sources)
+    _, cset = _cands([[float(i)] for i in range(5)], sources=sources)
     w = candidate_weights(DEGREE, cset, train_store=store)
     perm = [3, 0, 4, 1, 2]
-    permuted = _cands([[float(i)] for i in perm], sources=[sources[i] for i in perm])
+    _, permuted = _cands([[float(i)] for i in perm], sources=[sources[i] for i in perm])
     w_perm = candidate_weights(DEGREE, permuted, train_store=store)
     assert np.allclose(w_perm, w[perm], atol=1e-15)
 
@@ -191,13 +204,14 @@ def test_degree_weights_permutation_invariant():
 # ---------------------------------------------------------------------------
 
 def test_reduce_identity():
-    cset = _cands([[2.0, -1.0]])
-    assert np.array_equal(reduce_candidates(cset, np.array([1.0])), np.array([[2.0, -1.0]]))
+    tables, cset = _cands([[2.0, -1.0]])
+    assert np.array_equal(reduce_candidates(tables, cset, np.array([1.0])),
+                          np.array([[2.0, -1.0]]))
 
 
 def test_reduce_midpoint():
-    cset = _cands([[1.0, 0.0], [0.0, 1.0]])
-    out = reduce_candidates(cset, np.array([0.5, 0.5]))
+    tables, cset = _cands([[1.0, 0.0], [0.0, 1.0]])
+    out = reduce_candidates(tables, cset, np.array([0.5, 0.5]))
     assert np.array_equal(out, np.array([[0.5, 0.5]]))
 
 
@@ -208,7 +222,7 @@ def test_reduce_matches_scalar_loop_oracle():
         vectors = rng.normal(size=(n, d))
         w = rng.uniform(0.1, 1.0, size=n)
         w /= w.sum()
-        out = reduce_candidates(_cands(vectors.tolist()), w)[0]
+        out = reduce_candidates(*_cands(vectors.tolist()), w)[0]
         oracle = np.zeros(d)
         for i in range(n):
             for k in range(d):
@@ -218,7 +232,7 @@ def test_reduce_matches_scalar_loop_oracle():
 
 def test_reduce_complex_candidates():
     vecs = [np.array([1.0 + 1.0j, 0.0j]), np.array([0.0j, 2.0 - 2.0j])]
-    out = reduce_candidates(_cands(vecs), np.array([0.25, 0.75]))[0]
+    out = reduce_candidates(*_cands(vecs), np.array([0.25, 0.75]))[0]
     assert np.allclose(out, 0.25 * vecs[0] + 0.75 * vecs[1], atol=1e-15)
 
 
@@ -228,28 +242,28 @@ def test_reduce_output_in_convex_hull():
         n, d = int(rng.integers(1, 6)), 4
         vectors = rng.normal(size=(n, d))
         w = rng.dirichlet(np.ones(n))
-        out = reduce_candidates(_cands(vectors.tolist()), w)[0]
+        out = reduce_candidates(*_cands(vectors.tolist()), w)[0]
         assert np.all(out >= vectors.min(axis=0) - 1e-12)
         assert np.all(out <= vectors.max(axis=0) + 1e-12)
 
 
 def test_reduce_validates_weights():
-    cset = _cands([[1.0], [2.0]])
+    tables, cset = _cands([[1.0], [2.0]])
     with pytest.raises(ValueError):
-        reduce_candidates(cset, np.array([1.0]))            # count mismatch
+        reduce_candidates(tables, cset, np.array([1.0]))            # count mismatch
     with pytest.raises(ValueError):
-        reduce_candidates(cset, np.array([0.7, 0.7]))       # does not sum to 1
-    two = CandidateSet(np.array([5, 6]), np.array([0, 1, 2]), np.array([[1.0], [2.0]]),
-                       np.array([0, 0]), np.array([0, 0]), np.ones(2, dtype=bool))
+        reduce_candidates(tables, cset, np.array([0.7, 0.7]))       # does not sum to 1
+    two = CandidateSet(np.array([5, 6]), np.array([0, 1, 2]), cset.source_entity,
+                       cset.source_relation, cset.as_head)
     with pytest.raises(ValueError):
-        reduce_candidates(two, np.array([0.5, 0.5]))        # each segment must sum to 1
+        reduce_candidates(tables, two, np.array([0.5, 0.5]))        # each segment must sum to 1
 
 
 @pytest.mark.parametrize("weights", [[np.nan, np.nan], [0.5, np.nan], [np.inf, -np.inf],
                                      [np.inf, 1.0]])
 def test_reduce_rejects_non_finite_weights(weights):
     with pytest.raises(ValueError, match="finite"):
-        reduce_candidates(_cands([[1.0], [2.0]]), np.array(weights))
+        reduce_candidates(*_cands([[1.0], [2.0]]), np.array(weights))
 
 
 @pytest.mark.parametrize("model", [TRANSE, ROTATE])
@@ -274,18 +288,18 @@ def test_blocked_reduction_equals_the_whole_array_formula(monkeypatch, model, ca
     width = 2 * dim if model == ROTATE else dim
     monkeypatch.setattr(reduction, "_REDUCE_BLOCK_BYTES", 3 * width * 8)
     assert cap is not None or cset.counts.max() > 3
-    whole = cset.vectors[:]
+    whole = candidate_vectors(tables, cset)
     for scheme, kwargs in [(UNIFORM, {}), (DEGREE, {"train_store": train}),
                            (CORRELATION, {"correlation": build_correlation(train),
                                           "query_relation": rng.integers(n_rel, size=len(ookg))})]:
         w = candidate_weights(scheme, cset, **kwargs)
         expected = np.add.reduceat(w[:, None] * whole, cset.offsets[:-1], axis=0)
-        got = reduce_candidates(cset, w)
+        got = reduce_candidates(tables, cset, w)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
     for lo, hi in [(0, 1), (2, 7), (5, len(cset))]:
-        assert cset.vectors[lo:hi].tobytes() == whole[lo:hi].tobytes()
+        assert _composer(tables)(cset, slice(lo, hi)).tobytes() == whole[lo:hi].tobytes()
     empty = estimate_candidates(tables, aux, [], range(12, n_ent))
-    got = reduce_candidates(empty, np.zeros(0))
+    got = reduce_candidates(tables, empty, np.zeros(0))
     assert got.shape == (0, dim) and got.dtype == whole.dtype
 
 
