@@ -19,15 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import (BenchmarkSplits, DatasetFormatError, DatasetValidationError,
-                       load_split_dir, load_splits)
+from .datasets import BenchmarkSplits, _text_lines, load_split_dir, load_splits
 from .core import TripleStore
 from .evaluation import (EvalReport, Thresholds, embed_ookg, format_report, link_prediction,
                          triplet_classification, tune_thresholds, write_report_csv)
 from .models import (ROTATE, _write_atomically, _write_csv, load_checkpoint, load_vocabulary,
                      save_checkpoint, save_vocabulary)
-from .reduction import (CORRELATION, DEGREE, SCHEMES, UNIFORM, build_correlation,
-                        save_correlation_csv)
+from .reduction import (CORRELATION, DEFAULT_SMOOTHING, DEGREE, SCHEMES, UNIFORM,
+                        build_correlation, save_correlation_csv)
+from .seeding import _check_seed
 from .training import TrainConfig, TrainingDivergedError, train
 
 ENV_PREFIX = "INVKGE_"
@@ -47,6 +47,14 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# pretrain option -> TrainConfig field, in flag order; the option's default is the field's
+# (a dataclass default is its class attribute) and its cast the default's type
+_TRAIN_FIELDS = {"model": "model", "dim": "dim", "gamma": "margin", "alpha": "temperature",
+                 "neg": "num_negatives", "l2": "l2", "batch_size": "batch_size",
+                 "lr": "learning_rate", "steps": "steps", "norm": "norm_order",
+                 "log_every": "log_every", "filter_false_negatives": "filter_false_negatives"}
+_TRAIN_DEFAULTS = {option: getattr(TrainConfig, f) for option, f in _TRAIN_FIELDS.items()}
+
 # option name -> (cast, default); shared across resolution sources
 _COMMON = {
     "seed": (int, 0),
@@ -54,34 +62,18 @@ _COMMON = {
     "out": (str, _REQUIRED),
     "task": (str, "lp"),
 }
-_SPLIT_PATHS = {
-    "train": (str, _REQUIRED),
-    "valid": (str, _REQUIRED),
-    "aux": (str, _REQUIRED),
-    "test": (str, _REQUIRED),
-}
+_SPLIT_PATHS = dict.fromkeys(("train", "valid", "aux", "test"), (str, _REQUIRED))
 _SPECS: dict[str, dict] = {
     "pretrain": {
         **_COMMON, **_SPLIT_PATHS,
-        "model": (str, "transe"),
-        "dim": (int, 200),
-        "gamma": (float, 12.0),
-        "alpha": (float, 1.0),
-        "neg": (int, 64),
-        "l2": (float, 0.0),
-        "batch_size": (int, 1024),
-        "lr": (float, 1e-3),
-        "steps": (int, 10_000),
-        "norm": (int, 1),
-        "log_every": (int, 100),
-        "filter_false_negatives": (_parse_bool, False),
+        **{o: (_parse_bool if type(d) is bool else type(d), d) for o, d in _TRAIN_DEFAULTS.items()},
     },
     "estimate": {
         **_COMMON, **_SPLIT_PATHS,
         "checkpoint": (str, _REQUIRED),
         "vocab": (str, None),
         "scheme": (str, DEGREE),
-        "delta": (float, 0.1),
+        "delta": (float, DEFAULT_SMOOTHING),
         "cap": (int, None),
     },
     "eval": {
@@ -89,47 +81,39 @@ _SPECS: dict[str, dict] = {
         "checkpoint": (str, _REQUIRED),
         "vocab": (str, None),
         "scheme": (str, None),
-        "delta": (float, 0.1),
+        "delta": (float, DEFAULT_SMOOTHING),
         "cap": (int, None),
         "dump_correlation": (_parse_bool, False),
     },
     "ablate": {
-        **_COMMON,
-        "train": (str, None),
-        "valid": (str, None),
-        "aux": (str, None),
-        "test": (str, None),
+        **_COMMON, **dict.fromkeys(_SPLIT_PATHS, (str, None)),
         "checkpoint": (str, None),
         "vocab": (str, None),
         "scheme": (str, None),
-        "delta": (float, 0.1),
+        "delta": (float, DEFAULT_SMOOTHING),
         "variants": (str, _REQUIRED),
         "datasets": (str, None),
         "checkpoints": (str, None),
     },
-    "validate": {
-        **_SPLIT_PATHS,
-        "task": (str, "lp"),
-    },
+    "validate": {**_SPLIT_PATHS, "task": _COMMON["task"]},
 }
 
 
 def _read_config_file(path: str, command: str) -> dict[str, tuple[str, str]]:
     """``key -> (value, "file:line")`` of a key=value file, less the echoed command line."""
     values: dict[str, tuple[str, str]] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key == "command" and value == command:
-                continue
-            if key not in _SPECS[command]:
-                raise UsageError(f"{path}:{lineno}: {key}={value} is not an option of {command}")
-            values[key] = (value, f"{path}:{lineno}")
+    for lineno, line in enumerate(_text_lines(Path(path).read_bytes(), path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key == "command" and value == command:
+            continue
+        if key not in _SPECS[command]:
+            raise UsageError(f"{path}:{lineno}: {key}={value} is not an option of {command}")
+        values[key] = (value, f"{path}:{lineno}")
     return values
 
 
@@ -164,6 +148,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         raise UsageError("every command runs serially; --threads must be 1")
     if resolved.get("scheme") not in (None, *SCHEMES):
         raise UsageError(f"unknown scheme {resolved['scheme']!r}")
+    _check_seed(resolved.get("seed", 0))  # every command's seed, before any file is read
     return resolved
 
 
@@ -199,12 +184,7 @@ def _load_tables(path: str, splits: BenchmarkSplits):
 def cmd_pretrain(args: argparse.Namespace) -> int:
     cfg = _resolve("pretrain", args)
     splits = _load_benchmark(cfg)
-    config = TrainConfig(model=cfg["model"], dim=cfg["dim"], margin=cfg["gamma"],
-                         temperature=cfg["alpha"], num_negatives=cfg["neg"], l2=cfg["l2"],
-                         batch_size=cfg["batch_size"], learning_rate=cfg["lr"],
-                         steps=cfg["steps"], seed=cfg["seed"], norm_order=cfg["norm"],
-                         filter_false_negatives=cfg["filter_false_negatives"],
-                         log_every=cfg["log_every"])
+    config = TrainConfig(seed=cfg["seed"], **{f: cfg[o] for o, f in _TRAIN_FIELDS.items()})
     tables, trace = train(splits, config)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -328,7 +308,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     tables = None
     splits = None
     if non_ratio:
-        for key in ("train", "valid", "aux", "test", "checkpoint"):
+        for key in (*_SPLIT_PATHS, "checkpoint"):
             if not cfg[key]:
                 raise UsageError(f"variants {non_ratio} need --{key}")
         splits = _load_benchmark(cfg)
@@ -412,8 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DatasetFormatError, DatasetValidationError, TrainingDivergedError,
-            ValueError, OSError) as exc:
+    except (TrainingDivergedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

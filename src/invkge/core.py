@@ -1,4 +1,4 @@
-"""Vocabulary and the indexed triple store shared by every stage."""
+"""Vocabulary, the indexed triple store and the block budget shared by every stage."""
 
 from __future__ import annotations
 
@@ -6,6 +6,13 @@ from collections import defaultdict
 from itertools import count, islice
 
 import numpy as np
+
+_BLOCK_BYTES = 256 * 1024  # bytes of rows that a blocked loop works on per block
+
+
+def _block_rows(row_bytes: int, budget: int | None = None) -> int:
+    """How many rows of ``row_bytes`` fit in ``budget`` (default ``_BLOCK_BYTES``); at least one."""
+    return max(1, (_BLOCK_BYTES if budget is None else budget) // max(1, row_bytes))
 
 
 class Vocabulary:

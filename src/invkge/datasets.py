@@ -130,14 +130,18 @@ def _labeled(task: str) -> bool:
     return task != "lp"
 
 
-def _parse_file(path: str | Path, labeled: bool) -> tuple[list[str], list[str], list[str], list[int] | None]:
-    """Head, relation and tail columns of a UTF-8 split file (BOM dropped), and its labels if ``labeled``."""
-    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+def _text_lines(raw: bytes, path: str | Path) -> list[str]:
+    """Lines of UTF-8 ``raw``, split at LF, CRLF or CR; a bad byte's error names ``path`` and line."""
     try:
-        lines = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     except UnicodeDecodeError as exc:
         lineno = len((raw[:exc.start] + b"?").splitlines())  # the line holding the bad byte
         raise DatasetFormatError(f"{path}:{lineno}: byte 0x{raw[exc.start]:02x} is not UTF-8") from None
+
+
+def _parse_file(path: str | Path, labeled: bool) -> tuple[list[str], list[str], list[str], list[int] | None]:
+    """Head, relation and tail columns of a UTF-8 split file (BOM dropped), and its labels if ``labeled``."""
+    lines = _text_lines(Path(path).read_bytes().removeprefix(codecs.BOM_UTF8), path)
     width = 4 if labeled else 3
     rows = list(filter(None, lines))
     if set(map(str.count, rows, repeat("\t"))) <= {width - 1}:

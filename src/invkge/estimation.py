@@ -100,19 +100,21 @@ def cap_neighbors(candidate_set: CandidateSet, k: int, seed: int) -> CandidateSe
     """Uniform subset of at most k candidates per entity, without replacement.
 
     Entity e draws from its own ``substream(seed, "capping", e)``, so a cap
-    does not depend on which other entities are in the set, and every segment
-    of a repeated entity keeps the same subset. Original candidate order is
-    preserved; segments that already fit are unchanged.
+    does not depend on which other entities are in the set. It draws once, and
+    every segment of a repeated entity keeps that subset. Original candidate
+    order is preserved; segments that already fit are unchanged.
     """
     if k < 1:
         raise ValueError(f"neighbor cap must be >= 1, got {k}")
     counts = candidate_set.counts
     keep = np.ones(len(candidate_set), dtype=bool)
+    draws = {}  # (entity, segment length) -> kept positions
     for i in np.flatnonzero(counts > k):
-        start, n = candidate_set.offsets[i], int(counts[i])
-        rng = substream(seed, "capping", int(candidate_set.entities[i]))
+        start, n, e = candidate_set.offsets[i], int(counts[i]), int(candidate_set.entities[i])
+        if (e, n) not in draws:
+            draws[e, n] = substream(seed, "capping", e).choice(n, size=k, replace=False)
         keep[start:start + n] = False
-        keep[start + rng.choice(n, size=k, replace=False)] = True
+        keep[start + draws[e, n]] = True
     offsets = np.concatenate([[0], np.cumsum(np.minimum(counts, k))])
     return CandidateSet(candidate_set.entities, offsets, candidate_set.source_entity[keep],
                         candidate_set.source_relation[keep], candidate_set.as_head[keep])

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TripleStore
+from .core import TripleStore, _block_rows
 from .datasets import BenchmarkSplits
 from .estimation import cap_neighbors, estimate_candidates
 from .models import ROTATE, EmbeddingTables, _write_csv, translation_distance
@@ -28,8 +28,6 @@ from .reduction import (CORRELATION, DEGREE, DEFAULT_SMOOTHING, build_correlatio
                         candidate_weights, reduce_candidates)
 
 logger = logging.getLogger(__name__)
-
-_RANK_BLOCK_BYTES = 256 * 1024  # row bytes scored per block in filtered_rank and _triplet_distances
 
 
 class FilterIndex(TripleStore):
@@ -134,7 +132,7 @@ def filtered_rank(tables: EmbeddingTables, known_vec: np.ndarray, relation: int,
         h, t = (known, rows) if tail_missing else (rows, known)
         return translation_distance(tables.model, tables.norm_order, h, relation, t)
 
-    step = max(1, _RANK_BLOCK_BYTES // (ent.shape[1] * ent.itemsize))
+    step = _block_rows(ent.shape[1] * ent.itemsize)
     gt = distances(ent[answer:answer + 1], known_vec, rel)[0]
     keep = np.array(keep, dtype=bool)  # a copy: the caller's mask is left as it was
     keep[answer] = False  # the answer is counted below, not re-computed
@@ -290,7 +288,7 @@ def tune_thresholds(tables: EmbeddingTables, valid: np.ndarray,
 
 
 def _triplet_distances(tables: EmbeddingTables, triplets, estimated=None, estimates=None):
-    """Distances of (n, 3) id ``triplets``, widened to float64, in ``_RANK_BLOCK_BYTES`` blocks.
+    """Distances of (n, 3) id ``triplets``, widened to float64, in ``core._BLOCK_BYTES`` blocks.
 
     The ends set in the (n, 2) mask ``estimated`` take the rows of ``estimates``, in order.
     """
@@ -298,7 +296,7 @@ def _triplet_distances(tables: EmbeddingTables, triplets, estimated=None, estima
     if estimated is None:
         estimated, estimates = np.zeros((len(triplets), 2), dtype=bool), rel[:0]
     first = np.concatenate([[0], np.cumsum(np.count_nonzero(estimated, axis=1))])
-    step = max(1, _RANK_BLOCK_BYTES // (2 * rel.shape[1] * rel.itemsize))
+    step = _block_rows(2 * rel.shape[1] * rel.itemsize)
     dists = np.empty(len(triplets))
     for lo in range(0, len(triplets), step):
         hi = min(lo + step, len(triplets))

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Vocabulary
-from .seeding import substream
+from .core import Vocabulary, _block_rows
+from .seeding import _check_seed, substream
 
 TRANSE = "transe"
 ROTATE = "rotate"
@@ -31,8 +31,6 @@ MODELS = (TRANSE, ROTATE)
 _MAGIC = b"IKGE"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHBBIIIQ")  # magic, version, model, norm, dim, n_ent, n_rel, seed
-_CHECK_BLOCK_BYTES = 256 * 1024  # table bytes checked for finiteness per block in load_checkpoint
-_INIT_BLOCK_BYTES = 256 * 1024   # float64 bytes drawn per block in init_tables
 
 
 @dataclass
@@ -97,7 +95,7 @@ def init_tables(seed: int, model: str, dim: int, num_entities: int, num_relation
 
     Real parameters (and RotatE re/im parts) are drawn from
     [-margin/dim, margin/dim); RotatE phases from [-pi, pi). The draws are
-    float64, made in row blocks of about ``_INIT_BLOCK_BYTES`` and rounded
+    float64, made in row blocks of about ``core._BLOCK_BYTES`` and rounded
     into the float32 table block by block, so the tables equal one
     whole-array float64 draw from the same stream, rounded, without ever
     holding it.
@@ -119,7 +117,7 @@ def init_tables(seed: int, model: str, dim: int, num_entities: int, num_relation
 def _uniform_float32(rng: np.random.Generator, bound: float, shape: tuple[int, int]) -> np.ndarray:
     """``rng.uniform(-bound, bound, shape)`` rounded to float32, drawn in row blocks."""
     table = np.empty(shape, dtype=np.float32)
-    step = max(1, _INIT_BLOCK_BYTES // (8 * shape[1]))
+    step = _block_rows(8 * shape[1])
     for lo in range(0, shape[0], step):
         block = table[lo:lo + step]
         block[...] = rng.uniform(-bound, bound, size=block.shape)
@@ -149,8 +147,7 @@ def save_checkpoint(tables: EmbeddingTables, path: str | Path, seed: int = 0) ->
     The tables are written lazily, one at a time, through
     :func:`_write_atomically`, so ``path`` is never left half-written.
     """
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    _check_seed(seed)
     model_code = MODELS.index(tables.model)
     header = _HEADER.pack(_MAGIC, _VERSION, model_code, tables.norm_order, tables.dim,
                           tables.num_entities, tables.num_relations, seed)
@@ -201,7 +198,7 @@ def load_checkpoint(path: str | Path) -> tuple[EmbeddingTables, int]:
     and both tables are float32 views of the mapping, so loading copies
     neither. They are writable: a write lands in private pages of this
     process and never reaches the file. The finiteness check walks the
-    tables in blocks of about ``_CHECK_BLOCK_BYTES``, so it makes no
+    tables in blocks of about ``core._BLOCK_BYTES``, so it makes no
     table-sized temporary either.
 
     :func:`save_checkpoint` replaces a file by rename, so tables loaded
@@ -237,7 +234,7 @@ def load_checkpoint(path: str | Path) -> tuple[EmbeddingTables, int]:
     entity = entity.reshape(n_ent, ent_width)
     relation = relation.reshape(n_rel, dim)
     for table in (entity, relation):
-        step = max(1, _CHECK_BLOCK_BYTES // (table.shape[1] * table.itemsize))
+        step = _block_rows(table.shape[1] * table.itemsize)
         if not all(np.isfinite(table[lo:lo + step]).all() for lo in range(0, len(table), step)):
             raise ValueError(f"{path}: checkpoint contains non-finite values")
     return EmbeddingTables(model, dim, norm_order, entity, relation), seed
@@ -250,8 +247,11 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            payload = json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: not a JSON vocabulary: {exc}") from None
     for key in ("entities", "relations"):
         names = payload.get(key) if isinstance(payload, dict) else None
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TripleStore, Vocabulary
+from .core import TripleStore, Vocabulary, _block_rows
 from .estimation import CandidateSet, _composer
 from .models import EmbeddingTables, _write_csv
 
@@ -24,7 +24,6 @@ UNIFORM = "uniform"
 SCHEMES = (CORRELATION, DEGREE, UNIFORM)
 
 DEFAULT_SMOOTHING = 0.1
-_REDUCE_BLOCK_BYTES = 256 * 1024  # candidate-row bytes composed and summed per block
 
 
 def build_correlation(train_store: TripleStore) -> np.ndarray:
@@ -93,7 +92,7 @@ def reduce_candidates(tables: EmbeddingTables, candidate_set: CandidateSet,
                       weights: np.ndarray) -> np.ndarray:
     """Weighted sum of each entity's candidate vectors, one row per segment (complex for RotatE).
 
-    Computed in blocks of the segments that start within one ``_REDUCE_BLOCK_BYTES`` of rows;
+    Computed in blocks of the segments that start within one ``core._BLOCK_BYTES`` of rows;
     each block's candidate rows are composed from ``tables`` only while it is summed.
     """
     w = np.asarray(weights, dtype=np.float64)
@@ -105,7 +104,7 @@ def reduce_candidates(tables: EmbeddingTables, candidate_set: CandidateSet,
     compose = _composer(tables)
     empty = compose(candidate_set, slice(0, 0))  # no rows: the candidates' width and dtype
     out = np.empty((len(starts), empty.shape[1]), np.result_type(w, empty))
-    step = max(1, _REDUCE_BLOCK_BYTES // max(1, out.shape[1] * out.itemsize))
+    step = _block_rows(out.shape[1] * out.itemsize)
     bounds = [*np.flatnonzero(np.diff(starts // step, prepend=-1)).tolist(), len(starts)]
     for first, last in zip(bounds[:-1], bounds[1:]):
         lo, hi = candidate_set.offsets[first], candidate_set.offsets[last]

@@ -17,6 +17,12 @@ def _label_word(label: object) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
+def _check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` fits the 8-byte seed field of a checkpoint header."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def substream(seed: int, *labels: object) -> np.random.Generator:
     """Generator for the substream named by ``labels`` under master ``seed``.
 

@@ -35,14 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TripleStore
+from .core import TripleStore, _block_rows
 from .datasets import BenchmarkSplits
 from .models import MODELS, ROTATE, TRANSE, EmbeddingTables, init_tables
-from .seeding import substream
+from .seeding import _check_seed, substream
 
 logger = logging.getLogger(__name__)
 
-_ADAM_BLOCK_BYTES = 256 * 1024  # moment-row bytes updated per block in Adam.step
 _LOSS_BLOCK_BYTES = 1024 * 1024  # residual-row bytes per chunk of positives in _batch_loss_grads
 
 # Pretraining hyper-parameters used for the two benchmark families.
@@ -88,8 +87,7 @@ class TrainConfig:
             raise ValueError("steps/l2/temperature must be nonnegative, margin positive")
         if self.norm_order not in (1, 2):
             raise ValueError("norm_order must be 1 or 2")
-        if not 0 <= self.seed < 2 ** 64:  # the checkpoint header stores it in 8 bytes
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        _check_seed(self.seed)
         if self.log_every < 1:
             raise ValueError("log_every must be at least 1")
 
@@ -103,7 +101,7 @@ class Adam:
     the parameters bit-identical.
 
     A step walks each table's row ids in contiguous blocks of about
-    ``_ADAM_BLOCK_BYTES`` of moment rows: it gathers a block's ``m`` and
+    ``core._BLOCK_BYTES`` of moment rows: it gathers a block's ``m`` and
     ``v`` rows, updates them in place, scatters them back and updates the
     block's parameter rows. The arithmetic is elementwise and no two blocks
     share a row, so the result is bit-identical to one pass over all the
@@ -139,7 +137,7 @@ class Adam:
         bc2 = 1.0 - self.beta2 ** self.t
         for name, (ids, g) in grads.items():
             m_table, v_table, table = self.m[name], self.v[name], params[name]
-            rows = max(1, _ADAM_BLOCK_BYTES // (m_table.shape[1] * m_table.itemsize))
+            rows = _block_rows(m_table.shape[1] * m_table.itemsize)
             for lo in range(0, len(ids), rows):
                 block = ids[lo:lo + rows]
                 m, v = m_table[block], v_table[block]    # copies, updated in place
@@ -253,7 +251,7 @@ def _batch_loss_grads(tables: EmbeddingTables, pos: np.ndarray, neg_entity: np.n
     if not frozen:
         weights = np.empty((bsz, n))
     side_sums = np.empty((bsz, 2, tables.entity.shape[1]), dtype=real)
-    chunk = max(1, _LOSS_BLOCK_BYTES // ((n + 1) * ent.shape[1] * ent.itemsize))
+    chunk = _block_rows((n + 1) * ent.shape[1] * ent.itemsize, _LOSS_BLOCK_BYTES)
     for lo in range(0, bsz, chunk):
         part = slice(lo, lo + chunk)
         wc = w[part]

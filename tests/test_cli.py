@@ -3,7 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ from invkge.datasets import (generate_planted_splits, generate_trainable_splits,
 from invkge.evaluation import embed_ookg, filtered_rank
 from invkge.models import (MODELS, TRANSE, EmbeddingTables, init_tables, load_checkpoint,
                            save_checkpoint)
+from invkge.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +209,54 @@ def test_pretrain_seed_beyond_the_checkpoint_field_exits_1_and_writes_nothing(lp
     assert not out.exists()
     assert main(args + ["--seed", str(2 ** 64 - 1), "--out", str(out)]) == 0
     assert load_checkpoint(out / "checkpoint.bin")[1] == 2 ** 64 - 1
+
+
+def test_every_train_config_field_but_the_seed_has_one_pretrain_flag_with_its_default():
+    flags = cli._TRAIN_FIELDS
+    assert sorted(flags.values()) == sorted(f.name for f in fields(TrainConfig) if f.name != "seed")
+    spec = cli._SPECS["pretrain"]
+    for f in fields(TrainConfig):
+        if f.name != "seed":
+            flag = next(flag for flag, name in flags.items() if name == f.name)
+            cast, default = spec[flag]
+            assert default == f.default and type(default) is type(f.default)
+            assert cast is (cli._parse_bool if isinstance(f.default, bool) else type(f.default))
+
+
+def test_pretrain_flags_reach_their_train_config_fields(lp_dataset, tmp_path, monkeypatch):
+    root, _, _ = lp_dataset
+    configs = []
+
+    def no_training(splits, config):
+        configs.append(config)
+        raise ValueError("stop")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    assert main(["pretrain", *_split_flags(root), "--out", str(tmp_path / "a")]) == 1
+    assert configs.pop() == TrainConfig()
+    assert main(["pretrain", *_split_flags(root), "--model", "rotate", "--dim", "7",
+                 "--gamma", "3.5", "--alpha", "0.25", "--neg", "5", "--l2", "0.5",
+                 "--batch-size", "9", "--lr", "0.125", "--steps", "11", "--norm", "2",
+                 "--log-every", "3", "--filter-false-negatives", "--seed", "13",
+                 "--out", str(tmp_path / "b")]) == 1
+    assert configs.pop() == TrainConfig(model="rotate", dim=7, margin=3.5, temperature=0.25,
+                                        num_negatives=5, l2=0.5, batch_size=9,
+                                        learning_rate=0.125, steps=11, seed=13, norm_order=2,
+                                        filter_false_negatives=True, log_every=3)
+
+
+@pytest.mark.parametrize("command", ["estimate", "eval", "ablate"])
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_outside_the_checkpoint_field_exits_1_for_every_command(lp_dataset, tmp_path, capsys,
+                                                                   command, seed):
+    root, _, _ = lp_dataset
+    out = tmp_path / "run"
+    extra = ["--variants", "uniform"] if command == "ablate" else []
+    assert main([command, *_split_flags(root), "--checkpoint", str(root / "gt.bin"), *extra,
+                 "--seed", seed, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: seed must be in [0, 2**64), got {seed}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_pretrain_rotate_checkpoint_round_trip(lp_dataset, tmp_path):
@@ -663,6 +712,30 @@ def test_eval_rejects_malformed_vocabulary_sidecar(lp_dataset, tmp_path, capsys,
     err = capsys.readouterr().err
     assert rc == 1
     assert "vocab.json" in err and "list of strings" in err
+
+
+@pytest.mark.parametrize("payload, detail", [(b"not json", "Expecting value"),
+                                             (b'\xff{"entities": []}', "can't decode byte 0xff")],
+                         ids=["not-json", "not-utf8"])
+def test_undecodable_vocabulary_sidecar_exits_1_naming_it(lp_dataset, tmp_path, capsys, payload,
+                                                          detail):
+    root, _, _ = lp_dataset
+    (tmp_path / "vocab.json").write_bytes(payload)
+    rc = main(["eval", *_split_flags(root), "--checkpoint", str(root / "gt.bin"),
+               "--vocab", str(tmp_path / "vocab.json"), "--out", str(tmp_path / "w")])
+    err = capsys.readouterr().err
+    assert rc == 1 and "Traceback" not in err
+    assert f"error: {tmp_path / 'vocab.json'}: not a JSON vocabulary: " in err and detail in err
+    assert not (tmp_path / "w").exists()
+
+
+def test_undecodable_config_file_exits_1_naming_its_line(lp_dataset, tmp_path, capsys):
+    root, _, _ = lp_dataset
+    config = tmp_path / "config.txt"
+    config.write_bytes(b"command=validate\r\n# note\rtask=lp\ntask=\xfflp\n")
+    assert main(["validate", "--config", str(config), *_split_flags(root)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {config}:4: byte 0xff is not UTF-8" in err and "Traceback" not in err
 
 
 def test_config_file_rejects_unknown_keys(lp_dataset, tmp_path, capsys):

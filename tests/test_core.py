@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from invkge.core import TripleStore, Vocabulary
+from invkge import core
+from invkge.core import TripleStore, Vocabulary, _block_rows
 
 
 def test_empty_store():
@@ -142,3 +143,12 @@ def test_vocabulary_bulk_add_numbers_new_names_in_first_seen_order():
             lookup("zz")
     assert vocab.entity_names == ["b", "c", "a", "d", "e"] and vocab.entity_id("e") == 4
 
+
+
+def test_block_rows_fit_the_budget_and_take_at_least_one_row(monkeypatch):
+    assert _block_rows(1024) == 256  # the 256 KB budget
+    assert _block_rows(10 ** 9) == 1 and _block_rows(0) == core._BLOCK_BYTES
+    assert _block_rows(100, budget=1000) == 10 and _block_rows(100, budget=99) == 1
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 3 * 8)  # read when called
+    assert _block_rows(8) == 3 and _block_rows(9) == 2 and _block_rows(25) == 1
+    assert _block_rows(8, budget=80) == 10

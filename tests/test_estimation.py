@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from invkge import estimation
 from invkge.core import TripleStore
 from invkge.estimation import candidate_vectors, cap_neighbors, estimate_candidates
 from invkge.models import ROTATE, TRANSE, EmbeddingTables, init_tables, translation_distance
@@ -281,6 +282,32 @@ def test_cap_draws_each_entity_from_its_own_substream():
                 else:
                     idx = np.sort(substream(seed, "capping", e).choice(n, k, replace=False))
                     assert kept.tolist() == full[idx].tolist()
+
+
+def test_cap_draws_once_per_repeated_entity(monkeypatch):
+    # entities 0 and 1 are capped, 0 in three segments (as under per-query-relation
+    # segments), 1 in two; entity 2 fits the cap and draws nothing
+    tables = init_tables(2, TRANSE, 3, 20, 2)
+    triplets = [(0, i % 2, i) for i in range(3, 9)] + [(1, 0, i) for i in range(3, 7)] \
+        + [(2, 1, 3)]
+    aux = TripleStore(triplets, num_entities=20, num_relations=2)
+    cset = estimate_candidates(tables, aux, [0, 1, 0, 2, 1, 0], range(3, 20))
+    drawn = []
+
+    def counting_substream(seed, *labels):
+        drawn.append(labels)
+        return substream(seed, *labels)
+
+    monkeypatch.setattr(estimation, "substream", counting_substream)
+    capped = cap_neighbors(cset, 2, seed=4)
+    assert sorted(drawn) == [("capping", 0), ("capping", 1)]
+    for i, e in enumerate(cset.entities.tolist()):  # each segment keeps its entity's one draw
+        n = int(cset.counts[i])
+        full = cset.source_entity[cset.offsets[i]:cset.offsets[i + 1]]
+        kept = capped.source_entity[capped.offsets[i]:capped.offsets[i + 1]]
+        idx = np.sort(substream(4, "capping", e).choice(n, 2, replace=False)) if n > 2 \
+            else np.arange(n)
+        assert kept.tolist() == full[idx].tolist()
 
 
 @pytest.mark.parametrize("model", [TRANSE, ROTATE])

@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from invkge import evaluation
+from invkge import core, evaluation
 from invkge.core import TripleStore
 from invkge.datasets import (BenchmarkSplits, generate_planted_splits,
                              generate_trainable_splits)
@@ -147,7 +147,7 @@ def test_filtered_rank_matches_oracle_on_random_instances(monkeypatch):
                  bool(rng.random() < 0.5), answer)
         # one row per block, then blocks of 3 and 7 rows that leave a partial last block
         step = (1, 3, 7)[i % 3]
-        monkeypatch.setattr(evaluation, "_RANK_BLOCK_BYTES", step * ent.shape[1] * ent.itemsize)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", step * ent.shape[1] * ent.itemsize)
         in_last_partial_block += step > 1 and answer >= n - n % step
         keep = _keep(FilterIndex(filter_triplets), n, cids, query[0], query[2], query[3])
         got = filtered_rank(tables, *query[1:], keep)
@@ -163,7 +163,7 @@ def test_blocked_distances_equal_whole_table_call(monkeypatch, model, norm, tail
     rng = np.random.default_rng(23)
     dim = 5
     probe = init_tables(0, model, dim, 1, 1, norm_order=norm).entity_matrix()
-    step = evaluation._RANK_BLOCK_BYTES // (probe.shape[1] * probe.itemsize)
+    step = core._BLOCK_BYTES // (probe.shape[1] * probe.itemsize)
     low = np.complex64 if model == ROTATE else np.float32
     blocks = []
 
@@ -257,7 +257,7 @@ def test_screened_rank_equals_float64_whole_table_rank(monkeypatch, model, norm,
         tables, known = _screen_case(rng, model, norm, kind)
         ent = tables.entity_matrix()
         n = len(ent)
-        monkeypatch.setattr(evaluation, "_RANK_BLOCK_BYTES", step * ent.shape[1] * ent.itemsize)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", step * ent.shape[1] * ent.itemsize)
         filter_triplets = [(int(rng.integers(n)), int(rng.integers(2)),
                             int(rng.integers(n))) for _ in range(n // 3)]
         cids = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
@@ -602,7 +602,7 @@ def test_blocked_triplet_distances_equal_the_whole_array_formula(monkeypatch, mo
     plain = translation_distance(model, norm, ent[triplets[:, 0]], rel, ent[triplets[:, 2]])
     mixed = translation_distance(model, norm, rows[:, 0], rel, rows[:, 1])
     for block_rows in (1, 4, n):
-        monkeypatch.setattr(evaluation, "_RANK_BLOCK_BYTES", block_rows * 2 * dim * rel.itemsize)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", block_rows * 2 * dim * rel.itemsize)
         assert evaluation._triplet_distances(tables, triplets).tobytes() == plain.tobytes()
         got = evaluation._triplet_distances(tables, triplets, estimated, estimates)
         assert got.tobytes() == mixed.tobytes()
@@ -611,15 +611,13 @@ def test_blocked_triplet_distances_equal_the_whole_array_formula(monkeypatch, mo
 @pytest.mark.parametrize("norm", [1, 2])
 @pytest.mark.parametrize("model", [TRANSE, ROTATE])
 def test_classification_is_independent_of_the_block_sizes(monkeypatch, model, norm):
-    from invkge import reduction
     splits, _ = generate_planted_splits(43, 150, 6, 420, 0.1, task="classification")
     tables = init_tables(5, model, 8, splits.vocab.num_entities, splits.vocab.num_relations,
                          norm_order=norm)
     runs = [("degree", None), ("correlation", None), ("uniform", None), ("correlation", 2)]
     whole = [triplet_classification(tables, splits, scheme, neighbor_cap=cap)
              for scheme, cap in runs]
-    monkeypatch.setattr(evaluation, "_RANK_BLOCK_BYTES", 1)    # one triplet per block
-    monkeypatch.setattr(reduction, "_REDUCE_BLOCK_BYTES", 1)   # one segment per block
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1)  # one triplet, and one segment, per block
     assert [triplet_classification(tables, splits, scheme, neighbor_cap=cap)
             for scheme, cap in runs] == whole
 

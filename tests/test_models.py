@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from invkge import models
+from invkge import core, models
 from invkge.core import Vocabulary
 from invkge.models import (ROTATE, TRANSE, EmbeddingTables, init_tables, load_checkpoint,
                            load_vocabulary, save_checkpoint, save_vocabulary,
@@ -47,7 +47,7 @@ def test_init_shapes():
 def test_init_equals_one_float64_draw_rounded(monkeypatch, model, block_rows):
     # block_rows counts rows of dim float64 draws: RotatE entity blocks hold half as many
     dim, n_ent, n_rel, margin = 5, 11, 4, 2.0
-    monkeypatch.setattr(models, "_INIT_BLOCK_BYTES", block_rows * dim * 8)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", block_rows * dim * 8)
     tables = init_tables(3, model, dim, n_ent, n_rel, margin=margin)
     rng = substream(3, "init")
     bound = margin / dim
@@ -279,7 +279,7 @@ def test_non_finite_values_anywhere_rejected(tmp_path, where):
 def test_nan_in_a_block_boundary_row_rejected(tmp_path, monkeypatch, row):
     tables = init_tables(4, TRANSE, 5, 10, 2)
     # blocks of 3 rows: 0-2, 3-5, 6-8 and 9 alone
-    monkeypatch.setattr(models, "_CHECK_BLOCK_BYTES", 3 * 5 * 4)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 3 * 5 * 4)
     save_checkpoint(tables, tmp_path / "ok.bin")
     load_checkpoint(tmp_path / "ok.bin")
     tables.entity[row, 4 if row % 2 else 0] = np.nan

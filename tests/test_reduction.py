@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from invkge import reduction
+from invkge import core
 from invkge.core import TripleStore
 from invkge.estimation import (CandidateSet, _composer, candidate_vectors, cap_neighbors,
                                estimate_candidates)
@@ -286,7 +286,7 @@ def test_blocked_reduction_equals_the_whole_array_formula(monkeypatch, model, ca
     if cap is not None:
         cset = cap_neighbors(cset, cap, seed=1)
     width = 2 * dim if model == ROTATE else dim
-    monkeypatch.setattr(reduction, "_REDUCE_BLOCK_BYTES", 3 * width * 8)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 3 * width * 8)
     assert cap is not None or cset.counts.max() > 3
     whole = candidate_vectors(tables, cset)
     for scheme, kwargs in [(UNIFORM, {}), (DEGREE, {"train_store": train}),

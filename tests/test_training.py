@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from invkge import training
+from invkge import core, training
 from invkge.core import TripleStore, Vocabulary
 from invkge.datasets import BenchmarkSplits, generate_trainable_splits
 from invkge.models import (ROTATE, TRANSE, EmbeddingTables, init_tables, load_checkpoint,
@@ -462,7 +462,7 @@ class _RowWrites(np.ndarray):
 @pytest.mark.parametrize("width", [3, 600])
 @pytest.mark.parametrize("block_rows", [1, 3, 7])
 def test_blocked_adam_equals_unblocked_update(monkeypatch, dtype, width, block_rows):
-    monkeypatch.setattr(training, "_ADAM_BLOCK_BYTES",
+    monkeypatch.setattr(core, "_BLOCK_BYTES",
                         block_rows * width * np.dtype(dtype).itemsize)
     rng = np.random.default_rng(width + block_rows)
     n_rows = 40
@@ -693,7 +693,7 @@ def test_training_is_the_same_at_any_adam_block_size(monkeypatch, model, norm):
     cfg = TrainConfig(model=model, dim=8, margin=2.0, num_negatives=4, batch_size=16,
                       steps=30, seed=7, l2=1e-3, norm_order=norm, log_every=5)
     default, trace = train(splits, cfg)
-    monkeypatch.setattr(training, "_ADAM_BLOCK_BYTES", 1)   # one row per block
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1)   # one row per block
     one_row, one_row_trace = train(splits, cfg)
     assert np.array_equal(default.entity, one_row.entity)
     assert np.array_equal(default.relation, one_row.relation)
